@@ -2,7 +2,8 @@
 
 Kernels in concrete index notation are lowered over sparse, banded,
 block-sparse, and run-length tensor formats into specialized imperative code,
-executed by a built-in interpreter and verified against a dense oracle.
+executed by a built-in interpreter or as generated Python, and verified
+against a dense oracle.
 """
 
 from .api import (

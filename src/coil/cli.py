@@ -296,6 +296,7 @@ def cmd_run(args) -> int:
     report = {
         "outputs": {name: _jsonable(vals) for name, vals in result.dense.items()},
         "counters": result.counters.as_dict(),
+        "backend": result.backend,
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -376,15 +377,15 @@ def cmd_bench(args) -> int:
             _apply_protocol(vjob, p)
         inputs = _materialize_inputs(vjob, args.seed)
         compiled = _compile(vjob, inputs)
-        counters = None
+        result = None
         best = None
         for _ in range(max(1, args.trials)):
             t0 = time.perf_counter()
             result = execute(compiled, _clean_params(vjob))
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
-            counters = result.counters
-        report[label] = {**counters.as_dict(), "wall_clock_s": best}
+        report[label] = {**result.counters.as_dict(), "backend": result.backend,
+                         "wall_clock_s": best}
     print(json.dumps(report, indent=2))
     return 0
 

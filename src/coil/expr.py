@@ -60,10 +60,6 @@ ZERO = Lit(0)
 ONE = Lit(1)
 
 
-def ilit(v: int) -> Lit:
-    return Lit(v)
-
-
 def _const(e: Expr):
     if isinstance(e, Lit) and isinstance(e.value, int) and not isinstance(e.value, bool):
         return e.value

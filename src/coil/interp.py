@@ -71,7 +71,7 @@ class Buf:
         return self.data[i - 1]
 
     def set(self, i: int, v):
-        if not (1 <= i <= len(self.data)):
+        if not isinstance(i, int) or isinstance(i, bool) or not (1 <= i <= len(self.data)):
             raise InterpError(f"out-of-bounds write {self.name}[{i}] (size {len(self.data)})")
         self.data[i - 1] = v
 

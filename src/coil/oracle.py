@@ -240,13 +240,3 @@ def max_rel_error(a: list, b: list) -> float:
         worst = max(worst, d / max(abs(x), abs(y), 1.0))
     return worst
 
-
-def outputs_match(got: dict, want: dict, tol: float = 1e-12) -> bool:
-    if set(got) != set(want):
-        return False
-    for name in got:
-        if len(got[name]) != len(want[name]):
-            return False
-        if max_rel_error(got[name], want[name]) > tol:
-            return False
-    return True

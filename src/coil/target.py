@@ -1,7 +1,10 @@
 """Imperative target IR: structured statements over symbolic expressions.
 
 The IR is the compiler's final output. It is printable (deterministic text for
-golden tests) and interpretable; there is no lowering to a host language.
+golden tests) and runs on two backends: `interp` walks it with a counting
+interpreter, the semantic and counter reference, and `codegen` lowers it to
+one Python function with the same checks, results and counters. `api.execute`
+picks the backend by input size.
 """
 
 from __future__ import annotations

@@ -55,8 +55,6 @@ from .storage import (
 from .target import AssignVar, BufferWrite, CallStmt, Let, Template, TargetStmt
 from .values import MISSING, Value
 
-PROTOCOLS = ("walk", "gallop", "follow", "followzero", "extrude")
-
 
 class CompileError(Exception):
     pass

@@ -91,7 +91,6 @@ def _check_case(kernel, inputs, outputs, params, exact):
 
 
 def _dot_cases(rng, trials_per_assignment):
-    count = 0
     for (fa, pa), (fb, pb) in itertools.product(VEC_CONFIGS, repeat=2):
         for _ in range(trials_per_assignment):
             n = rng.randint(2, 24)
@@ -99,9 +98,7 @@ def _dot_cases(rng, trials_per_assignment):
             b = _clustered_vec(rng, n, 0.4) if fb in ("sband", "svbl") else _vec(rng, n, 0.4)
             ins = {"A": InputSpec([n], a, format=[fa], protocols={1: pa}),
                    "B": InputSpec([n], b, format=[fb], protocols={1: pb})}
-            _check_case(DOT, ins, {}, {}, {})
-            count += 1
-    return count
+            yield DOT, ins, {}, {}, {}
 
 
 SPMSPV = "@V i j y[i] += A[i,j] * x[j]"
@@ -115,7 +112,6 @@ X_CONFIGS = [("splist", "walk"), ("splist", "gallop"), ("splist", "follow"),
 
 
 def _spmspv_cases(rng, trials_per_assignment):
-    count = 0
     for (fa, pa), (fx, px) in itertools.product(A_CONFIGS, X_CONFIGS):
         for _ in range(trials_per_assignment):
             n, m = rng.randint(2, 8), rng.randint(2, 12)
@@ -124,16 +120,13 @@ def _spmspv_cases(rng, trials_per_assignment):
             ins = {"A": InputSpec([n, m], ad, format=list(fa), protocols={2: pa}),
                    "x": InputSpec([m], xd, format=[fx], protocols={1: px})}
             outs = {"y": OutputSpec(format=["splist" if rng.random() < 0.5 else "dense"])}
-            _check_case(SPMSPV, ins, outs, {}, {})
-            count += 1
-    return count
+            yield SPMSPV, ins, outs, {}, {}
 
 
 TRIANGLE = "@V i j k C[] += A[i,j] && A[j,k] && A[k,i]"
 
 
 def _triangle_cases(rng, trials_per_assignment):
-    count = 0
     for fmt, proto in [(("dense", "splist"), "walk"), (("dense", "splist"), "gallop"),
                        (("dense", "dense"), "walk")]:
         for _ in range(trials_per_assignment):
@@ -146,9 +139,7 @@ def _triangle_cases(rng, trials_per_assignment):
             ins = {"A": InputSpec([n, n], adj, format=list(fmt), fill=False,
                                   dtype="bool", protocols={2: proto})}
             outs = {"C": OutputSpec(dims=[], dtype="int", fill=0)}
-            _check_case(TRIANGLE, ins, outs, {}, {"C": True})
-            count += 1
-    return count
+            yield TRIANGLE, ins, outs, {}, {"C": True}
 
 
 CONV1D = ("@V i j B[i] += coalesce(A[permit[offset($c - i)[j]]], 0.0)"
@@ -164,31 +155,27 @@ RLE_SUM = "@V i C[] += A[i]"
 
 
 def _other_cases(rng, trials):
-    count = 0
     # 1-D convolution
     for fmt in ("splist", "dense", "svbl", "rle"):
         for _ in range(trials):
             n = rng.randint(3, 20)
             ins = {"A": InputSpec([n], _vec(rng, n, 0.3), format=[fmt]),
                    "F": InputSpec([3], [rng.random() for _ in range(3)])}
-            _check_case(CONV1D, ins, {"B": OutputSpec(dims=[n])}, {"c": 2}, {})
-            count += 1
+            yield CONV1D, ins, {"B": OutputSpec(dims=[n])}, {"c": 2}, {}
     # masked 2-D convolution
     for fmt in (("dense", "splist"), ("dense", "dense")):
         for _ in range(trials):
             n, m = rng.randint(3, 7), rng.randint(3, 7)
             ins = {"A": InputSpec([n, m], _mat(rng, n, m, 0.3), format=list(fmt)),
                    "F": InputSpec([3, 3], [rng.random() for _ in range(9)])}
-            _check_case(CONV2D, ins, {"C": OutputSpec(dims=[n, m])}, {"c": 2}, {})
-            count += 1
+            yield CONV2D, ins, {"C": OutputSpec(dims=[n, m])}, {"c": 2}, {}
     # concatenation
     for fa, fb in itertools.product(("dense", "splist"), repeat=2):
         for _ in range(trials):
             na, nb = rng.randint(1, 10), rng.randint(1, 10)
             ins = {"A": InputSpec([na], _vec(rng, na, 0.6), format=[fa]),
                    "B": InputSpec([nb], _vec(rng, nb, 0.6), format=[fb])}
-            _check_case(CONCAT, ins, {"C": OutputSpec(dims=[na + nb])}, {"na": na}, {})
-            count += 1
+            yield CONCAT, ins, {"C": OutputSpec(dims=[na + nb])}, {"na": na}, {}
     # alpha blend
     for fmt, ofmt in ((("dense", "rle"), ("dense", "rle")),
                       (("dense", "dense"), ("dense", "dense"))):
@@ -197,8 +184,7 @@ def _other_cases(rng, trials):
             ins = {"B": InputSpec([h, w], _mat(rng, h, w, 0.5, runs=True), format=list(fmt)),
                    "C": InputSpec([h, w], _mat(rng, h, w, 0.5, runs=True), format=list(fmt))}
             outs = {"A": OutputSpec(dims=[h, w], format=list(ofmt))}
-            _check_case(BLEND, ins, outs, {"alpha": 0.25, "beta": 0.75}, {})
-            count += 1
+            yield BLEND, ins, outs, {"alpha": 0.25, "beta": 0.75}, {}
     # all-pairs similarity
     for fmt in (("dense", "svbl"), ("dense", "splist"), ("dense", "rle")):
         for _ in range(trials):
@@ -207,24 +193,26 @@ def _other_cases(rng, trials):
             rd = [sum(ad[r * nn + c] ** 2 for c in range(nn)) for r in range(m)]
             ins = {"A": InputSpec([m, nn], ad, format=list(fmt)),
                    "R": InputSpec([m], rd)}
-            _check_case(ALLPAIRS, ins, {"O": OutputSpec(dims=[m, m])}, {}, {})
-            count += 1
+            yield ALLPAIRS, ins, {"O": OutputSpec(dims=[m, m])}, {}, {}
     # run-length sum
     for _ in range(trials):
         n = rng.randint(1, 40)
         ins = {"A": InputSpec([n], _mat(rng, 1, n, 0.5, runs=True), format=["rle"])}
-        _check_case(RLE_SUM, ins, {}, {}, {})
-        count += 1
-    return count
+        yield RLE_SUM, ins, {}, {}, {}
+
+
+def corpus_cases(rng, trials_per_assignment):
+    """Every corpus kernel x admissible format/protocol assignment, as
+    (kernel, inputs, outputs, params, exact) with fresh random instances."""
+    for cases in (_dot_cases, _spmspv_cases, _triangle_cases, _other_cases):
+        yield from cases(rng, trials_per_assignment)
 
 
 def test_criterion_1_oracle_corpus():
-    rng = random.Random(20260809)
     total = 0
-    total += _dot_cases(rng, 100)
-    total += _spmspv_cases(rng, 100)
-    total += _triangle_cases(rng, 100)
-    total += _other_cases(rng, 100)
+    for case in corpus_cases(random.Random(20260809), 100):
+        _check_case(*case)
+        total += 1
     report("1 oracle corpus",
            f"{total} randomized instances across all admissible assignments agree "
            "with the dense oracle")

@@ -49,6 +49,7 @@ def test_run_json_report(capsys, tmp_path):
     report = json.loads(out)
     assert report["outputs"]["C"] == [10.0]
     assert report["counters"]["loop_iterations"] == 4
+    assert report["backend"] == "interp"
 
 
 def test_check_passes_on_dot(capsys):
@@ -130,6 +131,7 @@ def test_bench_reports_per_variant_counters(capsys):
     for label in report:
         assert "loop_iterations" in report[label]
         assert "wall_clock_s" in report[label]
+        assert report[label]["backend"] == "interp"
 
 
 def test_bench_dense_dot_iterations_equal_length(capsys, tmp_path):

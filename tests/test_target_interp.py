@@ -153,3 +153,12 @@ def test_count_loops():
     prog = Block((For("i", Lit(1), Lit(2), While(le(Var("i"), Lit(1)), NOP)), NOP))
     assert count_loops(prog) == 2
     assert count_loops(block([NOP, NOP])) == 0
+
+
+def test_buffer_set_rejects_non_int_index():
+    buf = Buf("y", [0, 0], "int")
+    for bad in (True, 1.0, 0, 3):
+        with pytest.raises(InterpError):
+            buf.set(bad, 7)
+    buf.set(2, 7)
+    assert buf.data == [0, 7]
