@@ -6,7 +6,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import interp
-from .cin import Stmt, results, written_tensors
+from .cin import (
+    Access,
+    Assign,
+    Forall,
+    Mod,
+    Proto,
+    Stmt,
+    annotate_extents,
+    results,
+    written_tensors,
+)
+from .expr import Var, walk
 from .interp import Buf, ExecCounters
 from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
@@ -48,49 +59,22 @@ class Compiled:
         return print_ir(self.program)
 
 
-def _infer_output_dims(stmt: Stmt, name: str, input_dims: Dict[str, List[int]],
-                       params: Dict[str, Value]) -> List[int]:
-    """Output dims come from the extents of the loops that index the output."""
-    from .cin import Access, Forall, Multi, Sieve, Where, walk_exprs, subexprs
-    from .expr import Lit, Var
-
-    ext_of: Dict[str, Tuple] = {}
-
-    def scan(node, bound):
-        from .cin import Assign
-
-        if isinstance(node, Forall):
-            scan(node.body, {**bound, node.idx: node.ext})
-        elif isinstance(node, Where):
-            scan(node.cons, bound)
-            scan(node.prod, bound)
-        elif isinstance(node, Multi):
-            for p in node.parts:
-                scan(p, bound)
-        elif isinstance(node, Sieve):
-            scan(node.body, bound)
-        elif isinstance(node, Assign):
-            if node.lhs.base == name:
-                for k, use in enumerate(node.lhs.idx):
-                    core = use
-                    while hasattr(core, "inner"):
-                        core = core.inner
-                    if isinstance(core, Var) and core.name in bound and bound[core.name]:
-                        ext = bound[core.name]
-                        lo, hi = ext.start, ext.stop
-                        if isinstance(lo, Lit) and isinstance(hi, Lit):
-                            ext_of.setdefault(k, hi.value - lo.value + 1)
-
-    # annotate best-effort so every forall has an extent to read
-    from .cin import annotate_extents
-
-    s2 = annotate_extents(stmt, dict(input_dims), strict=False)
-    scan(s2, {})
-    rank = 0
-    for e in walk_exprs(stmt):
-        for sub in subexprs(e):
-            if isinstance(sub, Access) and sub.base == name:
-                rank = max(rank, len(sub.idx))
+def _infer_output_dims(annotated: Stmt, name: str) -> List[int]:
+    """Output dims are the lengths of the extents, as `annotate_extents` filled
+    them in, of the loops that index the output (index names are unique)."""
+    nodes = list(walk(annotated))
+    exts = {n.idx: n.ext for n in nodes if isinstance(n, Forall) and n.ext is not None}
+    ext_of: Dict[int, int] = {}
+    for n in nodes:
+        if isinstance(n, Assign) and n.lhs.base == name:
+            for k, use in enumerate(n.lhs.idx):
+                while isinstance(use, (Mod, Proto)):
+                    use = use.inner
+                ext = exts.get(use.name) if isinstance(use, Var) else None
+                lohi = ext and ext.const_bounds()
+                if lohi:
+                    ext_of.setdefault(k, lohi[1] - lohi[0] + 1)
+    rank = max((len(n.idx) for n in nodes if isinstance(n, Access) and n.base == name), default=0)
     dims = []
     for k in range(rank):
         if k not in ext_of:
@@ -129,7 +113,7 @@ def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec
             raise CompileError(f"tensor {name!r} bound as both input and output")
         dims = spec.dims
         if dims is None:
-            dims = _infer_output_dims(stmt, name, input_dims, params)
+            dims = _infer_output_dims(annotate_extents(stmt, input_dims, strict=False), name)
         fmt = spec.format
         if fmt == ["dense"] and len(dims) > 1:
             fmt = ["dense"] * len(dims)

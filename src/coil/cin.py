@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .expr import Call, Expr, Extent, Lit, Var, eq, print_expr, subst
+from .expr import Expr, Extent, Lit, Read, Search, Var, eq, free_vars, keep, print_expr, walk
 
 
 class CinError(Exception):
@@ -30,15 +30,14 @@ class Access(Expr):
     base: object
     idx: Tuple[Expr, ...]
 
-    def subst_into(self, env):
-        base = subst(self.base, env) if isinstance(self.base, Expr) else self.base
-        return Access(base, tuple(subst(i, env) for i in self.idx))
-
-    def child_exprs(self):
-        out = list(self.idx)
+    def children(self):
         if isinstance(self.base, Expr):
-            out.append(self.base)
-        return out
+            return (self.base,) + self.idx
+        return self.idx
+
+    def map(self, fe, fs=None):
+        base = fe(self.base) if isinstance(self.base, Expr) else self.base
+        return Access(base, tuple(map(fe, self.idx)))
 
     def pprint(self, prec=0):
         base = self.base if isinstance(self.base, str) else print_expr(self.base)
@@ -53,11 +52,11 @@ class Mod(Expr):
     params: Tuple[Expr, ...]
     inner: Expr
 
-    def subst_into(self, env):
-        return Mod(self.kind, tuple(subst(p, env) for p in self.params), subst(self.inner, env))
+    def children(self):
+        return self.params + (self.inner,)
 
-    def child_exprs(self):
-        return list(self.params) + [self.inner]
+    def map(self, fe, fs=None):
+        return Mod(self.kind, tuple(map(fe, self.params)), fe(self.inner))
 
     def pprint(self, prec=0):
         inner = print_expr(self.inner)
@@ -74,11 +73,11 @@ class Proto(Expr):
     proto: str
     inner: Expr
 
-    def subst_into(self, env):
-        return Proto(self.proto, subst(self.inner, env))
+    def children(self):
+        return (self.inner,)
 
-    def child_exprs(self):
-        return [self.inner]
+    def map(self, fe, fs=None):
+        return Proto(self.proto, fe(self.inner))
 
     def pprint(self, prec=0):
         return f"{print_expr(self.inner)}::{self.proto}"
@@ -93,11 +92,11 @@ class Cursor(Expr):
     depth: int
     pos: Expr
 
-    def subst_into(self, env):
-        return Cursor(self.tensor, self.depth, subst(self.pos, env))
+    def children(self):
+        return (self.pos,)
 
-    def child_exprs(self):
-        return [self.pos]
+    def map(self, fe, fs=None):
+        return Cursor(self.tensor, self.depth, fe(self.pos))
 
     def pprint(self, prec=0):
         return f"{self.tensor}@{self.depth}<{print_expr(self.pos)}>"
@@ -108,17 +107,12 @@ _furl_tags = itertools.count(1)
 
 @dataclass(frozen=True)
 class Furl(Expr):
-    """An unfurled looplet over `index`; tag identifies the node during passes."""
+    """An unfurled looplet over `index`; tag identifies the node during passes.
+    A leaf of the traversal protocol: passes replace a furl whole, by tag."""
 
     looplet: object
     index: str
     tag: int = field(default_factory=lambda: next(_furl_tags))
-
-    def subst_into(self, env):
-        return self
-
-    def child_exprs(self):
-        return []
 
     def pprint(self, prec=0):
         return f"<furl#{self.tag}:{self.index}>"
@@ -128,7 +122,15 @@ class Furl(Expr):
 
 
 class Stmt:
+    """CIN statement; same traversal protocol as `Expr`."""
+
     __slots__ = ()
+
+    def children(self) -> tuple:
+        return ()
+
+    def map(self, fe, fs):
+        return self
 
 
 UPDATE_OPS = ("set", "add", "mul", "min", "max", "or")
@@ -140,12 +142,29 @@ class Assign(Stmt):
     op: str
     rhs: Expr
 
+    def children(self):
+        return (self.lhs, self.rhs)
+
+    def map(self, fe, fs):
+        return Assign(fe(self.lhs), self.op, fe(self.rhs))
+
 
 @dataclass(frozen=True)
 class Forall(Stmt):
     idx: str
     ext: Optional[Extent]
     body: Stmt
+
+    def children(self):
+        if self.ext is None:
+            return (self.body,)
+        return (self.ext.start, self.ext.stop, self.body)
+
+    def map(self, fe, fs):
+        ext = self.ext
+        if ext is not None:
+            ext = Extent(fe(ext.start), fe(ext.stop))
+        return Forall(self.idx, ext, fs(self.body))
 
 
 @dataclass(frozen=True)
@@ -157,16 +176,34 @@ class Where(Stmt):
     prod: Stmt
     inits: Tuple[str, ...] = ()
 
+    def children(self):
+        return (self.cons, self.prod)
+
+    def map(self, fe, fs):
+        return Where(fs(self.cons), fs(self.prod), self.inits)
+
 
 @dataclass(frozen=True)
 class Multi(Stmt):
     parts: Tuple[Stmt, ...]
+
+    def children(self):
+        return self.parts
+
+    def map(self, fe, fs):
+        return Multi(tuple(map(fs, self.parts)))
 
 
 @dataclass(frozen=True)
 class Sieve(Stmt):
     cond: Expr
     body: Stmt
+
+    def children(self):
+        return (self.cond, self.body)
+
+    def map(self, fe, fs):
+        return Sieve(fe(self.cond), fs(self.body))
 
 
 @dataclass(frozen=True)
@@ -213,61 +250,16 @@ def _wrap(s: Stmt) -> str:
 
 # -- structural helpers --------------------------------------------------------
 
-
-def map_exprs(s: Stmt, fn) -> Stmt:
-    """Rebuild a statement with fn applied to every top-level expression."""
-    if isinstance(s, Assign):
-        lhs = fn(s.lhs)
-        return Assign(lhs, s.op, fn(s.rhs))
-    if isinstance(s, Forall):
-        ext = s.ext
-        if ext is not None:
-            ext = Extent(fn(ext.start), fn(ext.stop))
-        return Forall(s.idx, ext, map_exprs(s.body, fn))
-    if isinstance(s, Where):
-        return Where(map_exprs(s.cons, fn), map_exprs(s.prod, fn), s.inits)
-    if isinstance(s, Multi):
-        return Multi(tuple(map_exprs(p, fn) for p in s.parts))
-    if isinstance(s, Sieve):
-        return Sieve(fn(s.cond), map_exprs(s.body, fn))
-    if isinstance(s, PassStmt):
-        return s
-    raise TypeError(f"cannot map {s!r}")
+# Reads, searches and cursor positions are target-level terms that earlier
+# passes left inside CIN, already normalized by the index constructors. They
+# hold no accesses or looplets: `simplify` and furl replacement leave them whole.
+TARGET_TERMS = (Read, Search, Cursor)
 
 
-def walk_exprs(s: Stmt):
-    if isinstance(s, Assign):
-        yield s.lhs
-        yield s.rhs
-    elif isinstance(s, Forall):
-        if s.ext is not None:
-            yield s.ext.start
-            yield s.ext.stop
-        yield from walk_exprs(s.body)
-    elif isinstance(s, Where):
-        yield from walk_exprs(s.cons)
-        yield from walk_exprs(s.prod)
-    elif isinstance(s, Multi):
-        for p in s.parts:
-            yield from walk_exprs(p)
-    elif isinstance(s, Sieve):
-        yield s.cond
-        yield from walk_exprs(s.body)
-
-
-def subexprs(e: Expr):
-    yield e
-    if isinstance(e, Call):
-        for a in e.args:
-            yield from subexprs(a)
-    elif isinstance(e, Access):
-        if isinstance(e.base, Expr):
-            yield from subexprs(e.base)
-        for i in e.idx:
-            yield from subexprs(i)
-    elif isinstance(e, (Mod, Proto)):
-        for a in e.child_exprs():
-            yield from subexprs(a)
+def uses_index(e: Expr, idx: str) -> bool:
+    """Whether `e` may depend on index `idx`: it mentions `idx`, or it holds an
+    unresolved looplet, whose structure may depend on any index."""
+    return any(isinstance(n, Furl) or (isinstance(n, Var) and n.name == idx) for n in walk(e))
 
 
 def results(s: Stmt) -> Tuple[str, ...]:
@@ -280,35 +272,15 @@ def results(s: Stmt) -> Tuple[str, ...]:
     if isinstance(s, Where):
         return results(s.cons)
     if isinstance(s, Multi):
-        out = []
-        for p in s.parts:
-            for t in results(p):
-                if t not in out:
-                    out.append(t)
-        return tuple(out)
+        return tuple(dict.fromkeys(t for p in s.parts for t in results(p)))
     if isinstance(s, PassStmt):
         return s.tensors
     raise TypeError(f"no results for {s!r}")
 
 
 def written_tensors(s: Stmt) -> Tuple[str, ...]:
-    out = []
-    if isinstance(s, Assign):
-        if isinstance(s.lhs.base, str):
-            out.append(s.lhs.base)
-    elif isinstance(s, (Forall, Sieve)):
-        out.extend(written_tensors(s.body))
-    elif isinstance(s, Where):
-        out.extend(written_tensors(s.cons))
-        out.extend(written_tensors(s.prod))
-    elif isinstance(s, Multi):
-        for p in s.parts:
-            out.extend(written_tensors(p))
-    dedup = []
-    for t in out:
-        if t not in dedup:
-            dedup.append(t)
-    return tuple(dedup)
+    return tuple(dict.fromkeys(
+        n.lhs.base for n in walk(s) if isinstance(n, Assign) and isinstance(n.lhs.base, str)))
 
 
 # -- scope analysis ------------------------------------------------------------
@@ -330,12 +302,8 @@ def assign_scopes(s: Stmt):
             prod = visit(node.prod)
             cons = visit(node.cons)
             return Where(cons, prod, owned)
-        if isinstance(node, Forall):
-            return Forall(node.idx, node.ext, visit(node.body))
-        if isinstance(node, Sieve):
-            return Sieve(node.cond, visit(node.body))
+        out = node.map(keep, visit)
         if isinstance(node, Multi):
-            parts = tuple(visit(p) for p in node.parts)
             claimed: dict = {}
             for p in node.parts:
                 for t in written_tensors(p):
@@ -343,36 +311,21 @@ def assign_scopes(s: Stmt):
                         raise CinError(
                             f"tensor {t!r} written in two parallel branches without a where")
                     claimed[t] = p
-            return Multi(parts)
-        return node
+        return out
 
     annotated = visit(s)
     root = tuple(t for t in (results(s) + written_tensors(s)) if t not in seen)
-    dedup = []
-    for t in root:
-        if t not in dedup:
-            dedup.append(t)
-    return annotated, tuple(dedup)
+    return annotated, tuple(dict.fromkeys(root))
 
 
 def result_scopes(s: Stmt) -> dict:
     """tensor -> ('program',) or ('where', printed producer) init/finalize point."""
     annotated, root = assign_scopes(s)
     scopes = {t: ("program",) for t in root}
-
-    def visit(node):
+    for node in walk(annotated):
         if isinstance(node, Where):
             for t in node.inits:
                 scopes[t] = ("where", print_stmt(node.prod))
-            visit(node.prod)
-            visit(node.cons)
-        elif isinstance(node, (Forall, Sieve)):
-            visit(node.body)
-        elif isinstance(node, Multi):
-            for p in node.parts:
-                visit(p)
-
-    visit(annotated)
     return scopes
 
 
@@ -403,25 +356,22 @@ def _index_constraints(use: Expr, lo: Expr, hi: Expr, out: dict, strong: bool):
 
 
 def _gather_constraints(s: Stmt, dims: dict, out: dict, strict: bool = True):
-    for e in walk_exprs(s):
-        for sub in subexprs(e):
-            if isinstance(sub, Access) and isinstance(sub.base, str):
-                if sub.base not in dims:
-                    if strict:
-                        raise CinError(f"kernel references unbound tensor {sub.base!r}")
-                    continue
-                ds = dims[sub.base]
-                if len(sub.idx) != len(ds):
-                    raise CinError(
-                        f"tensor {sub.base!r} has rank {len(ds)}, accessed with "
-                        f"{len(sub.idx)} indices")
-                for k, use in enumerate(sub.idx):
-                    _index_constraints(use, Lit(1), Lit(ds[k]), out, True)
+    for sub in walk(s):
+        if isinstance(sub, Access) and isinstance(sub.base, str):
+            if sub.base not in dims:
+                if strict:
+                    raise CinError(f"kernel references unbound tensor {sub.base!r}")
+                continue
+            ds = dims[sub.base]
+            if len(sub.idx) != len(ds):
+                raise CinError(
+                    f"tensor {sub.base!r} has rank {len(ds)}, accessed with "
+                    f"{len(sub.idx)} indices")
+            for k, use in enumerate(sub.idx):
+                _index_constraints(use, Lit(1), Lit(ds[k]), out, True)
 
 
 def _param_only(ext: Extent) -> bool:
-    from .expr import free_vars
-
     return all(v.startswith("$") for v in free_vars(ext.start) | free_vars(ext.stop))
 
 
@@ -452,16 +402,9 @@ def annotate_extents(s: Stmt, dims: dict, strict: bool = True) -> Stmt:
         raise CinError(f"cannot infer an extent for index {idx!r}")
 
     def visit(node: Stmt) -> Stmt:
-        if isinstance(node, Forall):
-            ext = node.ext if node.ext is not None else pick(node.idx)
-            return Forall(node.idx, ext, visit(node.body))
-        if isinstance(node, Where):
-            return Where(visit(node.cons), visit(node.prod), node.inits)
-        if isinstance(node, Multi):
-            return Multi(tuple(visit(p) for p in node.parts))
-        if isinstance(node, Sieve):
-            return Sieve(node.cond, visit(node.body))
-        return node
+        if isinstance(node, Forall) and node.ext is None:
+            node = Forall(node.idx, pick(node.idx), node.body)
+        return node.map(keep, visit)
 
     return visit(s)
 
@@ -469,40 +412,26 @@ def annotate_extents(s: Stmt, dims: dict, strict: bool = True) -> Stmt:
 # -- binder audit ---------------------------------------------------------------
 
 
-def check_bindings(s: Stmt, bound: Optional[set] = None, all_seen: Optional[set] = None):
-    """Every index is bound exactly once and every use is under its binder."""
-    if bound is None:
-        bound = set()
+def check_bindings(s: Stmt, bound: frozenset = frozenset(), all_seen: Optional[set] = None):
+    """Every index is bound exactly once and every use is under its binder
+    (a forall's extent is outside its own binder)."""
+    if all_seen is None:
         all_seen = set()
+    inner = bound
     if isinstance(s, Forall):
         if s.idx in all_seen:
             raise CinError(f"index {s.idx!r} bound more than once")
         all_seen.add(s.idx)
-        check_bindings(s.body, bound | {s.idx}, all_seen)
-        return
-    if isinstance(s, (Sieve,)):
-        _check_expr_bound(s.cond, bound)
-        check_bindings(s.body, bound, all_seen)
-        return
-    if isinstance(s, Assign):
-        _check_expr_bound(s.lhs, bound)
-        _check_expr_bound(s.rhs, bound)
-        return
-    if isinstance(s, Where):
-        check_bindings(s.cons, bound, all_seen)
-        check_bindings(s.prod, bound, all_seen)
-        return
-    if isinstance(s, Multi):
-        for p in s.parts:
-            check_bindings(p, bound, all_seen)
-        return
-    if isinstance(s, PassStmt):
-        return
-    raise TypeError(f"cannot audit {s!r}")
+        inner = bound | {s.idx}
+    for c in s.children():
+        if isinstance(c, Stmt):
+            check_bindings(c, inner, all_seen)
+        else:
+            _check_expr_bound(c, bound)
 
 
 def _check_expr_bound(e: Expr, bound: set):
-    for sub in subexprs(e):
+    for sub in walk(e):
         if isinstance(sub, Var) and not sub.name.startswith("$") and sub.name not in bound:
             raise CinError(f"unbound index {sub.name!r}")
 
@@ -536,35 +465,12 @@ def normalize_scatter(s: Stmt, dims: Optional[dict] = None) -> Stmt:
 
         @V i A[i] = B[f(i)]   ->   @V i j @sieve j == f(i) (A[i] = B[j])
     """
-    used = set()
-
-    def collect_names(node):
-        if isinstance(node, Forall):
-            used.add(node.idx)
-            collect_names(node.body)
-        elif isinstance(node, (Sieve,)):
-            collect_names(node.body)
-        elif isinstance(node, Where):
-            collect_names(node.cons)
-            collect_names(node.prod)
-        elif isinstance(node, Multi):
-            for p in node.parts:
-                collect_names(p)
-
-    collect_names(s)
+    used = {n.idx for n in walk(s) if isinstance(n, Forall)}
 
     def visit(node: Stmt) -> Stmt:
         if isinstance(node, Assign):
             return _rewrite_assign(node, used)
-        if isinstance(node, Forall):
-            return Forall(node.idx, node.ext, visit(node.body))
-        if isinstance(node, Sieve):
-            return Sieve(node.cond, visit(node.body))
-        if isinstance(node, Where):
-            return Where(visit(node.cons), visit(node.prod), node.inits)
-        if isinstance(node, Multi):
-            return Multi(tuple(visit(p) for p in node.parts))
-        return node
+        return node.map(keep, visit)
 
     return visit(s)
 
@@ -585,10 +491,8 @@ def _rewrite_assign(a: Assign, used: set) -> Stmt:
 
     def fix_expr(e: Expr) -> Expr:
         if isinstance(e, Access):
-            return Access(e.base, tuple(fix_index(i) for i in e.idx))
-        if isinstance(e, Call):
-            return Call(e.op, tuple(fix_expr(x) for x in e.args))
-        return e
+            return Access(e.base, tuple(map(fix_index, e.idx)))
+        return e.map(fix_expr)
 
     rhs = fix_expr(a.rhs)
     if not fresh:

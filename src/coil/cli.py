@@ -64,6 +64,7 @@ class JobSpec:
     randoms: Dict[str, RandomSpec]
     outputs: Dict[str, OutputSpec]
     params: Dict[str, object]
+    protocols: Dict[str, Dict[int, str]] = field(default_factory=dict)  # tensor -> mode -> name
 
 
 def _parse_value(text: str):
@@ -94,10 +95,17 @@ def _parse_kv(pairs: List[str]) -> dict:
     return out
 
 
+def _parse_number(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise CliError(f"cannot parse {what} {text!r}") from None
+
+
 def _parse_dims(text: str) -> List[int]:
     if not text:
         return []
-    return [int(x) for x in text.lower().split("x")]
+    return [_parse_number(int, x, "dimension") for x in text.lower().split("x")]
 
 
 def parse_tensor_spec(name: str, spec: str):
@@ -113,16 +121,15 @@ def parse_tensor_spec(name: str, spec: str):
     if head.startswith("random:") or head == "random":
         rest = head[len("random:"):] if head.startswith("random:") else ""
         if rest:
-            k, v = rest.split("=", 1)
-            kv = {k: v, **kv}
+            kv = {**_parse_kv([rest]), **kv}
         dims = _parse_dims(kv.pop("dims", ""))
         if not dims:
             raise CliError(f"tensor {name}: random spec needs dims=")
         rs = RandomSpec(dims)
-        rs.density = float(kv.pop("density", "0.1"))
+        rs.density = _parse_number(float, kv.pop("density", "0.1"), "density")
         rs.dist = kv.pop("dist", "uniform01")
         if "seed" in kv:
-            rs.seed = int(kv.pop("seed"))
+            rs.seed = _parse_number(int, kv.pop("seed"), "seed")
         if fmt:
             rs.format = fmt
         if fill is not None:
@@ -134,8 +141,7 @@ def parse_tensor_spec(name: str, spec: str):
     if head.startswith("out:") or head == "out":
         rest = head[len("out:"):] if head.startswith("out:") else ""
         if rest:
-            k, v = rest.split("=", 1)
-            kv = {k: v, **kv}
+            kv = {**_parse_kv([rest]), **kv}
         dims = _parse_dims(kv.pop("dims", "")) or None
         os_ = OutputSpec(dims=dims)
         if fmt:
@@ -223,28 +229,17 @@ def _apply_protocol(job: JobSpec, spec: str):
         mode = int(mode)
     except ValueError:
         raise CliError(f"--protocol expects TENSOR.MODE=NAME, got {spec!r}")
-    if tensor in job.inputs:
-        job.inputs[tensor].protocols[mode] = proto.strip()
-    elif tensor in job.randoms:
-        pass  # applied after generation
-    else:
+    if tensor not in job.inputs and tensor not in job.randoms:
         raise CliError(f"--protocol names unknown input tensor {tensor!r}")
-    job.params.setdefault("__protocols__", {})
-    if isinstance(job.params.get("__protocols__"), dict):
-        job.params["__protocols__"].setdefault(tensor, {})[mode] = proto.strip()
+    job.protocols.setdefault(tensor, {})[mode] = proto.strip()
 
 
 def _materialize_inputs(job: JobSpec, seed: int) -> Dict[str, InputSpec]:
     inputs = dict(job.inputs)
-    protos = job.params.get("__protocols__", {})
     for name, rs in job.randoms.items():
-        ins = gen_random(rs, seed + _stable_hash(name))
-        if name in protos:
-            ins.protocols.update(protos[name])
-        inputs[name] = ins
-    for name, spec in inputs.items():
-        if name in protos and name in job.inputs:
-            spec.protocols.update(protos[name])
+        inputs[name] = gen_random(rs, seed + _stable_hash(name))
+    for name, protos in job.protocols.items():
+        inputs[name].protocols.update(protos)
     return inputs
 
 
@@ -255,13 +250,9 @@ def _stable_hash(name: str) -> int:
     return h
 
 
-def _clean_params(job: JobSpec) -> dict:
-    return {k: v for k, v in job.params.items() if not k.startswith("__")}
-
-
 def _compile(job: JobSpec, inputs, stages=False) -> Compiled:
     stmt = parse(job.kernel_text)
-    return compile_kernel(stmt, inputs, job.outputs, _clean_params(job), stages=stages)
+    return compile_kernel(stmt, inputs, job.outputs, job.params, stages=stages)
 
 
 def cmd_compile(args) -> int:
@@ -292,7 +283,7 @@ def cmd_run(args) -> int:
     compiled = _compile(job, inputs)
     if args.dump_ir:
         print(compiled.ir_text())
-    result = execute(compiled, _clean_params(job))
+    result = execute(compiled, job.params)
     report = {
         "outputs": {name: _jsonable(vals) for name, vals in result.dense.items()},
         "counters": result.counters.as_dict(),
@@ -321,9 +312,9 @@ def cmd_check(args) -> int:
         seed = args.seed + trial
         inputs = _materialize_inputs(job, seed)
         compiled = _compile(job, inputs)
-        result = execute(compiled, _clean_params(job))
+        result = execute(compiled, job.params)
         want = oracle_outputs(parse(job.kernel_text), inputs, job.outputs,
-                              _clean_params(job))
+                              job.params)
         worst = 0.0
         ok = set(result.dense) == set(want)
         if ok:
@@ -337,7 +328,7 @@ def cmd_check(args) -> int:
             replay = {
                 "kernel": job.kernel_text,
                 "seed": seed,
-                "params": {k: _scalar_jsonable(v) for k, v in _clean_params(job).items()},
+                "params": {k: _scalar_jsonable(v) for k, v in job.params.items()},
                 "tensors": {
                     name: {"dims": spec.dims, "data": _jsonable(spec.data),
                            "format": spec.format,
@@ -381,7 +372,7 @@ def cmd_bench(args) -> int:
         best = None
         for _ in range(max(1, args.trials)):
             t0 = time.perf_counter()
-            result = execute(compiled, _clean_params(vjob))
+            result = execute(compiled, vjob.params)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         report[label] = {**result.counters.as_dict(), "backend": result.backend,

@@ -14,7 +14,19 @@ from .values import value_repr
 
 
 class Expr:
+    """Expression node. Every IR family (expressions, CIN and target
+    statements, looplets) shares one traversal protocol: `children()` lists
+    a node's child nodes in visit order, and `map(fe, fs)` rebuilds the node
+    with `fe` applied to each expression child and `fs` to each statement or
+    looplet child. Leaves keep the defaults."""
+
     __slots__ = ()
+
+    def children(self) -> tuple:
+        return ()
+
+    def map(self, fe, fs=None):
+        return self
 
 
 @dataclass(frozen=True)
@@ -37,11 +49,23 @@ class Read(Expr):
     buf: str
     idx: Tuple[Expr, ...]
 
+    def children(self):
+        return self.idx
+
+    def map(self, fe, fs=None):
+        return Read(self.buf, tuple(map(fe, self.idx)))
+
 
 @dataclass(frozen=True)
 class Call(Expr):
     op: str
     args: Tuple[Expr, ...]
+
+    def children(self):
+        return self.args
+
+    def map(self, fe, fs=None):
+        return Call(self.op, tuple(map(fe, self.args)))
 
 
 @dataclass(frozen=True)
@@ -52,6 +76,12 @@ class Search(Expr):
     lo: Expr
     hi: Expr
     key: Expr
+
+    def children(self):
+        return (self.lo, self.hi, self.key)
+
+    def map(self, fe, fs=None):
+        return Search(self.buf, fe(self.lo), fe(self.hi), fe(self.key))
 
 
 TRUE = Lit(True)
@@ -196,49 +226,44 @@ def const_diff(a: Expr, b: Expr):
     return _const(d)
 
 
-def subst(e: Expr, env: dict) -> Expr:
-    """Substitute Var names by expressions (capture-free; names are unique)."""
-    if isinstance(e, Var):
-        return env.get(e.name, e)
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, Read):
-        return Read(e.buf, tuple(subst(i, env) for i in e.idx))
-    if isinstance(e, Search):
-        return Search(e.buf, subst(e.lo, env), subst(e.hi, env), subst(e.key, env))
-    if isinstance(e, Call):
-        args = tuple(subst(a, env) for a in e.args)
-        # Rebuild through the normalizers so bound constants keep folding.
-        if e.op == "add":
-            return iadd(*args)
-        if e.op == "neg":
-            return ineg(args[0])
-        if e.op in ("min", "max"):
-            return _minmax(e.op, args)
-        return Call(e.op, args)
-    if hasattr(e, "subst_into"):
-        return e.subst_into(env)
-    return e
+def walk(node):
+    """`node` and every node below it, in preorder."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(n.children()))
 
 
-def free_vars(e: Expr, out=None) -> set:
-    if out is None:
-        out = set()
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Read):
-        for i in e.idx:
-            free_vars(i, out)
-    elif isinstance(e, Search):
-        for p in (e.lo, e.hi, e.key):
-            free_vars(p, out)
-    elif isinstance(e, Call):
-        for a in e.args:
-            free_vars(a, out)
-    elif hasattr(e, "child_exprs"):
-        for a in e.child_exprs():
-            free_vars(a, out)
-    return out
+def keep(node):
+    """The identity map, for visitors that rebuild only one kind of child."""
+    return node
+
+
+def subst(node, env: dict):
+    """Substitute Var names by expressions anywhere in a node of any IR
+    family (capture-free; names are unique)."""
+
+    def go(n):
+        if isinstance(n, Var):
+            return env.get(n.name, n)
+        if isinstance(n, Call):
+            args = tuple(map(go, n.args))
+            # Rebuild through the normalizers so bound constants keep folding.
+            if n.op == "add":
+                return iadd(*args)
+            if n.op == "neg":
+                return ineg(args[0])
+            if n.op in ("min", "max"):
+                return _minmax(n.op, args)
+            return Call(n.op, args)
+        return n.map(go, go)
+
+    return go(node)
+
+
+def free_vars(e: Expr) -> set:
+    return {n.name for n in walk(e) if isinstance(n, Var)}
 
 
 _INFIX = {

@@ -22,15 +22,25 @@ from .expr import (
     eq,
     iadd,
     isub,
+    keep,
     print_expr,
     subst,
 )
 from .interp import InterpError, Machine
-from .target import Template, print_stmt, subst_stmt
+from .target import Template, print_stmt
 
 
 class Looplet:
+    """Looplet node; same traversal protocol as `Expr`, with `fe` mapping
+    scalar fields and `fs` bodies and templates."""
+
     __slots__ = ()
+
+    def children(self) -> tuple:
+        return ()
+
+    def map(self, fe, fs):
+        return self
 
 
 Body = Union[Looplet, Expr]
@@ -42,6 +52,12 @@ class Run(Looplet):
 
     body: Expr
 
+    def children(self):
+        return (self.body,)
+
+    def map(self, fe, fs):
+        return Run(fe(self.body))
+
 
 @dataclass(frozen=True)
 class Spike(Looplet):
@@ -49,6 +65,12 @@ class Spike(Looplet):
 
     body: Expr
     tail: Expr
+
+    def children(self):
+        return (self.body, self.tail)
+
+    def map(self, fe, fs):
+        return Spike(fe(self.body), fe(self.tail))
 
 
 @dataclass(frozen=True)
@@ -62,12 +84,25 @@ class Lookup(Looplet):
     body: Body
     binds: Tuple[Tuple[str, Expr], ...] = ()
 
+    def children(self):
+        return tuple(e for _, e in self.binds) + (self.body,)
+
+    def map(self, fe, fs):
+        binds = tuple((n, fe(e)) for n, e in self.binds)
+        return Lookup(self.index_sym, fs(self.body), binds)
+
 
 @dataclass(frozen=True)
 class Switch(Looplet):
     """First-match choice between looplets under runtime conditions."""
 
     cases: Tuple[Tuple[Expr, Body], ...]
+
+    def children(self):
+        return tuple(x for case in self.cases for x in case)
+
+    def map(self, fe, fs):
+        return Switch(tuple((fe(c), fs(b)) for c, b in self.cases))
 
 
 @dataclass(frozen=True)
@@ -83,9 +118,29 @@ class Phase:
 class Pipeline(Looplet):
     phases: Tuple[Phase, ...]
 
+    def children(self):
+        return tuple(x for p in self.phases for x in (p.body, p.stop) if x is not None)
+
+    def map(self, fe, fs):
+        return Pipeline(tuple(Phase(fs(p.body), None if p.stop is None else fe(p.stop))
+                              for p in self.phases))
+
+
+class _Steps(Looplet):
+    """Protocol shared by Stepper and Jumper, which have the same fields."""
+
+    __slots__ = ()
+
+    def children(self):
+        return tuple(x for x in (self.stop, self.body, self.next, self.seek) if x is not None)
+
+    def map(self, fe, fs):
+        return type(self)(fe(self.stop), fs(self.body), fs(self.next),
+                          None if self.seek is None else fs(self.seek))
+
 
 @dataclass(frozen=True)
-class Stepper(Looplet):
+class Stepper(_Steps):
     """Unbounded sequence of identical children.
 
     stop declares the current child's last absolute index; seek positions the
@@ -99,7 +154,7 @@ class Stepper(Looplet):
 
 
 @dataclass(frozen=True)
-class Jumper(Looplet):
+class Jumper(_Steps):
     """Like Stepper, but lowered with the largest declared extent (leader)."""
 
     stop: Expr
@@ -115,12 +170,24 @@ class Shift(Looplet):
     delta: Expr
     body: Body
 
+    def children(self):
+        return (self.delta, self.body)
+
+    def map(self, fe, fs):
+        return Shift(fe(self.delta), fs(self.body))
+
 
 @dataclass(frozen=True)
 class SimplifyMark(Looplet):
     """No-op marker that requests an early simplification pass."""
 
     body: Body
+
+    def children(self):
+        return (self.body,)
+
+    def map(self, fe, fs):
+        return SimplifyMark(fs(self.body))
 
 
 class Style(enum.IntEnum):
@@ -173,8 +240,8 @@ def truncate(l: Body, target: Extent, new: Extent) -> Body:
         return Switch(((eq(new.stop, target.stop), l), (TRUE, Run(l.body))))
     if isinstance(l, Lookup):
         return l
-    if isinstance(l, Switch):
-        return Switch(tuple((c, truncate(b, target, new)) for c, b in l.cases))
+    if isinstance(l, (Switch, SimplifyMark)):
+        return l.map(keep, lambda b: truncate(b, target, new))
     if isinstance(l, Pipeline):
         new_start = new.const_bounds()[0] if new.const_bounds() else None
         kept = []
@@ -199,8 +266,6 @@ def truncate(l: Body, target: Extent, new: Extent) -> Body:
         t2 = Extent(isub(target.start, l.delta), isub(target.stop, l.delta))
         n2 = Extent(isub(new.start, l.delta), isub(new.stop, l.delta))
         return Shift(l.delta, truncate(l.body, t2, n2))
-    if isinstance(l, SimplifyMark):
-        return SimplifyMark(truncate(l.body, target, new))
     raise TypeError(f"cannot truncate {l!r}")
 
 
@@ -211,47 +276,20 @@ def push_shift(delta: Expr, l: Body) -> Body:
     if isinstance(l, (Run, Spike)) or isinstance(l, Expr):
         return l
     if isinstance(l, Lookup):
-        env = {l.index_sym: isub(Var(l.index_sym), delta)}
-        binds = tuple((n, subst(e, env)) for n, e in l.binds)
-        body = subst(l.body, env) if isinstance(l.body, Expr) else _shift_template_body(l.body, env)
-        return Lookup(l.index_sym, body, binds)
-    if isinstance(l, Switch):
-        return Switch(tuple((c, push_shift(delta, b)) for c, b in l.cases))
+        return subst(l, {l.index_sym: isub(Var(l.index_sym), delta)})
+    if isinstance(l, (Switch, SimplifyMark)):
+        return l.map(keep, lambda b: push_shift(delta, b))
     if isinstance(l, Pipeline):
-        phases = tuple(
-            Phase(push_shift(delta, p.body), iadd(p.stop, delta) if p.stop is not None else None)
-            for p in l.phases
-        )
-        return Pipeline(phases)
+        return l.map(lambda stop: iadd(stop, delta), lambda b: push_shift(delta, b))
     if isinstance(l, (Stepper, Jumper)):
-        seek = None
-        if l.seek is not None:
-            if l.seek.param is not None:
-                env = {l.seek.param: isub(Var(l.seek.param), delta)}
-                seek = Template(tuple(subst_stmt(s, env) for s in l.seek.stmts), l.seek.param)
-            else:
-                seek = l.seek
+        seek = l.seek
+        if seek is not None and seek.param is not None:
+            seek = subst(seek, {seek.param: isub(Var(seek.param), delta)})
         cls = type(l)
         return cls(iadd(l.stop, delta), push_shift(delta, l.body), l.next, seek)
     if isinstance(l, Shift):
         return push_shift(iadd(delta, l.delta), l.body)
-    if isinstance(l, SimplifyMark):
-        return SimplifyMark(push_shift(delta, l.body))
     raise TypeError(f"cannot shift {l!r}")
-
-
-def _shift_template_body(body: Looplet, env: dict) -> Looplet:
-    # Lookup bodies are instantiated at single points, so displacing the bound
-    # symbol inside scalar positions is all a shift requires.
-    if isinstance(body, Run):
-        return Run(subst(body.body, env))
-    if isinstance(body, Spike):
-        return Spike(subst(body.body, env), subst(body.tail, env))
-    if isinstance(body, Switch):
-        return Switch(tuple(
-            (subst(c, env), _shift_template_body(b, env) if isinstance(b, Looplet) else subst(b, env))
-            for c, b in body.cases))
-    raise TypeError(f"cannot shift lookup body {body!r}")
 
 
 # -- reference materializer (per-looplet oracle) ---------------------------

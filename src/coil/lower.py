@@ -25,13 +25,14 @@ from .cin import (
     Proto,
     Sieve,
     Stmt,
+    TARGET_TERMS,
     Where,
     annotate_extents,
     assign_scopes,
     check_bindings,
     normalize_scatter,
     print_stmt as print_cin,
-    subexprs,
+    uses_index,
 )
 from .expr import (
     Call,
@@ -50,8 +51,10 @@ from .expr import (
     imin,
     imul,
     isub,
+    keep,
     le,
     subst,
+    walk,
 )
 from .looplets import (
     Jumper,
@@ -62,7 +65,6 @@ from .looplets import (
     Spike,
     Stepper,
     Style,
-    Switch,
     resolve_style,
     style_of,
     truncate,
@@ -117,44 +119,22 @@ class LowerCtx:
 # -- furl bookkeeping ----------------------------------------------------------
 
 
-def _map_furls(e: Expr, fn) -> Expr:
-    if isinstance(e, Furl):
-        return fn(e)
-    if isinstance(e, Call):
-        return Call(e.op, tuple(_map_furls(a, fn) for a in e.args))
-    if isinstance(e, Access):
-        base = _map_furls(e.base, fn) if isinstance(e.base, Expr) else e.base
-        return Access(base, tuple(_map_furls(i, fn) for i in e.idx))
-    if isinstance(e, Mod):
-        return Mod(e.kind, tuple(_map_furls(p, fn) for p in e.params),
-                   _map_furls(e.inner, fn))
-    if isinstance(e, Proto):
-        return Proto(e.proto, _map_furls(e.inner, fn))
-    return e
+def _map_furls(s: Stmt, fn) -> Stmt:
+    """Rebuild `s` with `fn` applied to every Furl."""
 
+    def go(n):
+        if isinstance(n, Furl):
+            return fn(n)
+        return n if isinstance(n, TARGET_TERMS) else n.map(go, go)
 
-def _map_stmt_furls(s: Stmt, fn) -> Stmt:
-    if isinstance(s, Assign):
-        return Assign(_map_furls(s.lhs, fn), s.op, _map_furls(s.rhs, fn))
-    if isinstance(s, Forall):
-        return Forall(s.idx, s.ext, _map_stmt_furls(s.body, fn))
-    if isinstance(s, Where):
-        return Where(_map_stmt_furls(s.cons, fn), _map_stmt_furls(s.prod, fn), s.inits)
-    if isinstance(s, Multi):
-        return Multi(tuple(_map_stmt_furls(p, fn) for p in s.parts))
-    if isinstance(s, Sieve):
-        return Sieve(_map_furls(s.cond, fn), _map_stmt_furls(s.body, fn))
-    return s
+    return go(s)
 
 
 def collect_furls(s: Stmt) -> List[Furl]:
     found: Dict[int, Furl] = {}
-
-    def note(f: Furl):
-        found.setdefault(f.tag, f)
-        return f
-
-    _map_stmt_furls(s, note)
+    for n in walk(s):
+        if isinstance(n, Furl):
+            found.setdefault(n.tag, n)
     return list(found.values())
 
 
@@ -169,13 +149,7 @@ def replace_furls(s: Stmt, mapping: Dict[int, object]) -> Stmt:
             return Furl(v, f.index, f.tag)
         return v
 
-    return _map_stmt_furls(s, repl)
-
-
-def subst_stmt_cin(s: Stmt, env: dict) -> Stmt:
-    from .cin import map_exprs
-
-    return map_exprs(s, lambda e: subst(e, env))
+    return _map_furls(s, repl)
 
 
 def _strip_marks(l):
@@ -211,17 +185,6 @@ def _peel(use: Expr):
     return e, mods, proto
 
 
-def _uses_sym(e: Expr, idx: str) -> bool:
-    if isinstance(e, Furl):
-        return True
-    for sub in subexprs(e):
-        if isinstance(sub, Var) and sub.name == idx:
-            return True
-        if isinstance(sub, Furl):
-            return True
-    return False
-
-
 def _default_proto(bt: BoundTensor, depth: int) -> str:
     if bt.protocols and depth in bt.protocols:
         return bt.protocols[depth]
@@ -234,43 +197,34 @@ def unfurl_at(ctx: LowerCtx, s: Stmt, idx: str, ext: Extent,
     matching equality sieves into mask looplets."""
 
     def fix_expr(e: Expr) -> Expr:
-        if isinstance(e, Call):
-            return Call(e.op, tuple(fix_expr(a) for a in e.args))
-        if isinstance(e, Access):
-            idx2 = tuple(fix_expr(i) if not isinstance(i, (Mod, Proto)) else i
-                         for i in e.idx)
-            e = Access(e.base, idx2)
-            if isinstance(e.base, Cursor) and e.idx:
-                core, mods, proto = _peel(e.idx[0])
-                if isinstance(core, Var) and core.name == idx:
-                    bt = ctx.tensors[e.base.tensor]
-                    proto = proto or _default_proto(bt, e.base.depth)
-                    if mods:
-                        mods2 = [(k, tuple(_scalarized(ctx, p, preamble) for p in ps))
-                                 for k, ps in mods]
-                        loop = unfurl_modified(bt, e.base, proto, ctx.names, mods2)
-                    else:
-                        loop = unfurl(bt, e.base, proto, ctx.names)
-                    return Access(Furl(loop, idx, ctx.next_tag()), e.idx[1:])
-            return e
+        if not isinstance(e, Access):
+            return e.map(fix_expr)
+        # modifier chains and cursor bases are left whole
+        e = Access(e.base, tuple(i if isinstance(i, (Mod, Proto)) else fix_expr(i)
+                                 for i in e.idx))
+        if isinstance(e.base, Cursor) and e.idx:
+            core, mods, proto = _peel(e.idx[0])
+            if isinstance(core, Var) and core.name == idx:
+                bt = ctx.tensors[e.base.tensor]
+                proto = proto or _default_proto(bt, e.base.depth)
+                if mods:
+                    mods2 = [(k, tuple(_scalarized(ctx, p, preamble) for p in ps))
+                             for k, ps in mods]
+                    loop = unfurl_modified(bt, e.base, proto, ctx.names, mods2)
+                else:
+                    loop = unfurl(bt, e.base, proto, ctx.names)
+                return Access(Furl(loop, idx, ctx.next_tag()), e.idx[1:])
         return e
 
     def fix_stmt(node: Stmt) -> Stmt:
-        if isinstance(node, Assign):
-            return Assign(fix_expr(node.lhs), node.op, fix_expr(node.rhs))
         if isinstance(node, Forall):
-            return Forall(node.idx, node.ext, fix_stmt(node.body))
-        if isinstance(node, Where):
-            return Where(fix_stmt(node.cons), fix_stmt(node.prod), node.inits)
-        if isinstance(node, Multi):
-            return Multi(tuple(fix_stmt(p) for p in node.parts))
+            # an inner extent is scalarized when its own forall lowers
+            return node.map(keep, fix_stmt)
         if isinstance(node, Sieve):
-            cond = node.cond
-            mask = _try_mask(ctx, cond, idx, preamble)
+            mask = _try_mask(ctx, node.cond, idx, preamble)
             if mask is not None:
                 return Sieve(mask, fix_stmt(node.body))
-            return Sieve(fix_expr(cond), fix_stmt(node.body))
-        return node
+        return node.map(fix_expr, fix_stmt)
 
     return fix_stmt(s)
 
@@ -281,7 +235,7 @@ def _try_mask(ctx: LowerCtx, cond: Expr, idx: str, preamble) -> Optional[Expr]:
     a, b = cond.args
     if isinstance(b, Var) and b.name == idx:
         a, b = b, a
-    if not (isinstance(a, Var) and a.name == idx) or _uses_sym(b, idx):
+    if not (isinstance(a, Var) and a.name == idx) or uses_index(b, idx):
         return None
     target = _scalarized(ctx, b, preamble)
     return Furl(mask_looplet(idx, target), idx, ctx.next_tag())
@@ -498,7 +452,7 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     if d is not None and d < 0:
         return NOP
     # consume simplification markers, then simplify the whole loop nest
-    body = _map_stmt_furls(body, lambda f: Furl(_strip_marks(f.looplet), f.index, f.tag))
+    body = _map_furls(body, lambda f: Furl(_strip_marks(f.looplet), f.index, f.tag))
     node = simplify(Forall(idx, ext, body), ctx.ruleset)
     if not isinstance(node, Forall):
         return lower_stmt(ctx, node)
@@ -527,7 +481,7 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
 
 def _terminal(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     if ext.is_point():
-        return lower_stmt(ctx, subst_stmt_cin(body, {idx: ext.start}))
+        return lower_stmt(ctx, subst(body, {idx: ext.start}))
     run_set = _try_run_set(ctx, idx, ext, body)
     if run_set is not None:
         return run_set
@@ -545,10 +499,10 @@ def _try_run_set(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> Optional[T
     core, mods, _ = _peel(body.lhs.idx[-1])
     if mods or not (isinstance(core, Var) and core.name == idx):
         return None
-    if _uses_sym(body.rhs, idx):
+    if uses_index(body.rhs, idx):
         return None
     prefix_uses = body.lhs.idx[:-1]
-    if any(_uses_sym(u, idx) for u in prefix_uses):
+    if any(uses_index(u, idx) for u in prefix_uses):
         return None
     stmts, rhs = scalarize_expr(ctx, body.rhs)
     prefix = []
@@ -636,6 +590,18 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
     pipes = [f for f in furls if _style_is(f, Style.PIPELINE)]
     others = [f for f in furls if not _style_is(f, Style.PIPELINE)]
     out: List[TargetStmt] = []
+
+    def phase_body(combo, region: Extent) -> Stmt:
+        mapping = {}
+        for p, j in zip(pipes, combo):
+            phases = p.looplet.phases
+            pstart = ext.start if j == 0 else iadd(phases[j - 1].stop, ONE)
+            pstop = phases[j].stop if phases[j].stop is not None else ext.stop
+            mapping[p.tag] = truncate(phases[j].body, Extent(pstart, pstop), region)
+        for f in others:
+            mapping[f.tag] = truncate(f.looplet, ext, region)
+        return replace_furls(body, mapping)
+
     choices = [range(len(p.looplet.phases)) for p in pipes]
     for combo in itertools.product(*choices):
         starts = [ext.start]
@@ -651,18 +617,10 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
         d = const_diff(cstop, cstart)
         if d is not None and d < 0:
             continue
-        region = Extent(cstart, cstop)
-        mapping = {}
-        for p, j in zip(pipes, combo):
-            phases = p.looplet.phases
-            pstart = ext.start if j == 0 else iadd(phases[j - 1].stop, ONE)
-            pstop = phases[j].stop if phases[j].stop is not None else ext.stop
-            mapping[p.tag] = truncate(phases[j].body, Extent(pstart, pstop), region)
-        for f in others:
-            mapping[f.tag] = truncate(f.looplet, ext, region)
         simple = isinstance(cstart, (Lit, Var)) and isinstance(cstop, (Lit, Var))
         if simple:
-            inner = _dispatch(ctx, idx, region, replace_furls(body, mapping))
+            region = Extent(cstart, cstop)
+            inner = _dispatch(ctx, idx, region, phase_body(combo, region))
             if is_nop(inner):
                 continue
             if d is not None:
@@ -673,15 +631,7 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
             lov = ctx.fresh("lo")
             hiv = ctx.fresh("hi")
             region = Extent(Var(lov), Var(hiv))
-            mapping = {}
-            for p, j in zip(pipes, combo):
-                phases = p.looplet.phases
-                pstart = ext.start if j == 0 else iadd(phases[j - 1].stop, ONE)
-                pstop = phases[j].stop if phases[j].stop is not None else ext.stop
-                mapping[p.tag] = truncate(phases[j].body, Extent(pstart, pstop), region)
-            for f in others:
-                mapping[f.tag] = truncate(f.looplet, ext, region)
-            inner = _dispatch(ctx, idx, region, replace_furls(body, mapping))
+            inner = _dispatch(ctx, idx, region, phase_body(combo, region))
             if is_nop(inner):
                 continue
             out.append(block([
@@ -785,10 +735,7 @@ def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
             env = {l.index_sym: at}
             for name, e in l.binds:
                 pre.append(Let(name, subst(e, env)))
-            if isinstance(l.body, Expr):
-                mapping[f.tag] = subst(l.body, env)
-            else:
-                mapping[f.tag] = _subst_looplet(l.body, env)
+            mapping[f.tag] = subst(l.body, env)
         return pre, replace_furls(body, mapping)
 
     if ext.is_point():
@@ -799,21 +746,6 @@ def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
     if is_nop(inner) and not pre:
         return NOP
     return For(idx, ext.start, ext.stop, block(pre + [inner]))
-
-
-def _subst_looplet(l, env: dict):
-    if isinstance(l, Run):
-        return Run(subst(l.body, env))
-    if isinstance(l, Spike):
-        return Spike(subst(l.body, env), subst(l.tail, env))
-    if isinstance(l, Switch):
-        return Switch(tuple(
-            (subst(c, env),
-             _subst_looplet(b, env) if isinstance(b, Looplet) else subst(b, env))
-            for c, b in l.cases))
-    if isinstance(l, Expr):
-        return subst(l, env)
-    raise CompileError(f"cannot instantiate lookup body {l!r}")
 
 
 # -- program entry ---------------------------------------------------------------------
@@ -837,38 +769,19 @@ def lower_program(ctx: LowerCtx, stmt: Stmt) -> TargetStmt:
 
 
 def _install_cursors(ctx: LowerCtx, s: Stmt) -> Stmt:
-    def fix(e: Expr) -> Expr:
-        if isinstance(e, Access) and isinstance(e.base, str):
-            bt = ctx.tensors.get(e.base)
+    def fix(n):
+        if isinstance(n, Assign):
+            # the output keeps its name as base: its writer, not a cursor, resolves it
+            lhs = Access(n.lhs.base, tuple(map(fix, n.lhs.idx)))
+            return Assign(lhs, n.op, fix(n.rhs))
+        if isinstance(n, Access) and isinstance(n.base, str):
+            bt = ctx.tensors.get(n.base)
             if bt is None:
-                raise CompileError(f"kernel references unbound tensor {e.base!r}")
-            idx = tuple(fix(i) for i in e.idx)
+                raise CompileError(f"kernel references unbound tensor {n.base!r}")
+            idx = tuple(map(fix, n.idx))
             if not bt.dims:
-                return Access(e.base, idx)
-            return Access(Cursor(e.base, 1, ONE), idx)
-        if isinstance(e, Call):
-            return Call(e.op, tuple(fix(a) for a in e.args))
-        if isinstance(e, Mod):
-            return Mod(e.kind, tuple(fix(p) for p in e.params), fix(e.inner))
-        if isinstance(e, Proto):
-            return Proto(e.proto, fix(e.inner))
-        return e
+                return Access(n.base, idx)
+            return Access(Cursor(n.base, 1, ONE), idx)
+        return n.map(fix, fix)
 
-    def fix_stmt(node: Stmt) -> Stmt:
-        if isinstance(node, Assign):
-            lhs = Access(node.lhs.base, tuple(fix(i) for i in node.lhs.idx))
-            return Assign(lhs, node.op, fix(node.rhs))
-        if isinstance(node, Forall):
-            ext = node.ext
-            if ext is not None:
-                ext = Extent(fix(ext.start), fix(ext.stop))
-            return Forall(node.idx, ext, fix_stmt(node.body))
-        if isinstance(node, Where):
-            return Where(fix_stmt(node.cons), fix_stmt(node.prod), node.inits)
-        if isinstance(node, Multi):
-            return Multi(tuple(fix_stmt(p) for p in node.parts))
-        if isinstance(node, Sieve):
-            return Sieve(fix(node.cond), fix_stmt(node.body))
-        return node
-
-    return fix_stmt(s)
+    return fix(s)

@@ -22,7 +22,6 @@ from .cin import (
     Sieve,
     Stmt,
     Where,
-    walk_exprs,
 )
 from .expr import Call, Expr, Extent, Lit, Var
 from .values import MISSING
@@ -339,24 +338,23 @@ class Parser:
 def _validate_protocols(s: Stmt):
     """Protocol annotations may only wrap index positions of an access."""
 
-    def scan(e: Expr, at_index: bool):
-        if isinstance(e, Proto):
+    def scan(n, at_index: bool):
+        if isinstance(n, Proto):
             if not at_index:
                 raise CinError("protocol annotation on a non-index expression")
-            scan(e.inner, True)
-        elif isinstance(e, Mod):
-            for p in e.params:
+            scan(n.inner, True)
+        elif isinstance(n, Mod):
+            for p in n.params:
                 scan(p, False)
-            scan(e.inner, at_index)
-        elif isinstance(e, Access):
-            for i in e.idx:
+            scan(n.inner, at_index)
+        elif isinstance(n, Access):
+            for i in n.idx:
                 scan(i, True)
-        elif isinstance(e, Call):
-            for a in e.args:
-                scan(a, False)
+        else:
+            for c in n.children():
+                scan(c, False)
 
-    for e in walk_exprs(s):
-        scan(e, False)
+    scan(s, False)
 
 
 def parse(text: str) -> Stmt:

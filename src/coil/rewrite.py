@@ -20,16 +20,16 @@ from .cin import (
     Cursor,
     Forall,
     Furl,
-    Mod,
     Multi,
     PassStmt,
-    Proto,
     Sieve,
     Stmt,
+    TARGET_TERMS,
     Where,
     results,
+    uses_index,
 )
-from .expr import Call, Expr, Extent, Lit, Read, Search, Var, le
+from .expr import Call, Expr, Lit, le, walk
 from .values import (
     MISSING,
     EvalError,
@@ -44,64 +44,6 @@ Rule = Tuple[str, Callable]
 
 class RewriteError(Exception):
     pass
-
-
-# -- generic traversal --------------------------------------------------------
-
-
-def _map_expr_children(e: Expr, fn) -> Expr:
-    if isinstance(e, Call):
-        return Call(e.op, tuple(fn(a) for a in e.args))
-    if isinstance(e, Access):
-        base = fn(e.base) if isinstance(e.base, Expr) else e.base
-        return Access(base, tuple(fn(i) for i in e.idx))
-    if isinstance(e, Mod):
-        return Mod(e.kind, tuple(fn(p) for p in e.params), fn(e.inner))
-    if isinstance(e, Proto):
-        return Proto(e.proto, fn(e.inner))
-    return e
-
-
-def _map_stmt_children(s: Stmt, fs, fe) -> Stmt:
-    if isinstance(s, Assign):
-        return Assign(fe(s.lhs), s.op, fe(s.rhs))
-    if isinstance(s, Forall):
-        ext = s.ext
-        if ext is not None:
-            ext = Extent(fe(ext.start), fe(ext.stop))
-        return Forall(s.idx, ext, fs(s.body))
-    if isinstance(s, Where):
-        return Where(fs(s.cons), fs(s.prod), s.inits)
-    if isinstance(s, Multi):
-        return Multi(tuple(fs(p) for p in s.parts))
-    if isinstance(s, Sieve):
-        return Sieve(fe(s.cond), fs(s.body))
-    return s
-
-
-def node_count(n) -> int:
-    total = 1
-    if isinstance(n, Expr):
-        if isinstance(n, Call):
-            total += sum(node_count(a) for a in n.args)
-        elif isinstance(n, Access):
-            if isinstance(n.base, Expr):
-                total += node_count(n.base)
-            total += sum(node_count(i) for i in n.idx)
-        elif isinstance(n, (Mod, Proto)):
-            total += sum(node_count(c) for c in n.child_exprs())
-        return total
-    if isinstance(n, Assign):
-        return 1 + node_count(n.lhs) + node_count(n.rhs)
-    if isinstance(n, Forall):
-        return 1 + node_count(n.body)
-    if isinstance(n, Where):
-        return 1 + node_count(n.cons) + node_count(n.prod)
-    if isinstance(n, Multi):
-        return 1 + sum(node_count(p) for p in n.parts)
-    if isinstance(n, Sieve):
-        return 1 + node_count(n.cond) + node_count(n.body)
-    return 1
 
 
 # -- the rules ----------------------------------------------------------------
@@ -341,30 +283,6 @@ def r_assign_identity(n):
     return None
 
 
-def _uses_index(e: Expr, idx: str) -> bool:
-    if isinstance(e, Var):
-        return e.name == idx
-    if isinstance(e, Furl):
-        return True  # conservative: unresolved structure may depend on any index
-    if isinstance(e, Lit):
-        return False
-    if isinstance(e, Call):
-        return any(_uses_index(a, idx) for a in e.args)
-    if isinstance(e, Read):
-        return any(_uses_index(i, idx) for i in e.idx)
-    if isinstance(e, Search):
-        return any(_uses_index(x, idx) for x in (e.lo, e.hi, e.key))
-    if isinstance(e, Access):
-        if isinstance(e.base, Expr) and _uses_index(e.base, idx):
-            return True
-        return any(_uses_index(i, idx) for i in e.idx)
-    if isinstance(e, (Mod, Proto)):
-        return any(_uses_index(c, idx) for c in e.child_exprs())
-    if hasattr(e, "child_exprs"):
-        return any(_uses_index(c, idx) for c in e.child_exprs())
-    return False
-
-
 def r_loop_invariant_update(n):
     """A loop repeating an invariant update collapses to a single update;
     repeated adds multiply by the trip count (stop - start + 1)."""
@@ -376,7 +294,7 @@ def r_loop_invariant_update(n):
     if not isinstance(a.lhs.base, str):
         return None
     i = n.idx
-    if _uses_index(a.rhs, i) or any(_uses_index(x, i) for x in a.lhs.idx):
+    if uses_index(a.rhs, i) or any(uses_index(x, i) for x in a.lhs.idx):
         return None
     if a.op == "add":
         rhs = Call("mul", (a.rhs, n.ext.length_expr()))
@@ -446,17 +364,16 @@ class Ruleset:
 
 def simplify(node, ruleset: Optional[Ruleset] = None):
     """Rewrite a statement or expression to fixpoint, innermost first."""
+    if not isinstance(node, (Expr, Stmt)):
+        return node
     rules = (ruleset or _DEFAULT).rules
-    budget = [8 * node_count(node) + 64]
+    steps = 0
+    limit = None  # 8 rewrites per node plus 64; nodes are counted once 64 have fired
 
     def go(n):
+        nonlocal steps, limit
         while True:
-            if isinstance(n, Expr):
-                n2 = _map_expr_children(n, go)
-            elif isinstance(n, Stmt):
-                n2 = _map_stmt_children(n, go, go)
-            else:
-                return n
+            n2 = n if isinstance(n, TARGET_TERMS) else n.map(go, go)
             fired = None
             for _, rule in rules:
                 out = rule(n2)
@@ -465,9 +382,12 @@ def simplify(node, ruleset: Optional[Ruleset] = None):
                     break
             if fired is None:
                 return n2
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise RewriteError("simplification did not reach a fixpoint")
+            steps += 1
+            if steps > 64:
+                if limit is None:
+                    limit = 8 * sum(1 for _ in walk(node)) + 64
+                if steps > limit:
+                    raise RewriteError("simplification did not reach a fixpoint")
             n = fired
 
     return go(node)

@@ -481,23 +481,23 @@ _FIELDS = {
 }
 
 
-def buffer_names(t: Tensor) -> Dict[Tuple[int, str], str]:
-    """Deterministic buffer naming; depth suffix only on field collisions."""
-    lvls = t.levels()
+def buffer_names(name: str, kinds: List[str]) -> Dict[Tuple[int, str], str]:
+    """(depth, field) -> buffer name for a tensor with these per-level kinds
+    (inputs and outputs alike); depth suffix only on field collisions."""
     count: Dict[str, int] = {}
-    for lvl in lvls:
-        for f in _FIELDS[lvl.kind]:
+    for kind in kinds:
+        for f in _FIELDS[kind]:
             count[f] = count.get(f, 0) + 1
     names = {}
-    for d, lvl in enumerate(lvls, start=1):
-        for f in _FIELDS[lvl.kind]:
+    for d, kind in enumerate(kinds, start=1):
+        for f in _FIELDS[kind]:
             suffix = str(d) if count[f] > 1 else ""
-            names[(d, f)] = f"{t.name}_{f}{suffix}"
+            names[(d, f)] = f"{name}_{f}{suffix}"
     return names
 
 
 def tensor_buffers(t: Tensor) -> Dict[str, Buf]:
-    names = buffer_names(t)
+    names = buffer_names(t.name, t.format_spec())
     out = {}
     for d, lvl in enumerate(t.levels(), start=1):
         for f in _FIELDS[lvl.kind]:

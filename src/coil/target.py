@@ -12,16 +12,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .expr import Expr, print_expr, subst
+from .expr import Expr, print_expr, subst, walk
 
 
 class TargetStmt:
+    """Target statement; same traversal protocol as `Expr`."""
+
     __slots__ = ()
+
+    def children(self) -> tuple:
+        return ()
+
+    def map(self, fe, fs):
+        return self
 
 
 @dataclass(frozen=True)
 class Block(TargetStmt):
     stmts: Tuple[TargetStmt, ...]
+
+    def children(self):
+        return self.stmts
+
+    def map(self, fe, fs):
+        return Block(tuple(map(fs, self.stmts)))
 
 
 @dataclass(frozen=True)
@@ -31,11 +45,23 @@ class Let(TargetStmt):
     name: str
     value: Expr
 
+    def children(self):
+        return (self.value,)
+
+    def map(self, fe, fs):
+        return Let(self.name, fe(self.value))
+
 
 @dataclass(frozen=True)
 class AssignVar(TargetStmt):
     name: str
     value: Expr
+
+    def children(self):
+        return (self.value,)
+
+    def map(self, fe, fs):
+        return AssignVar(self.name, fe(self.value))
 
 
 @dataclass(frozen=True)
@@ -47,6 +73,12 @@ class BufferWrite(TargetStmt):
     op: str
     value: Expr
 
+    def children(self):
+        return self.idx + (self.value,)
+
+    def map(self, fe, fs):
+        return BufferWrite(self.buf, tuple(map(fe, self.idx)), self.op, fe(self.value))
+
 
 @dataclass(frozen=True)
 class For(TargetStmt):
@@ -54,6 +86,12 @@ class For(TargetStmt):
     lo: Expr
     hi: Expr
     body: TargetStmt
+
+    def children(self):
+        return (self.lo, self.hi, self.body)
+
+    def map(self, fe, fs):
+        return For(self.var, fe(self.lo), fe(self.hi), fs(self.body))
 
 
 @dataclass(frozen=True)
@@ -65,11 +103,25 @@ class While(TargetStmt):
     body: TargetStmt
     cursor: Optional[str] = None
 
+    def children(self):
+        return (self.cond, self.body)
+
+    def map(self, fe, fs):
+        return While(fe(self.cond), fs(self.body), self.cursor)
+
 
 @dataclass(frozen=True)
 class IfChain(TargetStmt):
     cases: Tuple[Tuple[Expr, TargetStmt], ...]
     orelse: Optional[TargetStmt] = None
+
+    def children(self):
+        out = tuple(x for case in self.cases for x in case)
+        return out if self.orelse is None else out + (self.orelse,)
+
+    def map(self, fe, fs):
+        cases = tuple((fe(c), fs(b)) for c, b in self.cases)
+        return IfChain(cases, None if self.orelse is None else fs(self.orelse))
 
 
 @dataclass(frozen=True)
@@ -78,6 +130,12 @@ class CallStmt(TargetStmt):
 
     fn: str
     args: Tuple[Expr, ...] = ()
+
+    def children(self):
+        return self.args
+
+    def map(self, fe, fs):
+        return CallStmt(self.fn, tuple(map(fe, self.args)))
 
 
 @dataclass(frozen=True)
@@ -107,28 +165,6 @@ def block(stmts) -> TargetStmt:
 
 def is_nop(s: TargetStmt) -> bool:
     return isinstance(s, Nop) or (isinstance(s, Block) and all(is_nop(x) for x in s.stmts))
-
-
-def subst_stmt(s: TargetStmt, env: dict) -> TargetStmt:
-    if isinstance(s, Block):
-        return Block(tuple(subst_stmt(x, env) for x in s.stmts))
-    if isinstance(s, Let):
-        return Let(s.name, subst(s.value, env))
-    if isinstance(s, AssignVar):
-        return AssignVar(s.name, subst(s.value, env))
-    if isinstance(s, BufferWrite):
-        return BufferWrite(s.buf, tuple(subst(i, env) for i in s.idx), s.op, subst(s.value, env))
-    if isinstance(s, For):
-        return For(s.var, subst(s.lo, env), subst(s.hi, env), subst_stmt(s.body, env))
-    if isinstance(s, While):
-        return While(subst(s.cond, env), subst_stmt(s.body, env), s.cursor)
-    if isinstance(s, IfChain):
-        cases = tuple((subst(c, env), subst_stmt(b, env)) for c, b in s.cases)
-        orelse = subst_stmt(s.orelse, env) if s.orelse is not None else None
-        return IfChain(cases, orelse)
-    if isinstance(s, CallStmt):
-        return CallStmt(s.fn, tuple(subst(a, env) for a in s.args))
-    return s
 
 
 _WRITE_OP = {"set": "=", "add": "+=", "mul": "*=", "min": "<<min>>=", "max": "<<max>>=", "or": "<<or>>="}
@@ -182,17 +218,7 @@ def print_ir(s: TargetStmt) -> str:
 
 def count_loops(s: TargetStmt) -> int:
     """Number of loop nodes (For + While) in the program."""
-    if isinstance(s, (For, While)):
-        inner = count_loops(s.body)
-        return 1 + inner
-    if isinstance(s, Block):
-        return sum(count_loops(x) for x in s.stmts)
-    if isinstance(s, IfChain):
-        n = sum(count_loops(b) for _, b in s.cases)
-        if s.orelse is not None:
-            n += count_loops(s.orelse)
-        return n
-    return 0
+    return sum(1 for n in walk(s) if isinstance(n, (For, While)))
 
 
 @dataclass(frozen=True)
@@ -205,9 +231,14 @@ class Template:
     stmts: Tuple[TargetStmt, ...]
     param: Optional[str] = None
 
+    def children(self):
+        return self.stmts
+
+    def map(self, fe, fs):
+        return Template(tuple(map(fs, self.stmts)), self.param)
+
     def instantiate(self, arg: Optional[Expr] = None) -> Tuple[TargetStmt, ...]:
         if self.param is None:
             return self.stmts
         assert arg is not None, "template requires a start argument"
-        env = {self.param: arg}
-        return tuple(subst_stmt(s, env) for s in self.stmts)
+        return subst(self, {self.param: arg}).stmts

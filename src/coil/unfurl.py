@@ -24,7 +24,6 @@ from .expr import (
     TRUE,
     Var,
     eq,
-    extent,
     Extent,
     iadd,
     imul,
@@ -73,13 +72,11 @@ class BoundTensor:
     is_output: bool = False
     protocols: Optional[Dict[int, str]] = None  # mode -> default protocol
 
+    def __post_init__(self):
+        self.buffers = buffer_names(self.name, self.kinds)
+
     def bufname(self, depth: int, field: str) -> str:
-        key = (depth, field)
-        if self.tensor is not None:
-            return buffer_names(self.tensor)[key]
-        count = sum(1 for k in self.kinds if field in _KIND_FIELDS.get(k, ()))
-        suffix = str(depth) if count > 1 else ""
-        return f"{self.name}_{field}{suffix}"
+        return self.buffers[(depth, field)]
 
     def level_kind(self, depth: int) -> str:
         return self.kinds[depth - 1]
@@ -91,16 +88,6 @@ class BoundTensor:
         if self.tensor is None:
             return None
         return self.tensor.levels()[depth - 1]
-
-
-_KIND_FIELDS = {
-    "splist": ("pos", "idx"),
-    "sband": ("start", "stop", "ofs"),
-    "svbl": ("pos", "idx", "ofs"),
-    "rle": ("pos", "idx", "val"),
-    "elem": ("val",),
-    "dense": (),
-}
 
 
 def _static_pos(bt: BoundTensor, cur: Cursor) -> Optional[int]:

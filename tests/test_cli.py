@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from coil import cli
 from coil.tensorio import write_dense_text
 
@@ -177,3 +179,33 @@ def test_params_reach_the_kernel(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["outputs"]["C"] == [1.0, 2.0, 3.0]
+
+
+def test_protocols_do_not_travel_in_params(capsys):
+    # a parameter may be named like anything, and protocols still apply
+    args = ["run", "--kernel", KERNELS / "dot.cin",
+            "--tensor", "A=random:dims=8,density=0.5,seed=1,format=splist",
+            "--tensor", "B=random:dims=8,density=0.5,seed=2,format=splist",
+            "--protocol", "A.1=gallop", "--json"]
+    reports = []
+    for extra in ([], ["--param", "__protocols__=1"], ["--protocol", "A.1=walk"]):
+        assert run_cli(args + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out)["counters"])
+    assert reports[0] == reports[1] != reports[2]
+
+
+def test_double_underscore_param_reaches_the_kernel(capsys, tmp_path):
+    k = tmp_path / "k.cin"
+    k.write_text("@V i in 1:$__n (C[] += 2)\n")
+    rc = run_cli(["run", "--kernel", k, "--param", "__n=3", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["C"] == [6.0]
+
+
+@pytest.mark.parametrize("spec", ["random:dims10", "random:dims=1xq",
+                                  "random:dims=4,density=abc", "random:dims=4,seed=z"])
+def test_malformed_random_spec_exit_2(capsys, spec):
+    rc = run_cli(["run", "--kernel", KERNELS / "dot.cin", "--tensor", f"A={spec}",
+                  "--tensor", "B=random:dims=4"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

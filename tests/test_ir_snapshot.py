@@ -9,6 +9,10 @@ hand-written tree walks; it is never regenerated to make a change pass.
 Walk order is observable (fresh names and furl tags are handed out in visit
 order), so a traversal change that reorders visits shows up here.
 
+The same programs also pass a static verifier (`verify`): every variable is
+bound where it is used, every buffer access names a runtime buffer, and
+every while loop has a progress cursor.
+
     PYTHONPATH=src python tests/test_ir_snapshot.py > tests/goldens/corpus_ir.txt
 
 writes the snapshot of the current tree.
@@ -18,9 +22,10 @@ import json
 import pathlib
 import random
 
-from coil.api import compile_kernel, execute
+from coil.api import compile_kernel, execute, runtime
+from coil.expr import Expr, Lit, Read, Search, Var
 from coil.parser import parse
-from coil.target import count_loops
+from coil.target import AssignVar, Block, BufferWrite, For, IfChain, Let, While, count_loops
 
 from test_acceptance import corpus_cases
 
@@ -69,6 +74,57 @@ def test_corpus_ir_snapshot():
         raise AssertionError(
             f"{len(bad)} of {len(w)} snapshot cases differ; first, case {first}:\n"
             f"--- golden\n{w[first]}\n--- got\n{g[first]}")
+
+
+def verify(prog, buffers, params) -> list:
+    """Problems in a target program, following the interpreter's scoping: a
+    `Let` binds for the rest of its block, and loop and branch bodies open a
+    new scope (`For` binds its variable there). Kernel parameters are bound
+    throughout as `$name`."""
+    problems = []
+
+    def visit(n, bound: set):
+        if isinstance(n, (Var, AssignVar)) and n.name not in bound:
+            problems.append(f"unbound variable {n.name!r}")
+        if isinstance(n, (Read, Search, BufferWrite)) and n.buf not in buffers:
+            problems.append(f"unknown buffer {n.buf!r}")
+        if isinstance(n, While) and n.cursor not in bound:
+            problems.append(f"while loop with cursor {n.cursor!r}")
+        scope = bound | {n.var} if isinstance(n, For) else bound
+        for c in n.children():
+            if isinstance(c, Expr) or isinstance(n, Block):
+                visit(c, bound)
+            else:
+                visit(c, set(scope))
+        if isinstance(n, Let):
+            bound.add(n.name)
+
+    visit(prog, {f"${k}" for k in params})
+    return problems
+
+
+def test_verifier_passes_every_snapshot_program():
+    nprog = 0
+    for header, compiled, params in snapshot_programs():
+        buffers, _writers = runtime(compiled)
+        assert verify(compiled.program, buffers, params) == [], header
+        nprog += 1
+    assert nprog == 164
+
+
+def test_verifier_rejects_broken_programs():
+    bufs = {"A": None}
+    branch = IfChain(((Lit(True), Let("x", Lit(1))),))
+    cases = [
+        (Let("y", Var("x")), ["unbound variable 'x'"]),
+        (Block((branch, Let("y", Var("x")))), ["unbound variable 'x'"]),
+        (For("i", Lit(1), Var("$n"), AssignVar("i", Read("B", (Var("i"),)))),
+         ["unknown buffer 'B'"]),
+        (Block((Let("p", Lit(1)), While(Var("p"), AssignVar("p", Lit(False))))),
+         ["while loop with cursor None"]),
+    ]
+    for prog, want in cases:
+        assert verify(prog, bufs, {"n": 3}) == want, prog
 
 
 if __name__ == "__main__":

@@ -133,6 +133,13 @@ def test_params_are_not_indices():
     check_bindings(parse("@V i C[] += A[i] * $alpha"))
 
 
+def test_extent_uses_are_checked_outside_their_binder():
+    check_bindings(parse("@V i (@V j in 1:i C[] += A[j])"))
+    for text in ("@V i in 1:j C[] += A[i]", "@V i in 1:i C[] += A[i]"):
+        with pytest.raises(CinError):
+            check_bindings(parse(text))
+
+
 # -- scatter normalization -----------------------------------------------------
 
 

@@ -143,13 +143,13 @@ def test_fill_values_beyond_zero():
 
 def test_buffer_naming():
     t = from_dense("A", [2, 3], [0, 1, 0, 2, 0, 3], ["dense", "splist"], 0)
-    names = buffer_names(t)
+    names = buffer_names(t.name, t.format_spec())
     assert names[(2, "pos")] == "A_pos"
     assert names[(2, "idx")] == "A_idx"
     assert names[(3, "val")] == "A_val"
     # collision at two depths forces suffixes
     t2 = from_dense("B", [2, 2], [0, 1, 2, 0], ["splist", "splist"], 0)
-    n2 = buffer_names(t2)
+    n2 = buffer_names(t2.name, t2.format_spec())
     assert n2[(1, "pos")] == "B_pos1" and n2[(2, "pos")] == "B_pos2"
 
 
