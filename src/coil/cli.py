@@ -352,7 +352,6 @@ def _scalar_jsonable(v):
 
 
 def cmd_bench(args) -> int:
-    job = build_job(args)
     variants: List[Tuple[str, List[str]]] = []
     for v in args.variant or []:
         if ":" not in v:

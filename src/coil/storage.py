@@ -4,15 +4,27 @@ A tensor is a tree of levels, one per mode, ending in a leaf (Element or
 RepeatRLE). A fiber is one node of that tree: a map from one index to a
 subfiber. All positions and indices are 1-based; Python-list offsetting is
 confined to this module and the interpreter's buffers.
+
+`from_dense` assembles the levels from the caller's flat row-major payload
+without copying it. A fiber of mode level k is the offset of its first cell,
+and it spans the product of dims[k:] cells. Whether a child block holds
+anything other than fill is read from one stored-flag mask per sparse level;
+the masks are built bottom-up in one pass, the leaf mask from the values and
+each coarser one as `any` over groups of the finer one. Each level is then
+built in one pass over its fibers' offsets, top-down: dense expands them,
+splist/sband/svbl take indices, band ends and blocks from the mask, rle scans
+the fiber's values, and elem gathers them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not, ne
 from typing import Dict, List, Optional, Tuple
 
 from .interp import Buf
-from .values import Value, is_missing
+from .values import MISSING, Value
 
 
 class FormatError(ValueError):
@@ -178,14 +190,15 @@ def normalize_spec(spec: List[str], rank: int) -> List[str]:
 
 
 def _infer_dtype(data, fill) -> str:
-    cands = [v for v in data if not is_missing(v)]
-    if not is_missing(fill):
-        cands.append(fill)
-    if not cands:
+    types = set(map(type, data))
+    types.discard(type(MISSING))
+    if fill is not MISSING:
+        types.add(type(fill))
+    if not types:
         return "float"
-    if all(isinstance(v, bool) for v in cands):
+    if all(issubclass(t, bool) for t in types):
         return "bool"
-    if any(isinstance(v, float) for v in cands):
+    if any(issubclass(t, float) for t in types):
         return "float"
     return "int"
 
@@ -204,90 +217,100 @@ def from_dense(name: str, dims: List[int], data: List[Value], spec: List[str],
     kinds = normalize_spec(spec, rank)
     if dtype is None:
         dtype = _infer_dtype(data, fill)
-    root = _build(kinds, 0, dims, [list(data)], fill)
+    root = _build(kinds, dims, data, fill)
     t = Tensor(name, list(dims), root, fill, dtype)
     validate(t)
     return t
 
 
-def _stored(slice_vals, fill) -> bool:
-    if is_missing(fill):
-        return any(not is_missing(v) for v in slice_vals)
-    return any(is_missing(v) or v != fill for v in slice_vals)
+def _stored_masks(kinds: List[str], dims: List[int], data, fill) -> Dict[int, bytearray]:
+    """Stored flags for each sparse mode level k, built bottom-up in one pass:
+    entry j of masks[k] says whether the j-th block of prod(dims[k+1:]) cells
+    holds a value other than fill (unless fill is missing, missing counts as one)."""
+    sparse = [k for k, kind in enumerate(kinds) if kind in ("splist", "sband", "svbl")]
+    if not sparse:
+        return {}
+    if fill is MISSING:
+        mask = bytearray(map(is_not, data, repeat(MISSING)))
+    else:  # missing compares unequal to every fill, so `!=` flags it stored
+        mask = bytearray(map(ne, data, repeat(fill)))
+    masks = {len(dims) - 1: mask}
+    for k in range(len(dims) - 2, sparse[0] - 1, -1):
+        m = dims[k + 1]
+        mask = bytearray(any(mask[j:j + m]) for j in range(0, len(mask), m))
+        masks[k] = mask
+    return masks
 
 
-def _build(kinds: List[str], k: int, dims: List[int], slices: List[list], fill) -> Level:
-    kind = kinds[k]
-    if kind == "elem":
-        return Element([s[0] for s in slices])
-    size = dims[k]
-    ss = 1
-    for d in dims[k + 1:]:
-        ss *= d
+def _build(kinds: List[str], dims: List[int], data, fill) -> Level:
+    """Assemble the levels top-down. A fiber of level k is the offset of its
+    first cell in the row-major `data`; it spans prod(dims[k:]) cells."""
+    masks = _stored_masks(kinds, dims, data, fill)
+    span = [1] * (len(dims) + 1)
+    for k in range(len(dims) - 1, -1, -1):
+        span[k] = span[k + 1] * dims[k]
 
-    def sub(sl, i):
-        return sl[(i - 1) * ss: i * ss]
-
-    if kind == "dense":
-        children = [sub(sl, i) for sl in slices for i in range(1, size + 1)]
-        return Dense(size, _build(kinds, k + 1, dims, children, fill))
-    if kind == "splist":
-        pos, idx, children = [1], [], []
-        for sl in slices:
-            for i in range(1, size + 1):
-                s = sub(sl, i)
-                if _stored(s, fill):
-                    idx.append(i)
-                    children.append(s)
-            pos.append(len(idx) + 1)
-        return SparseList(size, pos, idx, _build(kinds, k + 1, dims, children, fill))
-    if kind == "sband":
-        start, stop, ofs, children = [], [], [1], []
-        for sl in slices:
-            stored = [i for i in range(1, size + 1) if _stored(sub(sl, i), fill)]
-            if stored:
-                a, b = stored[0], stored[-1]
-            else:
-                a, b = 1, 0
-            start.append(a)
-            stop.append(b)
-            for i in range(a, b + 1):
-                children.append(sub(sl, i))
-            ofs.append(len(children) + 1)
-        return SparseBand(size, start, stop, ofs, _build(kinds, k + 1, dims, children, fill))
-    if kind == "svbl":
-        pos, idx, ofs, children = [1], [], [1], []
-        for sl in slices:
-            i = 1
-            while i <= size:
-                if _stored(sub(sl, i), fill):
-                    j = i
-                    while j + 1 <= size and _stored(sub(sl, j + 1), fill):
-                        j += 1
-                    idx.append(j)
-                    for q in range(i, j + 1):
-                        children.append(sub(sl, q))
-                    ofs.append(len(children) + 1)
-                    i = j + 1
+    def level(k: int, fibers: List[int]) -> Level:
+        kind = kinds[k]
+        if kind == "elem":
+            return Element([data[b] for b in fibers])
+        size, ss = dims[k], span[k + 1]
+        if kind == "dense":
+            children = [b + o for b in fibers for o in range(0, span[k], ss)]
+            return Dense(size, level(k + 1, children))
+        if kind == "rle":
+            pos, idx, val = [1], [], []
+            for b in fibers:
+                # a run continues while values compare equal and share a type;
+                # that relation is transitive (NaN equals nothing), so comparing
+                # neighbours splits runs where comparing with a run's first value would
+                ends = [j - b for j in range(b + 1, b + size)
+                        if not (data[j] == data[j - 1] and type(data[j]) is type(data[j - 1]))]
+                val.append(data[b])
+                val += [data[b + e] for e in ends]
+                idx += ends
+                idx.append(size)
+                pos.append(len(idx) + 1)
+            return RepeatRLE(size, pos, idx, val)
+        mask = masks[k]
+        if kind == "splist":
+            pos, idx, children = [1], [], []
+            for b in fibers:
+                q = b // ss
+                got = list(compress(range(1, size + 1), mask[q:q + size]))
+                idx += got
+                children += [b + (i - 1) * ss for i in got]
+                pos.append(len(idx) + 1)
+            return SparseList(size, pos, idx, level(k + 1, children))
+        if kind == "sband":
+            start, stop, ofs, children = [], [], [1], []
+            for b in fibers:
+                q = b // ss
+                first = mask.find(1, q, q + size)
+                if first < 0:
+                    a, z = 1, 0
                 else:
-                    i += 1
-            pos.append(len(idx) + 1)
-        return SparseVBL(size, pos, idx, ofs, _build(kinds, k + 1, dims, children, fill))
-    if kind == "rle":
-        pos, idx, val = [1], [], []
-        for sl in slices:
-            i = 1
-            while i <= size:
-                v = sl[i - 1]
-                j = i
-                while j + 1 <= size and sl[j] == v and type(sl[j]) is type(v):
-                    j += 1
-                idx.append(j)
-                val.append(v)
-                i = j + 1
-            pos.append(len(idx) + 1)
-        return RepeatRLE(size, pos, idx, val)
-    raise FormatError(f"unsupported level kind {kind!r}")
+                    a, z = first - q + 1, mask.rfind(1, q, q + size) - q + 1
+                start.append(a)
+                stop.append(z)
+                children += range(b + (a - 1) * ss, b + z * ss, ss)
+                ofs.append(len(children) + 1)
+            return SparseBand(size, start, stop, ofs, level(k + 1, children))
+        if kind == "svbl":
+            pos, idx, ofs, children = [1], [], [1], []
+            for b in fibers:
+                q = b // ss
+                got = list(compress(range(1, size + 1), mask[q:q + size]))
+                # a block ends at each stored index whose successor is not stored
+                ends = [n for n, i in enumerate(got, 1) if n == len(got) or got[n] != i + 1]
+                idx += [got[n - 1] for n in ends]
+                ofs += [len(children) + n + 1 for n in ends]
+                children += [b + (i - 1) * ss for i in got]
+                pos.append(len(idx) + 1)
+            return SparseVBL(size, pos, idx, ofs, level(k + 1, children))
+        raise FormatError(f"unsupported level kind {kind!r}")
+
+    return level(0, [0])
 
 
 def subtree_len(level: Level) -> int:

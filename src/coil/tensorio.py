@@ -7,7 +7,7 @@ fields, general/symmetric symmetry; duplicate coordinates are summed.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .values import Value
 
@@ -22,6 +22,13 @@ def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
     Triples are (i, j, v) with 1-based coordinates (or (i, v) for vectors);
     symmetric inputs are expanded to general, pattern entries read as 1.
     """
+    dims, entries, dtype = _read_entries(path)
+    ncols = dims[1]
+    return dims, [(k // ncols + 1, k % ncols + 1, v) for k, v in sorted(entries.items())], dtype
+
+
+def _read_entries(path: str) -> Tuple[List[int], Dict[int, Value], str]:
+    """Returns (dims, row-major cell offset -> value, value dtype)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
@@ -50,71 +57,62 @@ def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
             nrows, ncols = (int(x) for x in sizes)
             nnz = nrows * ncols
 
-        def parse_value(tokens) -> Value:
-            if field == "pattern":
-                return 1
-            if field == "integer":
-                return int(tokens[0])
-            return float(tokens[0])
-
         entries = {}
-
-        def add(i, j, v):
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise TensorIOError(f"{path}: coordinate ({i},{j}) out of bounds")
-            if (i, j) in entries:
-                entries[(i, j)] = entries[(i, j)] + v
-            else:
-                entries[(i, j)] = v
-
+        conv = int if field == "integer" else float
+        pattern = field == "pattern"
+        symmetric = symmetry == "symmetric"
         if layout == "coordinate":
+            get = entries.get  # duplicates are summed in file order
             count = 0
             for line in fh:
                 toks = line.split()
                 if not toks or toks[0].startswith("%"):
                     continue
                 count += 1
-                i, j = int(toks[0]), int(toks[1])
-                v = parse_value(toks[2:])
-                add(i, j, v)
-                if symmetry == "symmetric" and i != j:
-                    add(j, i, v)
+                try:
+                    i, j = int(toks[0]), int(toks[1])
+                    v = 1 if pattern else conv(toks[2])
+                except (IndexError, ValueError):
+                    raise TensorIOError(f"{path}: malformed entry {line.strip()!r}") from None
+                if not (1 <= i <= nrows and 1 <= j <= ncols):
+                    raise TensorIOError(f"{path}: coordinate ({i},{j}) out of bounds")
+                key = (i - 1) * ncols + j - 1
+                prev = get(key)
+                entries[key] = v if prev is None else prev + v
+                if symmetric and i != j:
+                    if not (j <= nrows and i <= ncols):
+                        raise TensorIOError(f"{path}: coordinate ({j},{i}) out of bounds")
+                    key = (j - 1) * ncols + i - 1
+                    prev = get(key)
+                    entries[key] = v if prev is None else prev + v
             if count != nnz:
                 raise TensorIOError(f"{path}: expected {nnz} entries, found {count}")
         else:
-            vals = []
-            for line in fh:
-                for tok in line.split():
-                    vals.append(parse_value([tok]))
-            if len(vals) != (nnz if symmetry == "general" else nrows * (nrows + 1) // 2):
+            try:
+                vals = [1 if pattern else conv(tok) for line in fh for tok in line.split()]
+            except ValueError as ex:
+                raise TensorIOError(f"{path}: malformed array value: {ex}") from None
+            if len(vals) != (nrows * (nrows + 1) // 2 if symmetric else nnz):
                 raise TensorIOError(f"{path}: wrong number of array values")
-            if symmetry == "general":
-                pos = 0
-                for j in range(1, ncols + 1):  # array layout is column-major
-                    for i in range(1, nrows + 1):
-                        add(i, j, vals[pos])
-                        pos += 1
-            else:
-                pos = 0
-                for j in range(1, ncols + 1):
-                    for i in range(j, nrows + 1):
-                        add(i, j, vals[pos])
-                        if i != j:
-                            add(j, i, vals[pos])
-                        pos += 1
+            pos = 0
+            for j in range(1, ncols + 1):  # array layout is column-major
+                for i in range(j if symmetric else 1, nrows + 1):
+                    entries[(i - 1) * ncols + j - 1] = vals[pos]
+                    if symmetric and i != j:
+                        if i > ncols:
+                            raise TensorIOError(f"{path}: coordinate ({j},{i}) out of bounds")
+                        entries[(j - 1) * ncols + i - 1] = vals[pos]
+                    pos += 1
 
-        dtype = "float" if field == "real" else "int"
-        triples = [(i, j, v) for (i, j), v in sorted(entries.items())]
-        return [nrows, ncols], triples, dtype
+        return [nrows, ncols], entries, "float" if field == "real" else "int"
 
 
 def matrix_market_dense(path: str) -> Tuple[List[int], list, str]:
     """Scatter a MatrixMarket file into a row-major dense payload."""
-    dims, triples, dtype = read_matrix_market(path)
-    zero = 0.0 if dtype == "float" else 0
-    data = [zero] * (dims[0] * dims[1])
-    for i, j, v in triples:
-        data[(i - 1) * dims[1] + (j - 1)] = v
+    dims, entries, dtype = _read_entries(path)
+    data = [0.0 if dtype == "float" else 0] * (dims[0] * dims[1])
+    for k, v in entries.items():
+        data[k] = v
     return dims, data, dtype
 
 

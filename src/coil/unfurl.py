@@ -28,6 +28,7 @@ from .expr import (
     iadd,
     imul,
     isub,
+    _const,
     le,
 )
 from .looplets import (
@@ -274,8 +275,8 @@ def unfurl_modified(bt: BoundTensor, cur: Cursor, proto: str, names: _FreshNames
     for k, (kind, params) in enumerate(modifiers):
         if kind == "window":
             a, b = params
-            ca, cb = _const_of(a), _const_of(b)
-            clo, chi = _const_of(lo), _const_of(hi)
+            ca, cb = _const(a), _const(b)
+            clo, chi = _const(lo), _const(hi)
             if ca is not None and cb is not None and clo is not None and chi is not None:
                 if not (clo <= ca <= cb <= chi):
                     raise CompileError(
@@ -298,12 +299,6 @@ def unfurl_modified(bt: BoundTensor, cur: Cursor, proto: str, names: _FreshNames
         else:
             raise CompileError(f"unknown index modifier {kind!r}")
     return base
-
-
-def _const_of(e: Expr):
-    if isinstance(e, Lit) and isinstance(e.value, int) and not isinstance(e.value, bool):
-        return e.value
-    return None
 
 
 def mask_looplet(bound: str, target: Expr):

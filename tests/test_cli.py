@@ -209,3 +209,14 @@ def test_malformed_random_spec_exit_2(capsys, spec):
                   "--tensor", "B=random:dims=4"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", ["1 2", "1 x 2.0", "1 2 abc"])
+def test_malformed_matrix_market_entry_exit_2(capsys, tmp_path, entry):
+    mtx = tmp_path / "m.mtx"
+    mtx.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n")
+    rc = run_cli(["run", "--kernel", KERNELS / "spmspv.cin",
+                  "--tensor", f"A={mtx},format=dense.splist",
+                  "--tensor", "x=random:dims=2,density=0.5,seed=2,format=splist"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
