@@ -278,31 +278,41 @@ def scalarize_expr(ctx: LowerCtx, e: Expr) -> Tuple[List[TargetStmt], Expr]:
     return out, go(e)
 
 
+def _scalarize_index(ctx: LowerCtx, core: Expr, mods, out: List[TargetStmt]
+                     ) -> Tuple[Expr, List[Expr]]:
+    """Scalar value of an index use, from its peeled core and modifiers
+    (innermost first), with statements appended to `out`. Window and offset
+    shift the value; the second result lists the value each permit bounds."""
+    stmts, v = scalarize_expr(ctx, core)
+    out.extend(stmts)
+    permitted = []
+    for kind, params in mods:
+        ps = []
+        for p in params:
+            st, pv = scalarize_expr(ctx, p)
+            out.extend(st)
+            ps.append(pv)
+        if kind == "window":
+            v = iadd(ps[0], isub(v, ONE))
+        elif kind == "offset":
+            v = isub(v, ps[0])
+        elif kind == "permit":
+            permitted.append(v)
+        else:
+            raise CompileError(f"unknown index modifier {kind!r}")
+    return v, permitted
+
+
 def _resolve_cursor(ctx: LowerCtx, cur: Cursor, uses: Tuple[Expr, ...],
                     out: List[TargetStmt]) -> Expr:
     bt = ctx.tensors[cur.tensor]
     guards: List[Expr] = []
     values: List[Expr] = []
     for k, use in enumerate(uses):
-        depth = cur.depth + k
         core, mods, _proto = _peel(use)
-        stmts, v = scalarize_expr(ctx, core)
-        out.extend(stmts)
-        size = bt.mode_size(depth)
-        for kind, params in mods:
-            ps = []
-            for p in params:
-                st, pv = scalarize_expr(ctx, p)
-                out.extend(st)
-                ps.append(pv)
-            if kind == "window":
-                v = iadd(ps[0], isub(v, ONE))
-            elif kind == "offset":
-                v = isub(v, ps[0])
-            elif kind == "permit":
-                guards.append(Call("and", (le(ONE, v), le(v, Lit(size)))))
-            else:
-                raise CompileError(f"unknown index modifier {kind!r}")
+        v, permitted = _scalarize_index(ctx, core, mods, out)
+        size = Lit(bt.mode_size(cur.depth + k))
+        guards += [Call("and", (le(ONE, p), le(p, size))) for p in permitted]
         values.append(v)
 
     def chain(depth: int, pos: Expr, k: int, sink: List[TargetStmt]) -> Expr:
@@ -416,22 +426,14 @@ def lower_assign(ctx: LowerCtx, a: Assign) -> TargetStmt:
     stmts, rhs = scalarize_expr(ctx, a.rhs)
     plan = _writer_plan(ctx, a.lhs.base)
     idx_exprs = []
-    for k, use in enumerate(a.lhs.idx):
+    for use in a.lhs.idx:
         core, mods, _ = _peel(use)
         if plan.append_only and not isinstance(core, (Var, Lit)):
             raise CompileError(
                 f"scatter write to append-only output {a.lhs.base!r}")
-        st, v = scalarize_expr(ctx, core)
-        stmts.extend(st)
-        for kind, params in mods:
-            if kind == "permit":
-                raise CompileError("permit cannot modify an output index")
-            ps = []
-            for p in params:
-                st2, pv = scalarize_expr(ctx, p)
-                stmts.extend(st2)
-                ps.append(pv)
-            v = iadd(ps[0], isub(v, ONE)) if kind == "window" else isub(v, ps[0])
+        v, permitted = _scalarize_index(ctx, core, mods, stmts)
+        if permitted:
+            raise CompileError("permit cannot modify an output index")
         idx_exprs.append(v)
     stmts.extend(plan.write_stmts(tuple(idx_exprs), a.op, rhs))
     return block(stmts)

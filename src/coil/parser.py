@@ -37,6 +37,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Deepest statement/expression tree a kernel may have, counted in nodes from
+# the statement root to the deepest leaf. Simplify, lowering, the interpreter
+# and the oracle recurse per level, and generated code nests parentheses and
+# indentation per level (CPython allows 200 and 100); all of them run at this
+# height, and some fail at about 40.
+MAX_DEPTH = 32
+
 MODIFIERS = {"window": 2, "offset": 1, "permit": 0}
 PROTOCOLS = {"walk", "gallop", "follow", "followzero"}
 _UPDATE = {"=": "set", "+=": "add", "*=": "mul", "<<min>>=": "min",
@@ -77,6 +84,7 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0  # nested statements and expressions being parsed
 
     def peek(self) -> Tok:
         return self.toks[self.i]
@@ -101,12 +109,24 @@ class Parser:
         if not self.accept(text):
             self.error(f"expected {text!r}, found {self.peek().text!r}")
 
+    def nested(self, parse):
+        """Run one recursive parse step, one level deeper; refusing to go past
+        MAX_DEPTH keeps the parser's own recursion bounded."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"kernel nests deeper than {MAX_DEPTH} levels")
+        out = parse()
+        self.depth -= 1
+        return out
+
     # -- statements ----------------------------------------------------------
 
     def parse_program(self) -> Stmt:
         s = self.parse_stmt()
         if self.peek().kind != "eof":
             self.error("expected end of input")
+        if _height(s) > MAX_DEPTH:  # operator chains and `where` chains nest without recursing
+            raise CinError(f"kernel nests deeper than {MAX_DEPTH} levels")
         _validate_protocols(s)
         return s
 
@@ -119,6 +139,9 @@ class Parser:
         return s
 
     def parse_stmt_primary(self) -> Stmt:
+        return self.nested(self._parse_stmt_primary)
+
+    def _parse_stmt_primary(self) -> Stmt:
         t = self.peek()
         if t.text == "(":
             self.next()
@@ -195,7 +218,7 @@ class Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        return self.nested(self.parse_or)
 
     def _nary(self, sub, sep: str, op: str) -> Expr:
         e = sub()
@@ -248,7 +271,7 @@ class Parser:
 
     def parse_unary(self) -> Expr:
         if self.accept("-"):
-            return Call("neg", (self.parse_unary(),))
+            return Call("neg", (self.nested(self.parse_unary),))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
@@ -256,7 +279,7 @@ class Parser:
         while True:
             if self.peek().text == "^":
                 self.next()
-                e = Call("pow", (e, self.parse_unary()))
+                e = Call("pow", (e, self.nested(self.parse_unary)))
             elif self.peek().text == "::":
                 self.next()
                 t = self.next()
@@ -333,6 +356,16 @@ class Parser:
             self.expect("]")
             return Access(name, tuple(idx))
         return Var(name)
+
+
+def _height(root) -> int:
+    """Nodes on the longest root-to-leaf path of a statement or expression."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        n, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in n.children())
+    return deepest
 
 
 def _validate_protocols(s: Stmt):

@@ -12,6 +12,7 @@ interpreter and dense oracle implement the same choice.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional, Tuple
 
 from .cin import (
@@ -49,6 +50,15 @@ class RewriteError(Exception):
 # -- the rules ----------------------------------------------------------------
 
 
+def _on(cls):
+    """Mark a rule as one that can fire only on `cls` nodes: `simplify` offers
+    it no other node. An unmarked rule is offered every node."""
+    def mark(fn):
+        fn.on = cls
+        return fn
+    return mark
+
+
 def _is_lit(e, v) -> bool:
     if not isinstance(e, Lit):
         return False
@@ -75,6 +85,7 @@ def _one_like(e) -> bool:
     return v is True or (isinstance(v, (int, float)) and not isinstance(v, bool) and v == 1)
 
 
+@_on(Call)
 def r_constant_fold(n):
     if isinstance(n, Call) and n.op in PURE_OPS and n.op not in ("coalesce", "select"):
         if n.args and all(isinstance(a, Lit) for a in n.args):
@@ -85,6 +96,7 @@ def r_constant_fold(n):
     return None
 
 
+@_on(Call)
 def r_select_const(n):
     if isinstance(n, Call) and n.op == "select":
         c = n.args[0]
@@ -95,18 +107,21 @@ def r_select_const(n):
     return None
 
 
+@_on(Forall)
 def r_loop_over_pass(n):
     if isinstance(n, Forall) and isinstance(n.body, PassStmt):
         return n.body
     return None
 
 
+@_on(Where)
 def r_where_empty_pass(n):
     if isinstance(n, Where) and isinstance(n.prod, PassStmt) and not n.prod.tensors:
         return n.cons
     return None
 
 
+@_on(Sieve)
 def r_sieve_resolve(n):
     if isinstance(n, Sieve) and isinstance(n.cond, Lit):
         if n.cond.value is True:
@@ -116,6 +131,7 @@ def r_sieve_resolve(n):
     return None
 
 
+@_on(Call)
 def r_add_flatten(n):
     if isinstance(n, Call) and n.op == "add":
         if any(isinstance(a, Call) and a.op == "add" for a in n.args):
@@ -129,6 +145,7 @@ def r_add_flatten(n):
     return None
 
 
+@_on(Call)
 def r_add_identity(n):
     if isinstance(n, Call) and n.op == "add":
         kept = tuple(a for a in n.args if not _zero_like(a))
@@ -143,12 +160,14 @@ def r_add_identity(n):
     return None
 
 
+@_on(Call)
 def r_sub_normalize(n):
     if isinstance(n, Call) and n.op == "sub":
         return Call("add", (n.args[0], Call("neg", (n.args[1],))))
     return None
 
 
+@_on(Call)
 def r_neg_neg(n):
     if isinstance(n, Call) and n.op == "neg":
         a = n.args[0]
@@ -157,6 +176,7 @@ def r_neg_neg(n):
     return None
 
 
+@_on(Call)
 def r_mul_flatten(n):
     if isinstance(n, Call) and n.op == "mul":
         if any(isinstance(a, Call) and a.op == "mul" for a in n.args):
@@ -170,6 +190,7 @@ def r_mul_flatten(n):
     return None
 
 
+@_on(Call)
 def r_mul_annihilate(n):
     if isinstance(n, Call) and n.op == "mul":
         for a in n.args:
@@ -179,6 +200,7 @@ def r_mul_annihilate(n):
     return None
 
 
+@_on(Call)
 def r_mul_identity(n):
     if isinstance(n, Call) and n.op == "mul":
         kept = tuple(a for a in n.args if not _one_like(a))
@@ -193,6 +215,7 @@ def r_mul_identity(n):
     return None
 
 
+@_on(Call)
 def r_mul_neg_hoist(n):
     if isinstance(n, Call) and n.op == "mul":
         for k, a in enumerate(n.args):
@@ -202,6 +225,7 @@ def r_mul_neg_hoist(n):
     return None
 
 
+@_on(Call)
 def r_and(n):
     if isinstance(n, Call) and n.op == "and":
         if any(_is_lit(a, False) for a in n.args):
@@ -216,6 +240,7 @@ def r_and(n):
     return None
 
 
+@_on(Call)
 def r_or(n):
     if isinstance(n, Call) and n.op == "or":
         if any(_is_lit(a, True) for a in n.args):
@@ -230,6 +255,7 @@ def r_or(n):
     return None
 
 
+@_on(Call)
 def r_missing_propagate(n):
     if isinstance(n, Call) and n.op not in ("coalesce", "select"):
         if any(_lit_missing(a) for a in n.args):
@@ -237,6 +263,7 @@ def r_missing_propagate(n):
     return None
 
 
+@_on(Call)
 def r_coalesce(n):
     if isinstance(n, Call) and n.op == "coalesce":
         kept = tuple(a for a in n.args if not _lit_missing(a))
@@ -251,12 +278,14 @@ def r_coalesce(n):
     return None
 
 
+@_on(Access)
 def r_access_missing_index(n):
     if isinstance(n, Access) and any(_lit_missing(i) for i in n.idx):
         return Lit(MISSING)
     return None
 
 
+@_on(Access)
 def r_access_const_base(n):
     """An access whose base collapsed to a scalar denotes a constant subtree."""
     if isinstance(n, Access) and isinstance(n.base, Lit):
@@ -264,6 +293,7 @@ def r_access_const_base(n):
     return None
 
 
+@_on(Access)
 def r_access_collapse_empty(n):
     """A fully-resolved access is just its scalar base."""
     if isinstance(n, Access) and not n.idx and isinstance(n.base, Expr):
@@ -272,6 +302,7 @@ def r_access_collapse_empty(n):
     return None
 
 
+@_on(Assign)
 def r_assign_identity(n):
     if isinstance(n, Assign) and isinstance(n.lhs.base, str):
         if n.op == "add" and isinstance(n.rhs, Lit) and additive_identity(n.rhs.value):
@@ -283,6 +314,7 @@ def r_assign_identity(n):
     return None
 
 
+@_on(Forall)
 def r_loop_invariant_update(n):
     """A loop repeating an invariant update collapses to a single update;
     repeated adds multiply by the trip count (stop - start + 1)."""
@@ -309,6 +341,7 @@ def r_loop_invariant_update(n):
     return Sieve(le(n.ext.start, n.ext.stop), out)
 
 
+@_on(Multi)
 def r_multi_trivial(n):
     if isinstance(n, Multi):
         if len(n.parts) == 1:
@@ -350,6 +383,24 @@ DEFAULT_RULES: List[Rule] = [
 ]
 
 
+class _ByClass(dict):
+    """Node class -> the rule functions offered to it, in `rules` order."""
+
+    def __init__(self, rules: Tuple[Rule, ...]):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, cls):
+        fns = self[cls] = [fn for _, fn in self.rules
+                           if issubclass(cls, getattr(fn, "on", object))]
+        return fns
+
+
+# Indexes of the last few rule lists; every compile makes a fresh Ruleset,
+# nearly always with the default rules, which then share one index.
+_by_class = functools.lru_cache(maxsize=8)(_ByClass)
+
+
 class Ruleset:
     def __init__(self, rules: Optional[List[Rule]] = None):
         self.rules = list(DEFAULT_RULES if rules is None else rules)
@@ -366,7 +417,7 @@ def simplify(node, ruleset: Optional[Ruleset] = None):
     """Rewrite a statement or expression to fixpoint, innermost first."""
     if not isinstance(node, (Expr, Stmt)):
         return node
-    rules = (ruleset or _DEFAULT).rules
+    by_class = _by_class(tuple((ruleset or _DEFAULT).rules))
     steps = 0
     limit = None  # 8 rewrites per node plus 64; nodes are counted once 64 have fired
 
@@ -375,7 +426,7 @@ def simplify(node, ruleset: Optional[Ruleset] = None):
         while True:
             n2 = n if isinstance(n, TARGET_TERMS) else n.map(go, go)
             fired = None
-            for _, rule in rules:
+            for rule in by_class[type(n2)]:
                 out = rule(n2)
                 if out is not None and out != n2:
                     fired = out

@@ -12,14 +12,24 @@ anything other than fill is read from one stored-flag mask per sparse level;
 the masks are built bottom-up in one pass, the leaf mask from the values and
 each coarser one as `any` over groups of the finer one. Each level is then
 built in one pass over its fibers' offsets, top-down: dense expands them,
-splist/sband/svbl take indices, band ends and blocks from the mask, rle scans
+splist/sband/svbl take indices, band ends and blocks from the mask, rle groups
 the fiber's values, and elem gathers them.
+
+A run-length run continues while a cell equals its predecessor and shares its
+type. The rle level finds runs without a per-cell Python step: each fiber's
+slice goes through `itertools.groupby`, keyed by (value, type) only when the
+payload mixes types. groupby compares a cell with its run's first value and
+takes an identical object as equal without comparing; for every value but NaN
+(equal to nothing) that is the same relation, so a NaN run, one object
+repeated, is split into single cells. The set of value types is scanned once
+per payload and shared with dtype inference; a payload that needs neither (a
+given dtype and no rle level) is not scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, groupby, repeat
 from operator import is_not, ne
 from typing import Dict, List, Optional, Tuple
 
@@ -189,9 +199,9 @@ def normalize_spec(spec: List[str], rank: int) -> List[str]:
     return body + ["elem"]
 
 
-def _infer_dtype(data, fill) -> str:
-    types = set(map(type, data))
-    types.discard(type(MISSING))
+def _infer_dtype(types, fill) -> str:
+    """dtype of a payload whose values have these types."""
+    types = types - {type(MISSING)}
     if fill is not MISSING:
         types.add(type(fill))
     if not types:
@@ -215,9 +225,10 @@ def from_dense(name: str, dims: List[int], data: List[Value], spec: List[str],
     if len(data) != total:
         raise FormatError(f"expected {total} values for dims {dims}, got {len(data)}")
     kinds = normalize_spec(spec, rank)
+    types = set(map(type, data)) if dtype is None or kinds[-1] == "rle" else None
     if dtype is None:
-        dtype = _infer_dtype(data, fill)
-    root = _build(kinds, dims, data, fill)
+        dtype = _infer_dtype(types, fill)
+    root = _build(kinds, dims, data, fill, types)
     t = Tensor(name, list(dims), root, fill, dtype)
     validate(t)
     return t
@@ -242,9 +253,10 @@ def _stored_masks(kinds: List[str], dims: List[int], data, fill) -> Dict[int, by
     return masks
 
 
-def _build(kinds: List[str], dims: List[int], data, fill) -> Level:
+def _build(kinds: List[str], dims: List[int], data, fill, types) -> Level:
     """Assemble the levels top-down. A fiber of level k is the offset of its
-    first cell in the row-major `data`; it spans prod(dims[k:]) cells."""
+    first cell in the row-major `data`; it spans prod(dims[k:]) cells. `types`
+    is the set of value types in `data` (needed for an rle level)."""
     masks = _stored_masks(kinds, dims, data, fill)
     span = [1] * (len(dims) + 1)
     for k in range(len(dims) - 1, -1, -1):
@@ -261,15 +273,17 @@ def _build(kinds: List[str], dims: List[int], data, fill) -> Level:
         if kind == "rle":
             pos, idx, val = [1], [], []
             for b in fibers:
-                # a run continues while values compare equal and share a type;
-                # that relation is transitive (NaN equals nothing), so comparing
-                # neighbours splits runs where comparing with a run's first value would
-                ends = [j - b for j in range(b + 1, b + size)
-                        if not (data[j] == data[j - 1] and type(data[j]) is type(data[j - 1]))]
-                val.append(data[b])
-                val += [data[b + e] for e in ends]
-                idx += ends
-                idx.append(size)
+                vals = data[b:b + size]
+                if len(types) > 1:
+                    runs = [(v, len(list(g))) for (v, _), g in groupby(zip(vals, map(type, vals)))]
+                else:
+                    runs = [(v, len(list(g))) for v, g in groupby(vals)]
+                firsts, lens = zip(*runs)
+                if any(map(ne, firsts, firsts)):  # split NaN runs into single cells
+                    runs = [(v, m) for v, n in runs for m in ([1] * n if v != v else [n])]
+                    firsts, lens = zip(*runs)
+                val += firsts
+                idx += accumulate(lens)
                 pos.append(len(idx) + 1)
             return RepeatRLE(size, pos, idx, val)
         mask = masks[k]

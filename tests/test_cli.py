@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from coil import cli
+from coil.parser import MAX_DEPTH
 from coil.tensorio import write_dense_text
 
 KERNELS = pathlib.Path(__file__).parent.parent / "kernels"
@@ -220,3 +221,14 @@ def test_malformed_matrix_market_entry_exit_2(capsys, tmp_path, entry):
                   "--tensor", "x=random:dims=2,density=0.5,seed=2,format=splist"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_rejects_over_deep_kernel_exit_2(capsys, tmp_path):
+    # forall, assign, access and index, with a sqrt and an add per level: at
+    # MAX_DEPTH nodes tall; the leading minus puts it one level past the bound
+    levels = (MAX_DEPTH - 4) // 2
+    path = tmp_path / "deep.cin"
+    path.write_text("@V i C[i] = -" + "sqrt(" * levels + "A[i]" + " + 1.0)" * levels)
+    rc = run_cli(["run", "--kernel", path, "--tensor", "A=random:dims=8,density=1.0,seed=1"])
+    assert rc == 2
+    assert f"nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err

@@ -17,11 +17,14 @@ from coil.api import (
     InputSpec,
     compile_kernel,
     execute,
+    oracle_outputs,
+    run_kernel,
     runtime,
 )
+from coil.cin import CinError
 from coil.expr import Call, Lit, Read, Search, Var, iadd, le
 from coil.interp import Buf, InterpError, run_program
-from coil.parser import parse
+from coil.parser import MAX_DEPTH, _height, parse
 from coil.storage import to_dense
 from coil.target import NOP, AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, While
 from coil.unfurl import WriterPlan
@@ -195,6 +198,42 @@ PARITY = {
                             {"$n": 3}, None),
     "undeclared_assignment": (For("i", Lit(1), Lit(1), AssignVar("ghost", Lit(1))), {}, None),
 }
+
+
+# One nesting shape each; NESTED[shape](d) nests d levels. Missing values
+# reach every expression shape and `or` over maybe-missing operands, the
+# deepest nesting of generated code per level.
+NESTED = {
+    "sqrt": lambda d: "@V i C[i] = coalesce(" + "sqrt(" * d + "2.0 * A[i]" + " + 1.0)" * d + ", 0.0)",
+    "sub": lambda d: "@V i C[i] = coalesce(" + "A[i] - (" * d + "A[i]" + ")" * d + ", 0.0)",
+    "max": lambda d: "@V i C[i] = coalesce(" + "max(A[i], " * d + "A[i]" + ")" * d + ", 0.0)",
+    "or": lambda d: ("@V i C[i] = coalesce(select(" + "A[i] > 1.0 || (" * d + "A[i] < 0.7"
+                     + ")" * d + ", 1.0, 2.0), 0.0)"),
+    "sieve": lambda d: "@V i " + "@sieve coalesce(A[i], 0.0) > 0.6 " * d + "C[i] += A[i]",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deepest_accepted_kernel_runs_everywhere(shape):
+    """A kernel exactly as deep as the parser accepts is simplified, lowered,
+    run by each backend and evaluated by the oracle."""
+    levels = 1
+    while True:
+        try:
+            parse(NESTED[shape](levels + 1))
+        except CinError:
+            break
+        levels += 1
+    text = NESTED[shape](levels)
+    assert _height(parse(text)) == MAX_DEPTH
+    for n, backend in ((8, "interp"), (CODEGEN_MIN_ENTRIES, "python")):
+        rng = random.Random(n)
+        a = [MISSING if k % 5 == 0 else rng.uniform(0.5, 1.5) for k in range(n)]
+        ins = {"A": InputSpec([n], a, format=["dense"], fill=0.0, dtype="float")}
+        got = run_kernel(text, ins)
+        assert got.backend == backend
+        want = oracle_outputs(text, ins)["C"]
+        assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got.dense["C"], want))
 
 
 @pytest.mark.parametrize("name", sorted(PARITY))

@@ -19,7 +19,7 @@ from coil.cin import (
     results,
 )
 from coil.expr import Call, Extent, Lit, Var
-from coil.parser import parse
+from coil.parser import MAX_DEPTH, parse
 
 
 def roundtrip(text):
@@ -114,6 +114,19 @@ def test_unknown_protocol_rejected():
 def test_division_rejected():
     with pytest.raises(CinError):
         parse("@V i C[] += A[i] / 2")
+
+
+@pytest.mark.parametrize("text", [
+    "@V i C[i] = " + "(" * 1000 + "A[i]" + ")" * 1000,  # recursion in the parser
+    "@V i C[i] = " + "-" * 1000 + "A[i]",
+    "@V i C[i] = A[i]" + " ^ 2" * 1000,
+    "@V i " + "@sieve A[i] > 0 " * 1000 + "C[i] += A[i]",
+    "@V i C[i] = A[i]" + " - 1" * 1000,  # operator chains nest without recursion
+    "@V i C[i] = A[i] " + "where C[i] = 0 " * 1000,
+])
+def test_over_deep_nesting_rejected(text):
+    with pytest.raises(CinError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse(text)
 
 
 # -- binder audit ------------------------------------------------------------

@@ -292,6 +292,12 @@ def _data_cases(n, rng):
     def draw(pool, p_fill, fill):
         return [fill if rng.random() < p_fill else rng.choice(pool) for _ in range(n)]
 
+    def runs(pool):  # runs of 1-3 cells, each one object repeated
+        out = []
+        while len(out) < n:
+            out += [rng.choice(pool)] * rng.randint(1, 3)
+        return out[:n]
+
     nan = float("nan")
     return [
         ("all fill", [0.0] * n, 0.0),
@@ -303,6 +309,13 @@ def _data_cases(n, rng):
         ("missing under 0.0", draw([MISSING, 1.0], 0.6, 0.0), 0.0),
         ("nan and zeros", draw([nan, -0.0, 0, 1.0], 0.4, 0.0), 0.0),
         ("bool", draw([True], 0.6, False), False),
+        # rle runs end at fiber boundaries even where the next fiber starts equal
+        ("one value", [5] * n, 0),
+        ("one nan object", [nan] * n, 0.0),
+        ("distinct nans", [float("nan") for _ in range(n)], 0.0),
+        ("nan runs", runs([nan, float("nan"), 1.0]), 0.0),
+        ("equal across types", runs([0, 0.0, False, 1, 1.0, True]), 0),
+        ("missing runs", runs([MISSING, 1.0, 2.0]), 1.0),
     ]
 
 
@@ -324,6 +337,6 @@ def test_assembly_matches_per_cell_builder(rank):
                 got = from_dense("T", dims, data, spec, fill)
                 # repr also tells -0.0 from 0.0, 0 from 0.0 and True from 1
                 assert got == want and repr(got) == repr(want), (spec, dims, label, data)
-                assert storage._infer_dtype(data, fill) == _infer_dtype(data, fill)
+                assert storage._infer_dtype(set(map(type, data)), fill) == _infer_dtype(data, fill)
                 checked += 1
-    assert checked == len(list(_specs(rank))) * len(SHAPES[rank]) * 9
+    assert checked == len(list(_specs(rank))) * len(SHAPES[rank]) * 15
