@@ -47,15 +47,21 @@ def snapshot_programs():
         yield header, compile_kernel(parse(kernel), inputs, outputs, params), params
 
 
-def render_snapshot() -> str:
+def render(programs) -> str:
+    """Snapshot text of (header, compiled, params) programs: header, loop
+    count, counters and printed IR of each."""
     lines = []
-    for header, compiled, params in snapshot_programs():
+    for header, compiled, params in programs:
         counters = execute(compiled, params).counters.as_dict()
         lines.append(header)
         lines.append(f"loops {count_loops(compiled.program)}")
         lines.append(f"counters {json.dumps(counters, sort_keys=True)}")
         lines.append(compiled.ir_text())
     return "\n".join(lines) + "\n"
+
+
+def render_snapshot() -> str:
+    return render(snapshot_programs())
 
 
 def _cases(text: str) -> dict:
