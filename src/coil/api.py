@@ -23,11 +23,11 @@ from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
 from .parser import parse
 from .rewrite import Ruleset
-from .storage import Tensor, from_dense, normalize_spec, tensor_buffers, to_dense
+from .storage import Tensor, from_dense, tensor_buffers, to_dense
 from .target import TargetStmt, print_ir
 from .unfurl import BoundTensor, CompileError, WriterPlan
 from .values import Value
-from .writers import Writer, make_writer
+from .writers import Writer
 
 
 @dataclass
@@ -84,6 +84,11 @@ def _infer_output_dims(annotated: Stmt, name: str) -> List[int]:
     return dims
 
 
+def _format(fmt: List[str], rank: int) -> List[str]:
+    """A spec's level kinds, with the shorthand ["dense"] for all-dense."""
+    return ["dense"] * rank if fmt == ["dense"] else fmt
+
+
 def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec],
          params: Optional[Dict[str, Value]] = None):
     """Build the compile-time tensor table: inputs get static storage, outputs
@@ -94,10 +99,8 @@ def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec
     written = set(written_tensors(stmt)) | set(results(stmt))
 
     for name, spec in inputs.items():
-        fmt = spec.format
-        if fmt == ["dense"] and len(spec.dims) > 1:
-            fmt = ["dense"] * len(spec.dims)
-        t = from_dense(name, spec.dims, spec.data, fmt, spec.fill, spec.dtype)
+        t = from_dense(name, spec.dims, spec.data, _format(spec.format, len(spec.dims)),
+                       spec.fill, spec.dtype)
         tensors[name] = BoundTensor(
             name=name, dims=list(spec.dims), fill=t.fill, dtype=t.dtype,
             kinds=t.format_spec(), tensor=t, protocols=dict(spec.protocols))
@@ -114,15 +117,11 @@ def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec
         dims = spec.dims
         if dims is None:
             dims = _infer_output_dims(annotate_extents(stmt, input_dims, strict=False), name)
-        fmt = spec.format
-        if fmt == ["dense"] and len(dims) > 1:
-            fmt = ["dense"] * len(dims)
-        kinds = ["elem"] if not dims else normalize_spec(fmt, len(dims))
-        plan = WriterPlan(name, list(dims), spec.fill, spec.dtype, kinds)
+        plan = WriterPlan(name, list(dims), spec.fill, spec.dtype, _format(spec.format, len(dims)))
         writers[name] = plan
         tensors[name] = BoundTensor(
             name=name, dims=list(dims), fill=spec.fill, dtype=spec.dtype,
-            kinds=kinds, tensor=None, is_output=True)
+            kinds=plan.kinds, tensor=None, is_output=True)
     return tensors, writers
 
 
@@ -187,7 +186,7 @@ def runtime(compiled: Compiled) -> Tuple[Dict[str, Buf], Dict[str, Writer]]:
             buffers.update(tensor_buffers(bt.tensor))
     writers: Dict[str, Writer] = {}
     for name, plan in compiled.writers.items():
-        writers[name] = make_writer(plan)
+        writers[name] = plan.writer(plan)
         buffers.update(writers[name].buffers)
     return buffers, writers
 

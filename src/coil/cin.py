@@ -20,6 +20,11 @@ class CinError(Exception):
     """Frontend diagnostic (syntax, binding, or scope errors)."""
 
 
+class CompileError(Exception):
+    """A kernel that cannot be lowered with its bindings (formats, protocols,
+    outputs)."""
+
+
 # -- expression extensions ----------------------------------------------------
 
 

@@ -36,7 +36,8 @@ from .oracle import max_rel_error
 from .parser import parse
 from .rewrite import simplify
 from .storage import FormatError
-from .tensorio import TensorIOError, matrix_market_dense, read_dense_text, write_dense_text
+from .tensorio import (TensorIOError, matrix_market_dense, read_dense_text, reading,
+                       write_dense_text)
 from .unfurl import CompileError
 from .values import MISSING, value_repr
 
@@ -110,18 +111,19 @@ def _parse_dims(text: str) -> List[int]:
 
 def parse_tensor_spec(name: str, spec: str):
     """Returns ('input', InputSpec) | ('random', RandomSpec) | ('out', OutputSpec)."""
-    parts = spec.split(",")
-    head = parts[0]
-    kv = _parse_kv(parts[1:]) if len(parts) > 1 else {}
+    head, *pairs = spec.split(",")
+    kind, _, rest = head.partition(":")
+    if kind in ("random", "out"):
+        head = kind
+        if rest:  # the first key may ride on the head: out:format=splist
+            pairs.insert(0, rest)
+    kv = _parse_kv(pairs)
     fmt = kv.pop("format", None)
     fmt = fmt.split(".") if fmt else None
     fill = _parse_value(kv.pop("fill")) if "fill" in kv else None
     dtype = kv.pop("dtype", None)
 
-    if head.startswith("random:") or head == "random":
-        rest = head[len("random:"):] if head.startswith("random:") else ""
-        if rest:
-            kv = {**_parse_kv([rest]), **kv}
+    if head == "random":
         dims = _parse_dims(kv.pop("dims", ""))
         if not dims:
             raise CliError(f"tensor {name}: random spec needs dims=")
@@ -138,10 +140,7 @@ def parse_tensor_spec(name: str, spec: str):
             raise CliError(f"tensor {name}: unknown random keys {sorted(kv)}")
         return "random", rs
 
-    if head.startswith("out:") or head == "out":
-        rest = head[len("out:"):] if head.startswith("out:") else ""
-        if rest:
-            kv = {**_parse_kv([rest]), **kv}
+    if head == "out":
         dims = _parse_dims(kv.pop("dims", "")) or None
         os_ = OutputSpec(dims=dims)
         if fmt:
@@ -159,8 +158,7 @@ def parse_tensor_spec(name: str, spec: str):
         dims, data, ftype = matrix_market_dense(head)
     else:
         dims, data, ftype = read_dense_text(head)
-    spec_fmt = fmt or (["dense"] * len(dims))
-    ins = InputSpec(dims, data, spec_fmt, fill if fill is not None else _zero_of(ftype),
+    ins = InputSpec(dims, data, fmt or ["dense"], fill if fill is not None else _zero_of(ftype),
                     dtype or ftype)
     if kv:
         raise CliError(f"tensor {name}: unknown keys {sorted(kv)}")
@@ -194,7 +192,7 @@ def gen_random(rs: RandomSpec, seed: int) -> InputSpec:
 
 
 def build_job(args) -> JobSpec:
-    with open(args.kernel, "r", encoding="utf-8") as fh:
+    with reading(args.kernel, CliError) as fh:
         text = fh.read()
     inputs: Dict[str, InputSpec] = {}
     randoms: Dict[str, RandomSpec] = {}

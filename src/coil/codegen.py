@@ -36,7 +36,6 @@ from .expr import Call, Lit, Read, Search, Var
 from .interp import Buf, ExecCounters, InterpError
 from .target import AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, Nop, While
 from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op, coerce, value_repr
-from .writers import DenseWriter
 
 # Facts about a value are (types, interval). Types is a frozenset of int,
 # float and bool, or None for "any" (missing included). The interval bounds an
@@ -282,7 +281,7 @@ class _Buffers:
     def __init__(self, buffers: Dict[str, Buf], writers: dict):
         self.buffers = buffers
         # append writers grow their buffers; reads of them go through Buf.get
-        self.dynamic = {name for w in writers.values() if not isinstance(w, DenseWriter)
+        self.dynamic = {name for w in writers.values() if w.appends
                         for name in w.buffers}
         self.facts = {}
 

@@ -41,7 +41,6 @@ from .expr import (
     Lit,
     ONE,
     Read,
-    Search,
     TRUE,
     Var,
     const_diff,
@@ -49,13 +48,13 @@ from .expr import (
     iadd,
     imax,
     imin,
-    imul,
     isub,
     keep,
     le,
     subst,
     walk,
 )
+from .levels import Fiber
 from .looplets import (
     Jumper,
     Lookup,
@@ -238,7 +237,7 @@ def _try_mask(ctx: LowerCtx, cond: Expr, idx: str, preamble) -> Optional[Expr]:
     if not (isinstance(a, Var) and a.name == idx) or uses_index(b, idx):
         return None
     target = _scalarized(ctx, b, preamble)
-    return Furl(mask_looplet(idx, target), idx, ctx.next_tag())
+    return Furl(mask_looplet(target), idx, ctx.next_tag())
 
 
 def _scalarized(ctx: LowerCtx, e: Expr, preamble: List[TargetStmt]) -> Expr:
@@ -316,69 +315,29 @@ def _resolve_cursor(ctx: LowerCtx, cur: Cursor, uses: Tuple[Expr, ...],
         values.append(v)
 
     def chain(depth: int, pos: Expr, k: int, sink: List[TargetStmt]) -> Expr:
-        kind = bt.level_kind(depth)
-        if kind == "elem":
-            return Read(bt.bufname(depth, "val"), (pos,))
-        v = values[k]
-        if kind == "dense":
-            q = iadd(imul(isub(pos, ONE), Lit(bt.mode_size(depth))), v)
-            return chain(depth + 1, q, k + 1, sink)
-        if kind == "rle":
-            posb, idxb = bt.bufname(depth, "pos"), bt.bufname(depth, "idx")
-            r = ctx.fresh(f"r_{bt.name}")
-            plo = Read(posb, (pos,))
-            phi = Read(posb, (iadd(pos, ONE),))
-            sink.append(Let(r, Search(idxb, plo, isub(phi, ONE), v)))
-            return Read(bt.bufname(depth, "val"), (Var(r),))
-        if kind == "splist":
-            posb, idxb = bt.bufname(depth, "pos"), bt.bufname(depth, "idx")
-            p = ctx.fresh(f"p_{bt.name}")
-            plo = Read(posb, (pos,))
-            phi = Read(posb, (iadd(pos, ONE),))
-            sink.append(Let(p, Search(idxb, plo, isub(phi, ONE), v)))
-            found = Call("and", (le(Var(p), isub(phi, ONE)),
-                                 eq(Read(idxb, (Var(p),)), v)))
-            return _guarded(ctx, bt, found, depth, Var(p), k, sink)
-        if kind == "sband":
-            a = Read(bt.bufname(depth, "start"), (pos,))
-            b = Read(bt.bufname(depth, "stop"), (pos,))
-            o = Read(bt.bufname(depth, "ofs"), (pos,))
-            found = Call("and", (le(a, v), le(v, b)))
-            return _guarded(ctx, bt, found, depth, iadd(o, isub(v, a)), k, sink,
-                            valid_pos=True)
-        if kind == "svbl":
-            posb, idxb = bt.bufname(depth, "pos"), bt.bufname(depth, "idx")
-            ofsb = bt.bufname(depth, "ofs")
-            bvar = ctx.fresh(f"b_{bt.name}")
-            plo = Read(posb, (pos,))
-            phi = Read(posb, (iadd(pos, ONE),))
-            sink.append(Let(bvar, Search(idxb, plo, isub(phi, ONE), v)))
-            blk_end = Read(idxb, (Var(bvar),))
-            blk_len = isub(Read(ofsb, (iadd(Var(bvar), ONE),)), Read(ofsb, (Var(bvar),)))
-            blk_start = iadd(isub(blk_end, blk_len), ONE)
-            found = Call("and", (le(Var(bvar), isub(phi, ONE)), le(blk_start, v)))
-            return _guarded(ctx, bt, found, depth,
-                            iadd(Read(ofsb, (Var(bvar),)), isub(v, blk_start)), k, sink)
-        raise CompileError(f"cannot follow into level kind {kind!r} of {bt.name}")
+        """Value at `pos` of level `depth`, locating values[k:] in it and below."""
+        f = Fiber(bt, depth, pos, ctx.names)
+        binds, found, at = f.level.locate(f, values[k] if k < len(values) else None)
+        sink.extend(Let(name, e) for name, e in binds)
+        if not f.level.nested:
+            return f.level.entry(f, at)
+        if found is None:
+            return chain(depth + 1, at, k + 1, sink)
+        return guarded(found, bt.fill, depth + 1, at, k + 1, sink)
 
-    def _guarded(ctx, bt, cond, depth, child_pos, k, sink, valid_pos=False):
+    def guarded(cond: Expr, init, depth: int, pos: Expr, k: int, sink: List[TargetStmt]) -> Expr:
+        """A variable holding `init`, set to the chain's value where `cond` holds."""
         tmp = ctx.fresh(f"v_{bt.name}")
-        sink.append(Let(tmp, Lit(bt.fill)))
+        sink.append(Let(tmp, Lit(init)))
         inner: List[TargetStmt] = []
-        val = chain(depth + 1, child_pos, k + 1, inner)
+        val = chain(depth, pos, k, inner)
         inner.append(AssignVar(tmp, val))
         sink.append(IfChain(((cond, block(inner)),)))
         return Var(tmp)
 
     if guards:
-        tmp = ctx.fresh(f"v_{bt.name}")
-        out.append(Let(tmp, Lit(MISSING)))
-        inner: List[TargetStmt] = []
-        val = chain(cur.depth, cur.pos, 0, inner)
-        inner.append(AssignVar(tmp, val))
         cond = guards[0] if len(guards) == 1 else Call("and", tuple(guards))
-        out.append(IfChain(((cond, block(inner)),)))
-        return Var(tmp)
+        return guarded(cond, MISSING, cur.depth, cur.pos, 0, out)
     return chain(cur.depth, cur.pos, 0, out)
 
 
@@ -428,7 +387,7 @@ def lower_assign(ctx: LowerCtx, a: Assign) -> TargetStmt:
     idx_exprs = []
     for use in a.lhs.idx:
         core, mods, _ = _peel(use)
-        if plan.append_only and not isinstance(core, (Var, Lit)):
+        if plan.writer.appends and not isinstance(core, (Var, Lit)):
             raise CompileError(
                 f"scatter write to append-only output {a.lhs.base!r}")
         v, permitted = _scalarize_index(ctx, core, mods, stmts)
@@ -496,7 +455,7 @@ def _try_run_set(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> Optional[T
     if not (isinstance(body, Assign) and body.op == "set" and body.lhs.idx):
         return None
     plan = ctx.writers.get(body.lhs.base)
-    if plan is None or not plan.supports_run_set:
+    if plan is None or not plan.writer.runs:
         return None
     core, mods, _ = _peel(body.lhs.idx[-1])
     if mods or not (isinstance(core, Var) and core.name == idx):

@@ -7,6 +7,7 @@ fields, general/symmetric symmetry; duplicate coordinates are summed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 from .values import Value
@@ -14,6 +15,17 @@ from .values import Value
 
 class TensorIOError(ValueError):
     pass
+
+
+@contextmanager
+def reading(path: str, error=TensorIOError):
+    """`path` opened as UTF-8 text; a file that cannot be opened or decoded
+    raises `error` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as ex:
+        raise error(f"cannot read {path}: {getattr(ex, 'strerror', None) or ex}") from None
 
 
 def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
@@ -29,7 +41,7 @@ def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
 
 def _read_entries(path: str) -> Tuple[List[int], Dict[int, Value], str]:
     """Returns (dims, row-major cell offset -> value, value dtype)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
             raise TensorIOError(f"{path}: missing MatrixMarket header")
@@ -117,7 +129,7 @@ def matrix_market_dense(path: str) -> Tuple[List[int], list, str]:
 
 
 def read_dense_text(path: str) -> Tuple[List[int], list, str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         first = fh.readline()
         if not first.lower().startswith("dims:"):
             raise TensorIOError(f"{path}: first line must be 'dims: d1 d2 ...'")

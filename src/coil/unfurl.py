@@ -1,10 +1,11 @@
 """Unfurling: producing the looplet nest for a (format, protocol) access.
 
-This is the single point where storage meets the looplet IR. When a fiber's
-position is a compile-time constant (vector roots, static inputs), structural
-metadata (position windows, band bounds) is folded into the nest, which is
-what lets an all-fill operand annihilate at compile time. Value payloads are
-never folded.
+This is the single point where storage meets the looplet IR: the level class
+of the accessed mode unfurls the fiber with its function for the protocol
+(`Level.protocols`). When a fiber's position is a compile-time constant
+(vector roots, static inputs), structural metadata (position windows, band
+bounds) is folded into the nest, which is what lets an all-fill operand
+annihilate at compile time. Value payloads are never folded.
 """
 
 from __future__ import annotations
@@ -12,52 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cin import Cursor
-from .expr import (
-    Call,
-    Expr,
-    FALSE,
-    Lit,
-    ONE,
-    Read,
-    Search,
-    TRUE,
-    Var,
-    eq,
-    Extent,
-    iadd,
-    imul,
-    isub,
-    _const,
-    le,
-)
-from .looplets import (
-    Jumper,
-    Lookup,
-    Phase,
-    Pipeline,
-    Run,
-    Spike,
-    Stepper,
-    Switch,
-    push_shift,
-    truncate,
-)
-from .storage import (
-    Level,
-    RepeatRLE,
-    SparseBand,
-    SparseList,
-    SparseVBL,
-    Tensor,
-    buffer_names,
-)
-from .target import AssignVar, BufferWrite, CallStmt, Let, Template, TargetStmt
+from .cin import CompileError, Cursor
+from .expr import Expr, FALSE, Lit, ONE, TRUE, Extent, iadd, imul, isub, _const
+from .levels import KINDS, Fiber, normalize_spec
+from .looplets import Phase, Pipeline, Run, Spike, push_shift, truncate
+from .storage import Tensor, buffer_names, from_buffers
+from .target import BufferWrite, CallStmt, TargetStmt
 from .values import MISSING, Value
-
-
-class CompileError(Exception):
-    pass
+from .writers import DenseWriter
 
 
 @dataclass
@@ -75,40 +38,13 @@ class BoundTensor:
 
     def __post_init__(self):
         self.buffers = buffer_names(self.name, self.kinds)
+        self.levels = [KINDS[k] for k in self.kinds]
 
     def bufname(self, depth: int, field: str) -> str:
         return self.buffers[(depth, field)]
 
-    def level_kind(self, depth: int) -> str:
-        return self.kinds[depth - 1]
-
     def mode_size(self, depth: int) -> int:
         return self.dims[depth - 1]
-
-    def static_level(self, depth: int) -> Optional[Level]:
-        if self.tensor is None:
-            return None
-        return self.tensor.levels()[depth - 1]
-
-
-def _static_pos(bt: BoundTensor, cur: Cursor) -> Optional[int]:
-    if bt.tensor is not None and isinstance(cur.pos, Lit):
-        return cur.pos.value
-    return None
-
-
-def leaf_expr(bt: BoundTensor, depth: int, pos: Expr) -> Expr:
-    """The value denoted by the fiber at `pos` of level `depth`: a scalar read
-    for Element leaves, a bare cursor for deeper levels (the enclosing access
-    keeps the remaining indices)."""
-    kind = bt.level_kind(depth)
-    if kind == "elem":
-        return Read(bt.bufname(depth, "val"), (pos,))
-    return Cursor(bt.name, depth, pos)
-
-
-def _child_ref(bt: BoundTensor, depth: int, pos: Expr) -> Expr:
-    return leaf_expr(bt, depth + 1, pos)
 
 
 class _FreshNames:
@@ -129,137 +65,16 @@ class _FreshNames:
 
 def unfurl(bt: BoundTensor, cur: Cursor, proto: str, names: _FreshNames) -> "Looplet":
     """Looplet nest denoting the fiber's value sequence over 1:size."""
-    kind = bt.level_kind(cur.depth)
-    fill = Lit(bt.fill)
-    size = bt.mode_size(cur.depth)
-    d = cur.depth
-
-    if kind == "dense":
-        if proto in ("walk", "follow"):
-            sym = names.fresh(f"i_{bt.name}")
-            q = iadd(imul(isub(cur.pos, ONE), Lit(size)), Var(sym))
-            return Lookup(sym, _child_ref(bt, d, q))
-        if proto == "followzero":
-            if bt.level_kind(d + 1) != "elem":
-                raise CompileError(
-                    f"{bt.name}: zero-check protocol needs a scalar leaf below the dense mode")
-            sym = names.fresh(f"i_{bt.name}")
-            q = iadd(imul(isub(cur.pos, ONE), Lit(size)), Var(sym))
-            val = Read(bt.bufname(d + 1, "val"), (q,))
-            return Lookup(sym, Switch(((eq(val, fill), Run(fill)), (TRUE, val))))
-        raise CompileError(f"unsupported protocol {proto!r} for dense level of {bt.name}")
-
-    if kind == "splist":
-        posb, idxb = bt.bufname(d, "pos"), bt.bufname(d, "idx")
-        sp = _static_pos(bt, cur)
-        if sp is not None:
-            lvl: SparseList = bt.static_level(d)
-            plo, phi = Lit(lvl.pos[sp - 1]), Lit(lvl.pos[sp])
-            if lvl.pos[sp - 1] == lvl.pos[sp]:
-                return Run(fill)
-            last = Lit(lvl.idx[lvl.pos[sp] - 2])
-        else:
-            plo = Read(posb, (cur.pos,))
-            phi = Read(posb, (iadd(cur.pos, ONE),))
-            last = Call("select", (le(iadd(plo, ONE), phi), Read(idxb, (isub(phi, ONE),)), Lit(0)))
-        if proto in ("walk", "gallop"):
-            p = names.fresh(f"p_{bt.name}")
-            node_cls = Stepper if proto == "walk" else Jumper
-            stepper = node_cls(
-                stop=Read(idxb, (Var(p),)),
-                body=Spike(fill, _child_ref(bt, d, Var(p))),
-                next=Template((AssignVar(p, iadd(Var(p), ONE)),)),
-                seek=Template((Let(p, Search(idxb, plo, isub(phi, ONE), Var("__start__"))),),
-                              "__start__"),
-            )
-            return Pipeline((Phase(stepper, stop=last), Phase(Run(fill))))
-        if proto == "follow":
-            sym = names.fresh(f"i_{bt.name}")
-            p = names.fresh(f"p_{bt.name}")
-            found = Call("and", (le(Var(p), isub(phi, ONE)), eq(Read(idxb, (Var(p),)), Var(sym))))
-            return Lookup(
-                sym,
-                Switch(((found, _child_ref(bt, d, Var(p))), (TRUE, Run(fill)))),
-                binds=((p, Search(idxb, plo, isub(phi, ONE), Var(sym))),),
-            )
-        raise CompileError(f"unsupported protocol {proto!r} for sparse list level of {bt.name}")
-
-    if kind == "sband":
-        if proto not in ("walk", "follow"):
-            raise CompileError(f"unsupported protocol {proto!r} for banded level of {bt.name}")
-        sp = _static_pos(bt, cur)
-        if sp is not None:
-            lvl: SparseBand = bt.static_level(d)
-            a, b, o = Lit(lvl.start[sp - 1]), Lit(lvl.stop[sp - 1]), Lit(lvl.ofs[sp - 1])
-            if lvl.start[sp - 1] > lvl.stop[sp - 1]:
-                return Run(fill)
-        else:
-            a = Read(bt.bufname(d, "start"), (cur.pos,))
-            b = Read(bt.bufname(d, "stop"), (cur.pos,))
-            o = Read(bt.bufname(d, "ofs"), (cur.pos,))
-        sym = names.fresh(f"i_{bt.name}")
-        body = Lookup(sym, _child_ref(bt, d, iadd(o, isub(Var(sym), a))))
-        return Pipeline((Phase(Run(fill), stop=isub(a, ONE)), Phase(body, stop=b),
-                         Phase(Run(fill))))
-
-    if kind == "svbl":
-        if proto != "walk":
-            raise CompileError(f"unsupported protocol {proto!r} for block list level of {bt.name}")
-        posb, idxb, ofsb = bt.bufname(d, "pos"), bt.bufname(d, "idx"), bt.bufname(d, "ofs")
-        sp = _static_pos(bt, cur)
-        if sp is not None:
-            lvl: SparseVBL = bt.static_level(d)
-            plo, phi = Lit(lvl.pos[sp - 1]), Lit(lvl.pos[sp])
-            if lvl.pos[sp - 1] == lvl.pos[sp]:
-                return Run(fill)
-            last = Lit(lvl.idx[lvl.pos[sp] - 2])
-        else:
-            plo = Read(posb, (cur.pos,))
-            phi = Read(posb, (iadd(cur.pos, ONE),))
-            last = Call("select", (le(iadd(plo, ONE), phi), Read(idxb, (isub(phi, ONE),)), Lit(0)))
-        bvar = names.fresh(f"b_{bt.name}")
-        blk_end = Read(idxb, (Var(bvar),))
-        blk_len = isub(Read(ofsb, (iadd(Var(bvar), ONE),)), Read(ofsb, (Var(bvar),)))
-        blk_start = iadd(isub(blk_end, blk_len), ONE)
-        sym = names.fresh(f"i_{bt.name}")
-        inner = Lookup(sym, _child_ref(bt, d, iadd(Read(ofsb, (Var(bvar),)),
-                                                   isub(Var(sym), blk_start))))
-        block = Pipeline((Phase(Run(fill), stop=isub(blk_start, ONE)), Phase(inner)))
-        stepper = Stepper(
-            stop=blk_end,
-            body=block,
-            next=Template((AssignVar(bvar, iadd(Var(bvar), ONE)),)),
-            seek=Template((Let(bvar, Search(idxb, plo, isub(phi, ONE), Var("__start__"))),),
-                          "__start__"),
-        )
-        return Pipeline((Phase(stepper, stop=last), Phase(Run(fill))))
-
-    if kind == "rle":
-        posb, idxb, valb = bt.bufname(d, "pos"), bt.bufname(d, "idx"), bt.bufname(d, "val")
-        sp = _static_pos(bt, cur)
-        if sp is not None:
-            lvl: RepeatRLE = bt.static_level(d)
-            plo, phi = Lit(lvl.pos[sp - 1]), Lit(lvl.pos[sp])
-        else:
-            plo = Read(posb, (cur.pos,))
-            phi = Read(posb, (iadd(cur.pos, ONE),))
-        if proto == "walk":
-            r = names.fresh(f"r_{bt.name}")
-            return Stepper(
-                stop=Read(idxb, (Var(r),)),
-                body=Run(Read(valb, (Var(r),))),
-                next=Template((AssignVar(r, iadd(Var(r), ONE)),)),
-                seek=Template((Let(r, Search(idxb, plo, isub(phi, ONE), Var("__start__"))),),
-                              "__start__"),
-            )
-        if proto == "follow":
-            sym = names.fresh(f"i_{bt.name}")
-            r = names.fresh(f"r_{bt.name}")
-            return Lookup(sym, Read(valb, (Var(r),)),
-                          binds=((r, Search(idxb, plo, isub(phi, ONE), Var(sym))),))
-        raise CompileError(f"unsupported protocol {proto!r} for run-length level of {bt.name}")
-
-    raise CompileError(f"cannot unfurl level kind {kind!r} of {bt.name}")
+    level = bt.levels[cur.depth - 1]
+    if proto not in level.protocols:
+        raise CompileError(f"unsupported protocol {proto!r} for {level.kind} level of {bt.name}")
+    static = None
+    if bt.tensor is not None and isinstance(cur.pos, Lit):
+        static = (bt.tensor.levels()[cur.depth - 1], cur.pos.value)
+    f = Fiber(bt, cur.depth, cur.pos, names, static)
+    if f.empty():
+        return Run(f.fill)
+    return level.protocols[proto](f)
 
 
 def unfurl_modified(bt: BoundTensor, cur: Cursor, proto: str, names: _FreshNames,
@@ -301,7 +116,7 @@ def unfurl_modified(bt: BoundTensor, cur: Cursor, proto: str, names: _FreshNames
     return base
 
 
-def mask_looplet(bound: str, target: Expr):
+def mask_looplet(target: Expr):
     """Boolean looplet that is true exactly at index == target (loop-invariant)."""
     return Pipeline((
         Phase(Run(FALSE), stop=isub(target, ONE)),
@@ -315,7 +130,9 @@ def mask_looplet(bound: str, target: Expr):
 
 @dataclass
 class WriterPlan:
-    """Init / per-index write / finalize code for one output tensor."""
+    """Init / per-index write / finalize code for one output tensor, and the
+    runtime writer that takes it: the writer of the level class of its last
+    mode (of the scalar leaf when the output has rank 0)."""
 
     name: str
     dims: List[int]
@@ -324,30 +141,22 @@ class WriterPlan:
     kinds: List[str]
 
     def __post_init__(self):
-        body = self.kinds[:-1] if self.kinds[-1] == "elem" else self.kinds
-        for k in body[:-1] if body else []:
-            if k != "dense":
+        self.kinds = normalize_spec(self.kinds, len(self.dims))
+        *outer, last = [KINDS[k] for k in self.kinds[:max(len(self.dims), 1)]]
+        for lvl in outer:  # the writers address the fibers of the last mode densely
+            if lvl.writer is not DenseWriter:
                 raise CompileError(
-                    f"output {self.name}: only dense outer modes are supported, got {k!r}")
-        self.mode = "dense"
-        if body:
-            if body[-1] == "splist":
-                self.mode = "splist"
-            elif body[-1] == "rle":
-                self.mode = "rle"
-            elif body[-1] != "dense":
-                raise CompileError(
-                    f"output {self.name}: unsupported output level kind {body[-1]!r}")
-        suffix = ""
-        self.valbuf = f"{self.name}_val{suffix}"
+                    f"output {self.name}: only dense outer modes are supported, got {lvl.kind!r}")
+        if last.writer is None:
+            raise CompileError(
+                f"output {self.name}: unsupported output level kind {last.kind!r}")
+        self.writer = last.writer
+        self.buffers = buffer_names(self.name, self.kinds)
+        self.valbuf = self.buffers[(len(self.kinds), "val")]
 
-    @property
-    def append_only(self) -> bool:
-        return self.mode in ("splist", "rle")
-
-    @property
-    def supports_run_set(self) -> bool:
-        return self.mode == "rle"
+    def tensor(self, data: Dict[str, list]) -> Tensor:
+        """The output over these buffer contents (buffer name -> values)."""
+        return from_buffers(self.name, self.dims, self.kinds, data, self.fill, self.dtype)
 
     def init_stmts(self) -> Tuple[TargetStmt, ...]:
         return (CallStmt(f"{self.name}.init"),)
@@ -365,11 +174,11 @@ class WriterPlan:
         return iadd(pos, ONE)
 
     def write_stmts(self, idx: Tuple[Expr, ...], op: str, value: Expr) -> Tuple[TargetStmt, ...]:
-        if self.mode == "dense":
+        if not self.writer.appends:
             return (BufferWrite(self.valbuf, (self.linear_pos(idx),), op, value),)
         return (CallStmt(f"{self.name}.append_{op}", tuple(idx) + (value,)),)
 
     def run_set_stmts(self, prefix: Tuple[Expr, ...], lo: Expr, hi: Expr,
                       value: Expr) -> Tuple[TargetStmt, ...]:
-        assert self.supports_run_set
+        assert self.writer.runs
         return (CallStmt(f"{self.name}.run_set", tuple(prefix) + (lo, hi, value)),)

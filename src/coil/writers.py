@@ -1,20 +1,17 @@
 """Runtime output writers: dense buffers plus ascending-append sparse-list and
 run-length writers. Append writers merge repeated writes to the same index,
-pad gaps with fill, and seal their position structure on finalize."""
+pad gaps with fill, and seal their position structure on finalize.
+
+The level class of an output's last mode names its writer (`Level.writer`);
+the writer's compile-time plan (`unfurl.WriterPlan`) names its buffers and
+turns the sealed buffers into a Tensor."""
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from .interp import Buf, InterpError
-from .storage import (
-    Dense,
-    Element,
-    RepeatRLE,
-    SparseList,
-    Tensor,
-)
-from .unfurl import WriterPlan
 from .values import apply_op, coerce
 
 
@@ -25,15 +22,35 @@ def _combine(op: str, old, new):
 
 
 class Writer:
-    def __init__(self, plan: WriterPlan):
+    """One output's runtime buffers and the hooks the lowered program calls on
+    them: `init`, the writes, then `finalize`; `freeze` seals the output into
+    a Tensor.
+
+    Outer modes are dense. An append writer fills the fibers of the last mode
+    in ascending order, sealing each with the next entry of its `pos` buffer;
+    `cur_fiber` is the fiber being filled and `fiber_base` the number of
+    entries before it."""
+
+    appends = False  # written through append hooks, in ascending index order
+    runs = False     # also takes whole-run writes (`run_set`)
+
+    def __init__(self, plan):
         self.plan = plan
-        self.buffers: Dict[str, Buf] = {}
+        field = {f: Buf(name, [], plan.dtype if f == "val" else None)
+                 for (_, f), name in plan.buffers.items()}
+        self.buffers: Dict[str, Buf] = {b.name: b for b in field.values()}
+        self.posb, self.idxb, self.valb = (field.get(f) for f in ("pos", "idx", "val"))
+        self.init()
 
     def init(self):
-        raise NotImplementedError
+        self.posb.data[:] = [1]
+        self.idxb.data[:] = []
+        self.valb.data[:] = []
+        self.cur_fiber = 1
+        self.fiber_base = 0
 
     def finalize(self):
-        pass
+        self._advance_to(math.prod(self.plan.dims[:-1]) + 1)
 
     def append(self, idx, op, value):
         raise InterpError(f"output {self.plan.name} does not accept appends")
@@ -41,14 +58,9 @@ class Writer:
     def run_set(self, prefix, lo, hi, value):
         raise InterpError(f"output {self.plan.name} does not accept run writes")
 
-    def freeze(self) -> Tensor:
-        raise NotImplementedError
-
-    def _nfibers(self) -> int:
-        n = 1
-        for d in self.plan.dims[:-1]:
-            n *= d
-        return n
+    def freeze(self):
+        self.finalize()
+        return self.plan.tensor({name: list(b.data) for name, b in self.buffers.items()})
 
     def _prefix_pos(self, prefix) -> int:
         pos = 0
@@ -59,64 +71,33 @@ class Writer:
             pos = pos * d + (i - 1)
         return pos + 1
 
-    def _wrap_dense(self, leaf) -> Tensor:
-        dims = self.plan.dims
-        lvl = leaf
-        outer = dims[:-1] if not isinstance(leaf, Element) else dims
-        for d in reversed(outer):
-            lvl = Dense(d, lvl)
-        return Tensor(self.plan.name, list(dims), lvl, self.plan.fill, self.plan.dtype)
-
-
-class DenseWriter(Writer):
-    def __init__(self, plan: WriterPlan):
-        super().__init__(plan)
-        n = 1
-        for d in plan.dims:
-            n *= d
-        self.buffers[plan.valbuf] = Buf(plan.valbuf, [plan.fill] * n, plan.dtype)
-
-    def init(self):
-        buf = self.buffers[self.plan.valbuf]
-        for k in range(len(buf.data)):
-            buf.data[k] = self.plan.fill
-
-    def freeze(self) -> Tensor:
-        leaf = Element(list(self.buffers[self.plan.valbuf].data))
-        dims = self.plan.dims
-        lvl = leaf
-        for d in reversed(dims):
-            lvl = Dense(d, lvl)
-        return Tensor(self.plan.name, list(dims), lvl, self.plan.fill, self.plan.dtype)
-
-
-class SparseListWriter(Writer):
-    """Ascending-index append into the last mode; dense outer modes."""
-
-    def __init__(self, plan: WriterPlan):
-        super().__init__(plan)
-        p = plan.name
-        self.posb = Buf(f"{p}_pos", [], None)
-        self.idxb = Buf(f"{p}_idx", [], None)
-        self.valb = Buf(f"{p}_val", [], plan.dtype)
-        self.buffers = {b.name: b for b in (self.posb, self.idxb, self.valb)}
-        self.init()
-
-    def init(self):
-        self.posb.data[:] = [1]
-        self.idxb.data[:] = []
-        self.valb.data[:] = []
-        self.cur_fiber = 1
-        self.fiber_base = 0  # entries before the current fiber
-
     def _advance_to(self, f: int):
         if f < self.cur_fiber:
             raise InterpError(
                 f"non-ascending write to append-only output {self.plan.name}")
         while self.cur_fiber < f:
-            self.posb.data.append(len(self.idxb.data) + 1)
-            self.cur_fiber += 1
-            self.fiber_base = len(self.idxb.data)
+            self._seal()
+
+    def _seal(self):
+        self.posb.data.append(len(self.idxb.data) + 1)
+        self.cur_fiber += 1
+        self.fiber_base = len(self.idxb.data)
+
+
+class DenseWriter(Writer):
+    """One row-major value buffer, which the program writes directly."""
+
+    def init(self):
+        self.valb.data[:] = [self.plan.fill] * math.prod(self.plan.dims)
+
+    def finalize(self):
+        pass
+
+
+class SparseListWriter(Writer):
+    """Ascending-index append into the last mode."""
+
+    appends = True
 
     def append(self, idx, op, value):
         f = self._prefix_pos(idx[:-1])
@@ -139,38 +120,14 @@ class SparseListWriter(Writer):
             raise InterpError(
                 f"non-ascending write to append-only output {self.plan.name}")
 
-    def finalize(self):
-        nf = self._nfibers()
-        while self.cur_fiber <= nf:
-            self.posb.data.append(len(self.idxb.data) + 1)
-            self.cur_fiber += 1
-        self.cur_fiber = nf + 1
-
-    def freeze(self) -> Tensor:
-        self.finalize()
-        leaf = SparseList(self.plan.dims[-1], list(self.posb.data), list(self.idxb.data),
-                          Element(list(self.valb.data)))
-        return self._wrap_dense(leaf)
-
 
 class RLEWriter(Writer):
     """Run-coalescing ascending writer; accepts whole-run writes."""
 
-    def __init__(self, plan: WriterPlan):
-        super().__init__(plan)
-        p = plan.name
-        self.posb = Buf(f"{p}_pos", [], None)
-        self.idxb = Buf(f"{p}_idx", [], None)
-        self.valb = Buf(f"{p}_val", [], plan.dtype)
-        self.buffers = {b.name: b for b in (self.posb, self.idxb, self.valb)}
-        self.init()
+    appends = runs = True
 
     def init(self):
-        self.posb.data[:] = [1]
-        self.idxb.data[:] = []
-        self.valb.data[:] = []
-        self.cur_fiber = 1
-        self.fiber_base = 0
+        super().init()
         self.last_end = 0
 
     def _push_run(self, end: int, value):
@@ -182,21 +139,12 @@ class RLEWriter(Writer):
             self.valb.data.append(value)
         self.last_end = end
 
-    def _seal_fiber(self):
+    def _seal(self):
         size = self.plan.dims[-1]
         if self.last_end < size:
             self._push_run(size, self.plan.fill)
-        self.posb.data.append(len(self.idxb.data) + 1)
-        self.cur_fiber += 1
-        self.fiber_base = len(self.idxb.data)
+        super()._seal()
         self.last_end = 0
-
-    def _advance_to(self, f: int):
-        if f < self.cur_fiber:
-            raise InterpError(
-                f"non-ascending write to append-only output {self.plan.name}")
-        while self.cur_fiber < f:
-            self._seal_fiber()
 
     def append(self, idx, op, value):
         self.run_set(idx[:-1], idx[-1], idx[-1], value, op=op)
@@ -229,24 +177,3 @@ class RLEWriter(Writer):
         v = value if op == "set" else coerce(self.plan.dtype,
                                              _combine(op, self.plan.fill, value))
         self._push_run(hi, v)
-
-    def finalize(self):
-        nf = self._nfibers()
-        while self.cur_fiber <= nf:
-            self._seal_fiber()
-
-    def freeze(self) -> Tensor:
-        self.finalize()
-        leaf = RepeatRLE(self.plan.dims[-1], list(self.posb.data),
-                         list(self.idxb.data), list(self.valb.data))
-        return self._wrap_dense(leaf)
-
-
-def make_writer(plan: WriterPlan) -> Writer:
-    if plan.mode == "dense":
-        return DenseWriter(plan)
-    if plan.mode == "splist":
-        return SparseListWriter(plan)
-    if plan.mode == "rle":
-        return RLEWriter(plan)
-    raise InterpError(f"unknown writer mode {plan.mode!r}")

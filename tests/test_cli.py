@@ -232,3 +232,37 @@ def test_run_rejects_over_deep_kernel_exit_2(capsys, tmp_path):
     rc = run_cli(["run", "--kernel", path, "--tensor", "A=random:dims=8,density=1.0,seed=1"])
     assert rc == 2
     assert f"nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
+
+
+def test_output_spec_keys_after_the_head(capsys, tmp_path):
+    # the module docstring's example: format and fill follow `out:`
+    kernel = tmp_path / "mul.cin"
+    kernel.write_text("@V i y[i] = A[i] * B[i]\n")
+    rc = run_cli(["run", "--kernel", kernel, "--json",
+                  "--tensor", "A=random:format=splist,dims=8,density=0.5,seed=1",
+                  "--tensor", "B=random:fill=0.0,dims=8,density=1.0,seed=2",
+                  "--tensor", "y=out:format=splist,fill=0.0"])
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)["outputs"]["y"]) == 8
+    kind, spec = cli.parse_tensor_spec("y", "out:format=splist,fill=0.0")
+    assert kind == "out" and spec.format == ["splist"] and spec.fill == 0.0
+    kind, spec = cli.parse_tensor_spec("x", "random:format=dense.rle,dims=2x3,fill=1")
+    assert kind == "random" and spec.format == ["dense", "rle"] and spec.fill == 1
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("role", ["kernel", "dense text tensor", "matrix market tensor"])
+def test_unreadable_file_exit_2(capsys, tmp_path, role, case):
+    path = {"missing": tmp_path / ("absent.mtx" if role == "matrix market tensor" else "absent"),
+            "directory": tmp_path,
+            "not utf-8": tmp_path / ("bad.mtx" if role == "matrix market tensor" else "bad")}[case]
+    if case == "not utf-8":
+        path.write_bytes(b"\xff\xfe\x00dims: 2\n")
+    kernel, tensor = KERNELS / "dot.cin", path
+    if role == "kernel":
+        kernel, tensor = path, "random:dims=4"
+    rc = run_cli(["run", "--kernel", kernel, "--tensor", f"A={tensor}",
+                  "--tensor", "B=random:dims=4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: cannot read {path}") and "Traceback" not in err

@@ -29,7 +29,6 @@ from coil.storage import to_dense
 from coil.target import NOP, AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, While
 from coil.unfurl import WriterPlan
 from coil.values import INT_MAX, MISSING
-from coil.writers import make_writer
 
 from test_acceptance import corpus_cases
 
@@ -168,7 +167,8 @@ def test_execute_picks_backend_by_stored_entries():
 
 
 def _writer(mode):
-    return lambda: make_writer(WriterPlan("y", [4], 0.0, "float", [mode]))
+    plan = WriterPlan("y", [4], 0.0, "float", [mode])
+    return lambda: plan.writer(plan)
 
 
 PARITY = {

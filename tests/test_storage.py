@@ -22,7 +22,6 @@ from coil.storage import (
     UnsortedIndices,
     buffer_names,
     from_dense,
-    subfiber,
     tensor_buffers,
     to_dense,
     validate,
@@ -97,21 +96,6 @@ def test_three_mode_round_trip():
     assert to_dense(t) == data
 
 
-def test_subfiber():
-    t = from_dense("D", [4], [10, 20, 30, 40], ["dense"], 0)
-    assert subfiber(t.root_fiber(), 3) == 30
-    s = from_dense("S", [5], [0, 7, 0, 9, 0], ["splist"], 0)
-    assert subfiber(s.root_fiber(), 3) == 0  # unstored slot reads as fill
-    assert subfiber(s.root_fiber(), 4) == 9
-    v = from_dense("V", [7], [0, 1, 2, 0, 0, 3, 0], ["svbl"], 0)
-    assert subfiber(v.root_fiber(), 6) == 3
-    m = from_dense("M", [2, 3], [1, 2, 3, 4, 5, 6], ["dense", "splist"], 0)
-    row2 = subfiber(m.root_fiber(), 2)
-    assert subfiber(row2, 3) == 6
-    with pytest.raises(FormatError):
-        subfiber(t.root_fiber(), 5)
-
-
 def test_validator_rejects_unsorted_idx():
     lvl = SparseList(5, [1, 3], [4, 2], Element([1.0, 2.0]))
     with pytest.raises(UnsortedIndices):
@@ -175,6 +159,8 @@ def test_bad_spec_rejected():
         from_dense("x", [2, 2], [1, 2, 3, 4], ["rle", "elem"], 0)  # rle must be a leaf
     with pytest.raises(FormatError):
         from_dense("x", [4], [1, 2], ["dense"], 0)  # wrong payload size
+    with pytest.raises(FormatError):
+        from_dense("x", [2, 2], [1, 2, 3, 4], ["dense"], 0)  # no all-dense shorthand here
 
 
 # -- differential check against the per-cell builder ----------------------------

@@ -208,7 +208,7 @@ def test_permit_must_be_outermost():
 
 def mask_values(target, lo, hi):
     m = Machine({})
-    return materialize(mask_looplet("j", Lit(target)), extent(lo, hi), m)
+    return materialize(mask_looplet(Lit(target)), extent(lo, hi), m)
 
 
 def test_mask_true_exactly_at_target():

@@ -3,12 +3,11 @@ import pytest
 from coil.interp import InterpError
 from coil.storage import to_dense
 from coil.unfurl import WriterPlan
-from coil.writers import make_writer
 
 
 def test_dense_writer_single_write():
     plan = WriterPlan("y", [5], 0.0, "float", ["dense", "elem"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.init()
     w.buffers["y_val"].set(2, 5.0)
     assert to_dense(w.freeze()) == [0.0, 5.0, 0.0, 0.0, 0.0]
@@ -16,7 +15,7 @@ def test_dense_writer_single_write():
 
 def test_sparse_list_writer_ascending():
     plan = WriterPlan("y", [8], 0.0, "float", ["splist", "elem"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.append([1], "set", 4.0)
     w.append([7], "set", 9.0)
     w.finalize()
@@ -28,7 +27,7 @@ def test_sparse_list_writer_ascending():
 
 def test_sparse_list_writer_accumulates_same_index():
     plan = WriterPlan("y", [4], 0.0, "float", ["splist", "elem"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.append([2], "add", 1.5)
     w.append([2], "add", 2.0)
     w.append([3], "add", 1.0)
@@ -37,7 +36,7 @@ def test_sparse_list_writer_accumulates_same_index():
 
 def test_sparse_list_writer_rejects_non_ascending():
     plan = WriterPlan("y", [8], 0.0, "float", ["splist", "elem"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.append([5], "set", 1.0)
     with pytest.raises(InterpError):
         w.append([2], "set", 2.0)
@@ -45,7 +44,7 @@ def test_sparse_list_writer_rejects_non_ascending():
 
 def test_sparse_list_writer_matrix_rows():
     plan = WriterPlan("y", [3, 4], 0.0, "float", ["dense", "splist", "elem"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.append([1, 2], "set", 5.0)
     w.append([3, 1], "set", 7.0)  # row 2 skipped entirely
     assert to_dense(w.freeze()) == [0.0, 5.0, 0.0, 0.0,
@@ -55,7 +54,7 @@ def test_sparse_list_writer_matrix_rows():
 
 def test_rle_writer_coalesces_runs():
     plan = WriterPlan("A", [4], 0, "int", ["rle"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     for i, v in enumerate([3, 3, 3, 8], start=1):
         w.append([i], "set", v)
     t = w.freeze()
@@ -65,7 +64,7 @@ def test_rle_writer_coalesces_runs():
 
 def test_rle_writer_pads_gaps_with_fill():
     plan = WriterPlan("A", [6], 0, "int", ["rle"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.append([2], "set", 5)
     w.append([5], "set", 5)
     assert to_dense(w.freeze()) == [0, 5, 0, 0, 5, 0]
@@ -73,7 +72,7 @@ def test_rle_writer_pads_gaps_with_fill():
 
 def test_rle_writer_run_set():
     plan = WriterPlan("A", [10], 0, "int", ["rle"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.run_set([], 1, 4, 7)
     w.run_set([], 5, 8, 7)
     w.run_set([], 10, 10, 2)
@@ -84,7 +83,7 @@ def test_rle_writer_run_set():
 
 def test_rle_writer_accumulating_update_splits_run():
     plan = WriterPlan("A", [5], 0, "int", ["rle"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.run_set([], 1, 3, 4)
     w.append([3], "add", 2)  # last index of the run updates in place
     assert to_dense(w.freeze()) == [4, 4, 6, 0, 0]
@@ -92,7 +91,7 @@ def test_rle_writer_accumulating_update_splits_run():
 
 def test_rle_writer_rejects_non_ascending():
     plan = WriterPlan("A", [5], 0, "int", ["rle"])
-    w = make_writer(plan)
+    w = plan.writer(plan)
     w.append([4], "set", 1)
     with pytest.raises(InterpError):
         w.append([2], "set", 1)
