@@ -164,10 +164,11 @@ class Level:
 
     __slots__ = ()
     kind = "?"
-    # access protocol -> function of a Fiber returning its looplet nest
+    # access protocol -> function of a Fiber (defined in the class body,
+    # without self) returning the fiber's looplet nest
     protocols: Dict[str, object] = {}
     writer = None
-    # raised when a fiber's entries are out of order or of bounds; None when
+    # raised when a fiber's entries are out of order or out of bounds; None when
     # they are ordered by construction
     Disorder = FormatError
 
@@ -187,7 +188,7 @@ class Level:
         raise NotImplementedError
 
     @classmethod
-    def locate(cls, f: "Fiber", i):
+    def locate(cls, f: Fiber, i):
         """Random access to index i of fiber f: (bindings to make first,
         condition for i being stored or None if it always is, position of its
         entry)."""
