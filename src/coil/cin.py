@@ -218,13 +218,15 @@ class PassStmt(Stmt):
 
 # -- printer -------------------------------------------------------------------
 
-_OP_TOKEN = {"set": "=", "add": "+=", "mul": "*=", "min": "<<min>>=",
-             "max": "<<max>>=", "or": "<<or>>="}
+# update operator -> its token, in CIN and in printed target IR; the parser
+# reads the inverse
+UPDATE_TOKEN = {"set": "=", "add": "+=", "mul": "*=", "min": "<<min>>=",
+                "max": "<<max>>=", "or": "<<or>>="}
 
 
 def print_stmt(s: Stmt) -> str:
     if isinstance(s, Assign):
-        return f"{s.lhs.pprint()} {_OP_TOKEN[s.op]} {print_expr(s.rhs)}"
+        return f"{s.lhs.pprint()} {UPDATE_TOKEN[s.op]} {print_expr(s.rhs)}"
     if isinstance(s, Forall):
         chain = []
         cur = s

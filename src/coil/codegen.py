@@ -4,7 +4,10 @@
 function, compiles it with `exec` and runs it on the interpreter's `Buf`s and
 writers. The interpreter (`interp.py`) stays the reference: the generated code
 raises `InterpError` wherever the interpreter does, leaves the same values in
-every buffer and writer, and yields the same `ExecCounters`.
+every buffer and writer, and yields the same `ExecCounters`. The runtime
+checks, the binary search, the buffer write and the writer hooks are defined
+once, in `interp.py`; the generated code calls those functions, so both
+backends raise the same messages.
 
 - Scoping. Every `Let`, `For` variable and parameter gets its own Python
   local, resolved by the interpreter's scope rules while the code is
@@ -33,9 +36,10 @@ from collections import Counter
 from typing import Dict, Optional
 
 from .expr import Call, Lit, Read, Search, Var
-from .interp import Buf, ExecCounters, InterpError
+from .interp import (Buf, ExecCounters, InterpError, _hook, _loop, _lv, _range, _search, _sel,
+                     _stuck, _truth, _write)
 from .target import AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, Nop, While
-from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op, coerce, value_repr
+from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op
 
 # Facts about a value are (types, interval). Types is a frozenset of int,
 # float and bool, or None for "any" (missing included). The interval bounds an
@@ -50,7 +54,7 @@ _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 # repeat or skip it
 _PURE = re.compile(r"[A-Za-z_]\w*|\(?-?\d[\w.+-]*\)?").fullmatch
 
-# -- runtime helpers, the generated code's globals ------------------------------------
+# -- the generated code's globals: these helpers, and interp's runtime checks -------
 
 
 def _fail(msg):
@@ -70,85 +74,11 @@ def _op(op, *args):
         raise InterpError(str(ex)) from None
 
 
-def _range(lo, hi):
-    if not isinstance(lo, int) or not isinstance(hi, int):
-        raise InterpError("for bounds must be integers")
-    return range(lo, hi + 1)
-
-
-def _truth(c, what):
-    if c is MISSING:
-        raise InterpError(f"missing value in {what}")
-    if not isinstance(c, bool):
-        raise InterpError(f"{what} must be boolean")
-    return c
-
-
-def _loop(c):
-    if c is MISSING or not isinstance(c, bool):
-        raise InterpError("while condition must be boolean")
-    return c
-
-
-def _sel(c):
-    if not isinstance(c, bool):
-        raise InterpError(f"select condition must be boolean, got {value_repr(c)}")
-    return c
-
-
-def _lv(v, op):
-    if v is MISSING or isinstance(v, bool):
-        return v
-    raise InterpError(f"{op} over non-boolean {value_repr(v)}")
-
-
-def _stuck(name, cur):
-    raise InterpError(f"loop cursor {name!r} did not advance (stuck at {cur})")
-
-
-def _search(buf, lo, hi, key):
-    """The interpreter's probe sequence, probes bounds-checked."""
-    a, b = lo, hi + 1
-    while a < b:
-        mid = (a + b) // 2
-        if buf.get(mid) >= key:
-            b = mid
-        else:
-            a = mid + 1
-    return a
-
-
 def _isearch(buf, lo, hi, key):
     """Int key over int data: bisect probes the same positions as `_search`."""
     if 1 <= lo <= hi <= len(buf.data):
         return bisect_left(buf.data, key, lo - 1, hi) + 1
     return _search(buf, lo, hi, key)
-
-
-def _write(buf, i, op, v):
-    """A buffer write, as the interpreter performs it after evaluation."""
-    if v is MISSING:
-        raise InterpError(f"missing value reached a write to {buf.name}")
-    if buf.dtype is not None:
-        try:
-            v = coerce(buf.dtype, v)
-        except EvalError as ex:
-            raise InterpError(str(ex)) from None
-    buf.set(i, v if op == "set" else apply_op(op, [buf.get(i), v]))
-
-
-def _hook(writer, fn, args):
-    tensor, _, action = fn.partition(".")
-    if action.startswith("append_"):
-        if any(a is MISSING for a in args):
-            raise InterpError(f"missing value reached a write to {tensor}")
-        writer.append(args[:-1], action[len("append_"):], args[-1])
-    elif action == "run_set":
-        if args[-1] is MISSING:
-            raise InterpError(f"missing value reached a write to {tensor}")
-        writer.run_set(args[:-3], args[-3], args[-2], args[-1])
-    else:
-        raise InterpError(f"unknown writer hook {fn!r}")
 
 
 def _keyerror(name):
@@ -626,8 +556,9 @@ class _Gen:
         value = self.local(value)
         self.emit(f"if 0 < {ref} <= {n}:")
         self.emit(f"    {d}[{ref} - 1] {assign} {value}")
-        self.emit("else:")
-        self.emit(f"    {b}.set({ref}, {value})")
+        self.emit("else:")  # out of bounds: `+=` fails on its read, as in the interpreter
+        self.emit(f"    {b}.set({ref}, {value})" if s.op == "set"
+                  else f"    _write({b}, {ref}, {s.op!r}, {value})")
 
     def local(self, code):
         """`code` evaluated now, into a temporary unless it is a name or literal."""

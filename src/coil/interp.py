@@ -4,6 +4,13 @@ Buffers hold flat value lists addressed 1-based. Writers realize output
 tensors: dense writers are plain buffers, append writers (sparse list /
 run-length) accept ascending-index writes and seal their position structure
 on finalize.
+
+The runtime checks (loop bounds, branch, while and select conditions, `&&`
+and `||` operands, cursor progress), the binary search, the buffer write and
+the writer hooks are defined once, here, as the module's `_range`, `_truth`,
+`_loop`, `_sel`, `_lv`, `_stuck`, `_search`, `_write` and `_hook`. `Machine`
+calls them, and so does the code that `codegen` generates, so both backends
+raise the same `InterpError` messages.
 """
 
 from __future__ import annotations
@@ -79,6 +86,99 @@ class Buf:
         return len(self.data)
 
 
+# -- runtime checks, search, write and writer hooks: both backends call these ---------
+
+
+def _range(lo, hi):
+    if not isinstance(lo, int) or not isinstance(hi, int):
+        raise InterpError("for bounds must be integers")
+    return range(lo, hi + 1)
+
+
+def _truth(c, what):
+    if c is MISSING:
+        raise InterpError(f"missing value in {what}")
+    if not isinstance(c, bool):
+        raise InterpError(f"{what} must be boolean")
+    return c
+
+
+def _loop(c):
+    if c is MISSING or not isinstance(c, bool):
+        raise InterpError("while condition must be boolean")
+    return c
+
+
+def _sel(c):
+    if not isinstance(c, bool):
+        raise InterpError(f"select condition must be boolean, got {value_repr(c)}")
+    return c
+
+
+def _lv(v, op):
+    if v is MISSING or isinstance(v, bool):
+        return v
+    raise InterpError(f"{op} over non-boolean {value_repr(v)}")
+
+
+def _stuck(name, cur):
+    raise InterpError(f"loop cursor {name!r} did not advance (stuck at {cur})")
+
+
+def _search(buf, lo, hi, key):
+    """First position in [lo, hi + 1] whose value is >= key, by bisection;
+    every probe is bounds-checked."""
+    a, b = lo, hi + 1
+    while a < b:
+        mid = (a + b) // 2
+        if buf.get(mid) >= key:
+            b = mid
+        else:
+            a = mid + 1
+    return a
+
+
+def _write(buf, i, op, v):
+    """Write the evaluated value `v` at `i`: set it, or combine it with the
+    old value by `op`."""
+    if v is MISSING:
+        raise InterpError(f"missing value reached a write to {buf.name}")
+    try:
+        if buf.dtype is not None:
+            v = coerce(buf.dtype, v)
+        if op != "set":
+            v = apply_op(op, [buf.get(i), v])
+    except EvalError as ex:
+        raise InterpError(str(ex)) from None
+    buf.set(i, v)
+
+
+def _hook(writer, fn, args):
+    """Call the hook `fn` ("T.init", "T.finalize", "T.append_OP" or
+    "T.run_set") of `writer`, the writer of output T. Returns the number of
+    buffer writes it counts as."""
+    tensor, _, action = fn.partition(".")
+    if writer is None:
+        raise InterpError(f"no writer bound for output {tensor!r}")
+    if action == "init":
+        writer.init()
+    elif action == "finalize":
+        writer.finalize()
+    elif action.startswith("append_"):
+        if any(a is MISSING for a in args):
+            raise InterpError(f"missing value reached a write to {tensor}")
+        writer.append(args[:-1], action[len("append_"):], args[-1])
+        return 1
+    elif action == "run_set":
+        if args[-1] is MISSING:
+            raise InterpError(f"missing value reached a write to {tensor}")
+        writer.run_set(args[:-3], args[-3], args[-2], args[-1])
+        return 1
+    else:
+        raise InterpError(f"unknown writer hook {fn!r}")
+    return 0
+
+
 _CMP = {"eq", "ne", "lt", "le", "gt", "ge", "min", "max"}
 
 
@@ -140,16 +240,8 @@ class Machine:
             return v
         if isinstance(e, Search):
             buf = self.buffers[e.buf]
-            lo, hi, key = self.eval(e.lo), self.eval(e.hi), self.eval(e.key)
             self.counters.searches += 1
-            a, b = lo, hi + 1
-            while a < b:
-                mid = (a + b) // 2
-                if buf.get(mid) >= key:
-                    b = mid
-                else:
-                    a = mid + 1
-            return a
+            return _search(buf, self.eval(e.lo), self.eval(e.hi), self.eval(e.key))
         if isinstance(e, Call):
             return self._call(e)
         raise InterpError(f"cannot evaluate {e!r}")
@@ -160,20 +252,16 @@ class Machine:
             c = self.eval(e.args[0])
             if c is MISSING:
                 return MISSING
-            if not isinstance(c, bool):
-                raise InterpError(f"select condition must be boolean, got {value_repr(c)}")
-            return self.eval(e.args[1] if c else e.args[2])
+            return self.eval(e.args[1] if _sel(c) else e.args[2])
         if op in ("and", "or"):
             halt = False if op == "and" else True
             saw_missing = False
             for a in e.args:
-                v = self.eval(a)
+                v = _lv(self.eval(a), op)
                 if v is halt:
                     return halt
                 if v is MISSING:
                     saw_missing = True
-                elif not isinstance(v, bool):
-                    raise InterpError(f"{op} over non-boolean {value_repr(v)}")
             return MISSING if saw_missing else (not halt)
         args = [self.eval(a) for a in e.args]
         try:
@@ -209,13 +297,14 @@ class Machine:
             self.vars.assign(s.name, self.eval(s.value))
             return
         if isinstance(s, BufferWrite):
-            self._write(s)
+            if len(s.idx) != 1:
+                raise InterpError("buffer writes must be linearized")
+            buf = self.buffers[s.buf]
+            _write(buf, self.eval(s.idx[0]), s.op, self.eval(s.value))
+            self.counters.buffer_writes += 1
             return
         if isinstance(s, For):
-            lo, hi = self.eval(s.lo), self.eval(s.hi)
-            if not isinstance(lo, int) or not isinstance(hi, int):
-                raise InterpError("for bounds must be integers")
-            for i in range(lo, hi + 1):
+            for i in _range(self.eval(s.lo), self.eval(s.hi)):
                 self.counters.loop_iterations += 1
                 self.vars.push()
                 self.vars.define(s.var, i)
@@ -227,17 +316,13 @@ class Machine:
         if isinstance(s, While):
             prev_cursor = None
             while True:
-                c = self.eval(s.cond)
-                if c is MISSING or not isinstance(c, bool):
-                    raise InterpError("while condition must be boolean")
-                if not c:
+                if not _loop(self.eval(s.cond)):
                     return
                 self.counters.loop_iterations += 1
                 if s.cursor is not None:
                     cur = self.vars.lookup(s.cursor)
                     if prev_cursor is not None and not cur > prev_cursor:
-                        raise InterpError(
-                            f"loop cursor {s.cursor!r} did not advance (stuck at {cur})")
+                        _stuck(s.cursor, cur)
                     prev_cursor = cur
                 self.vars.push()
                 try:
@@ -246,12 +331,7 @@ class Machine:
                     self.vars.pop()
         if isinstance(s, IfChain):
             for cond, body in s.cases:
-                c = self.eval(cond)
-                if c is MISSING:
-                    raise InterpError("missing value in branch condition")
-                if not isinstance(c, bool):
-                    raise InterpError("branch condition must be boolean")
-                if c:
+                if _truth(self.eval(cond), "branch condition"):
                     self.vars.push()
                     try:
                         self.exec(body)
@@ -266,52 +346,11 @@ class Machine:
                     self.vars.pop()
             return
         if isinstance(s, CallStmt):
-            self._hook(s)
+            writer = self.writers.get(s.fn.partition(".")[0])
+            args = [] if writer is None else [self.eval(a) for a in s.args]
+            self.counters.buffer_writes += _hook(writer, s.fn, args)
             return
         raise InterpError(f"cannot execute {s!r}")
-
-    def _write(self, s: BufferWrite):
-        if len(s.idx) != 1:
-            raise InterpError("buffer writes must be linearized")
-        buf = self.buffers[s.buf]
-        i = self.eval(s.idx[0])
-        v = self.eval(s.value)
-        if v is MISSING:
-            raise InterpError(f"missing value reached a write to {s.buf}")
-        if buf.dtype is not None:
-            try:
-                v = coerce(buf.dtype, v)
-            except EvalError as ex:
-                raise InterpError(str(ex)) from None
-        if s.op == "set":
-            buf.set(i, v)
-        else:
-            old = buf.get(i)
-            buf.set(i, apply_op(s.op, [old, v]))
-        self.counters.buffer_writes += 1
-
-    def _hook(self, s: CallStmt):
-        tensor, _, action = s.fn.partition(".")
-        writer = self.writers.get(tensor)
-        if writer is None:
-            raise InterpError(f"no writer bound for output {tensor!r}")
-        args = [self.eval(a) for a in s.args]
-        if action == "init":
-            writer.init()
-        elif action == "finalize":
-            writer.finalize()
-        elif action.startswith("append_"):
-            if any(a is MISSING for a in args):
-                raise InterpError(f"missing value reached a write to {tensor}")
-            writer.append(args[:-1], action[len("append_"):], args[-1])
-            self.counters.buffer_writes += 1
-        elif action == "run_set":
-            if args[-1] is MISSING:
-                raise InterpError(f"missing value reached a write to {tensor}")
-            writer.run_set(args[:-3], args[-3], args[-2], args[-1])
-            self.counters.buffer_writes += 1
-        else:
-            raise InterpError(f"unknown writer hook {s.fn!r}")
 
 
 def run_program(prog: TargetStmt, buffers: Dict[str, Buf], params: Optional[dict] = None,

@@ -56,7 +56,6 @@ from .expr import (
 )
 from .levels import Fiber
 from .looplets import (
-    Jumper,
     Lookup,
     Looplet,
     Run,
@@ -92,6 +91,10 @@ from .unfurl import (
 from .values import MISSING
 
 
+# most branches pass_switch may emit at one forall
+SWITCH_BRANCH_LIMIT = 64
+
+
 class LowerCtx:
     def __init__(self, tensors: Dict[str, BoundTensor], writers: Dict[str, WriterPlan],
                  ruleset: Optional[Ruleset] = None, collect_stages: bool = False):
@@ -100,7 +103,6 @@ class LowerCtx:
         self.ruleset = ruleset or Ruleset()
         self.names = _FreshNames()
         self.stages: List[str] = [] if collect_stages else None
-        self.switch_branch_limit = 64
         self._tag = 0
 
     def fresh(self, base: str) -> str:
@@ -426,18 +428,9 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     style = Style.TERMINAL
     for f in furls:
         style = resolve_style(style, style_of(f.looplet))
-    passes = {
-        Style.SWITCH: pass_switch,
-        Style.RUN: pass_run,
-        Style.SPIKE: pass_spike,
-        Style.PIPELINE: pass_pipeline,
-        Style.JUMPER: pass_jumper,
-        Style.STEPPER: pass_stepper,
-        Style.LOOKUP: pass_lookup,
-        Style.TERMINAL: pass_run,  # bare scalars unfurl like runs
-    }
-    ctx.stage(passes[style].__name__, idx, ext, body)
-    return passes[style](ctx, idx, ext, body, furls)
+    lower_pass = _PASSES[style]
+    ctx.stage(lower_pass.__name__, idx, ext, body)
+    return lower_pass(ctx, idx, ext, body, furls)
 
 
 def _terminal(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
@@ -485,6 +478,13 @@ def _style_is(f: Furl, style: Style) -> bool:
     return style_of(f.looplet) == style
 
 
+def _restrict(body: Stmt, furls, ext: Extent, region: Extent, mapping) -> Stmt:
+    """`body` over `region` of `ext`: each furl in `mapping` (by tag) gets its
+    new looplet, every other furl is truncated to the region."""
+    return replace_furls(body, {f.tag: mapping[f.tag] if f.tag in mapping
+                                else truncate(f.looplet, ext, region) for f in furls})
+
+
 def pass_run(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
     mapping = {}
     for f in furls:
@@ -502,16 +502,10 @@ def pass_spike(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targe
     d = const_diff(body_stop, ext.start)
     if d is None or d >= 0:
         region = Extent(ext.start, body_stop)
-        mapping = {f.tag: truncate(f.looplet, ext, region) for f in furls}
-        out.append(_dispatch(ctx, idx, region, replace_furls(body, mapping)))
+        out.append(_dispatch(ctx, idx, region, _restrict(body, furls, ext, region, {})))
     point = Extent(ext.stop, ext.stop)
-    mapping = {}
-    for f in furls:
-        if isinstance(f.looplet, Spike):
-            mapping[f.tag] = f.looplet.tail
-        else:
-            mapping[f.tag] = truncate(f.looplet, ext, point)
-    out.append(_dispatch(ctx, idx, point, replace_furls(body, mapping)))
+    tails = {f.tag: f.looplet.tail for f in furls if isinstance(f.looplet, Spike)}
+    out.append(_dispatch(ctx, idx, point, _restrict(body, furls, ext, point, tails)))
     return block(out)
 
 
@@ -520,10 +514,10 @@ def pass_switch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
     ncombos = 1
     for s in switches:
         ncombos *= len(s.looplet.cases)
-    if ncombos > ctx.switch_branch_limit:
+    if ncombos > SWITCH_BRANCH_LIMIT:
         raise CompileError(
             f"switch lowering would need {ncombos} branches (limit "
-            f"{ctx.switch_branch_limit}); choose a different protocol")
+            f"{SWITCH_BRANCH_LIMIT}); choose a different protocol")
     cases: List[Tuple[Expr, TargetStmt]] = []
     orelse: Optional[TargetStmt] = None
     for combo in itertools.product(*[s.looplet.cases for s in switches]):
@@ -549,7 +543,6 @@ def pass_switch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
 
 def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
     pipes = [f for f in furls if _style_is(f, Style.PIPELINE)]
-    others = [f for f in furls if not _style_is(f, Style.PIPELINE)]
     out: List[TargetStmt] = []
 
     def phase_body(combo, region: Extent) -> Stmt:
@@ -559,9 +552,7 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
             pstart = ext.start if j == 0 else iadd(phases[j - 1].stop, ONE)
             pstop = phases[j].stop if phases[j].stop is not None else ext.stop
             mapping[p.tag] = truncate(phases[j].body, Extent(pstart, pstop), region)
-        for f in others:
-            mapping[f.tag] = truncate(f.looplet, ext, region)
-        return replace_furls(body, mapping)
+        return _restrict(body, furls, ext, region, mapping)
 
     choices = [range(len(p.looplet.phases)) for p in pipes]
     for combo in itertools.product(*choices):
@@ -603,86 +594,68 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
     return block(out)
 
 
-def _emit_seeks(ctx: LowerCtx, nodes, start: Expr) -> List[TargetStmt]:
-    stmts: List[TargetStmt] = []
-    for n in nodes:
-        if n.seek is not None:
-            stmts.extend(n.seek.instantiate(start))
-    return stmts
+def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
+               body_of) -> TargetStmt:
+    """The stepping loop over `ext` that steppers and jumpers share. Every
+    looplet of `steps` seeks to the start; then each iteration binds the
+    region's stop to `stride`, runs `body_of(region)` over the region
+    [step, stride] and moves `step` past it."""
+    out = [x for l in steps if l.seek is not None for x in l.seek.instantiate(ext.start)]
+    step_var, stride_var = ctx.fresh("step"), ctx.fresh("stride")
+    region = Extent(Var(step_var), Var(stride_var))
+    out.append(Let(step_var, ext.start))
+    loop_body = [Let(stride_var, stride), *body_of(region),
+                 AssignVar(step_var, iadd(Var(stride_var), ONE))]
+    out.append(While(le(Var(step_var), ext.stop), block(loop_body), cursor=step_var))
+    return block(out)
 
 
 def pass_stepper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
     steppers = [f for f in furls if _style_is(f, Style.STEPPER)]
-    out = _emit_seeks(ctx, [f.looplet for f in steppers], ext.start)
-    step = ctx.fresh("step")
-    stride = ctx.fresh("stride")
-    out.append(Let(step, ext.start))
-    region = Extent(Var(step), Var(stride))
-    mapping = {}
-    for f in steppers:
-        mapping[f.tag] = truncate(f.looplet.body, Extent(Var(step), f.looplet.stop), region)
-    for f in furls:
-        if f.tag not in mapping:
-            mapping[f.tag] = truncate(f.looplet, ext, region)
-    inner = _dispatch(ctx, idx, region, replace_furls(body, mapping))
-    loop_body: List[TargetStmt] = [
-        Let(stride, imin(*([f.looplet.stop for f in steppers] + [ext.stop]))),
-        inner,
-    ]
-    for f in steppers:
-        loop_body.append(IfChain(((eq(Var(stride), f.looplet.stop),
-                                   block(f.looplet.next.instantiate())),)))
-    loop_body.append(AssignVar(step, iadd(Var(stride), ONE)))
-    out.append(While(le(Var(step), ext.stop), block(loop_body), cursor=step))
-    return block(out)
+
+    def step_body(region: Extent) -> List[TargetStmt]:
+        mapping = {f.tag: truncate(f.looplet.body, Extent(region.start, f.looplet.stop), region)
+                   for f in steppers}
+        nexts = [IfChain(((eq(region.stop, f.looplet.stop), block(f.looplet.next.instantiate())),))
+                 for f in steppers]
+        return [_dispatch(ctx, idx, region, _restrict(body, furls, ext, region, mapping)), *nexts]
+
+    stride = imin(*[f.looplet.stop for f in steppers], ext.stop)
+    return _step_loop(ctx, ext, [f.looplet for f in steppers], stride, step_body)
 
 
 def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
+    """A stepping loop whose stride is the largest declared stop: each member
+    jumper (whose stop is the stride) is lowered over its whole child and
+    advances; the others follow as steppers."""
     jumpers = [f for f in furls if _style_is(f, Style.JUMPER)]
-    out = _emit_seeks(ctx, [f.looplet for f in jumpers], ext.start)
-    step = ctx.fresh("step")
-    stride = ctx.fresh("stride")
-    out.append(Let(step, ext.start))
-    region = Extent(Var(step), Var(stride))
 
-    def as_follower(j: Jumper) -> Stepper:
-        return Stepper(stop=j.stop, body=j.body, next=j.next, seek=j.seek)
-
-    branches: List[Tuple[Expr, TargetStmt]] = []
-    orelse_body: Optional[TargetStmt] = None
-    n = len(jumpers)
-    for members in sorted(itertools.product([True, False], repeat=n),
-                          key=lambda m: -sum(m)):
-        mapping = {}
-        nexts: List[TargetStmt] = []
-        for f, is_member in zip(jumpers, members):
-            if is_member:
-                mapping[f.tag] = truncate(f.looplet.body,
-                                          Extent(Var(step), f.looplet.stop),
-                                          Extent(Var(step), f.looplet.stop))
-                nexts.extend(f.looplet.next.instantiate())
+    def step_body(region: Extent) -> List[TargetStmt]:
+        branches: List[Tuple[Expr, TargetStmt]] = []
+        orelse: Optional[TargetStmt] = None
+        for members in sorted(itertools.product([True, False], repeat=len(jumpers)),
+                              key=lambda m: -sum(m)):
+            mapping, nexts, conds = {}, [], []
+            for f, is_member in zip(jumpers, members):
+                j = f.looplet
+                if is_member:
+                    child = Extent(region.start, j.stop)
+                    mapping[f.tag] = truncate(j.body, child, child)
+                    nexts.extend(j.next.instantiate())
+                    conds.append(eq(region.stop, j.stop))
+                else:
+                    mapping[f.tag] = Stepper(stop=j.stop, body=j.body, next=j.next, seek=j.seek)
+            inner = _dispatch(ctx, idx, region, _restrict(body, furls, ext, region, mapping))
+            branch = block([inner] + nexts)
+            if not conds:
+                orelse = branch
             else:
-                mapping[f.tag] = as_follower(f.looplet)
-        for f in furls:
-            if f.tag not in mapping:
-                mapping[f.tag] = truncate(f.looplet, ext, region)
-        inner = _dispatch(ctx, idx, region, replace_furls(body, mapping))
-        branch = block([inner] + nexts)
-        conds = [eq(Var(stride), f.looplet.stop)
-                 for f, m in zip(jumpers, members) if m]
-        if not conds:
-            orelse_body = branch
-        else:
-            cond = conds[0] if len(conds) == 1 else Call("and", tuple(conds))
-            branches.append((cond, branch))
-    chain = IfChain(tuple(branches), orelse_body)
-    loop_body: List[TargetStmt] = [
-        Let(stride, imin(imax(*[f.looplet.stop for f in jumpers]), ext.stop)),
-        chain,
-        AssignVar(step, iadd(Var(stride), ONE)),
-    ]
-    out.append(While(le(Var(step), ext.stop), block(loop_body), cursor=step))
-    return block(out)
+                branches.append((conds[0] if len(conds) == 1 else Call("and", tuple(conds)),
+                                 branch))
+        return [IfChain(tuple(branches), orelse)]
+
+    stride = imin(imax(*[f.looplet.stop for f in jumpers]), ext.stop)
+    return _step_loop(ctx, ext, [f.looplet for f in jumpers], stride, step_body)
 
 
 def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
@@ -707,6 +680,18 @@ def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
     if is_nop(inner) and not pre:
         return NOP
     return For(idx, ext.start, ext.stop, block(pre + [inner]))
+
+
+_PASSES = {
+    Style.SWITCH: pass_switch,
+    Style.RUN: pass_run,
+    Style.SPIKE: pass_spike,
+    Style.PIPELINE: pass_pipeline,
+    Style.JUMPER: pass_jumper,
+    Style.STEPPER: pass_stepper,
+    Style.LOOKUP: pass_lookup,
+    Style.TERMINAL: pass_run,  # bare scalars unfurl like runs
+}
 
 
 # -- program entry ---------------------------------------------------------------------

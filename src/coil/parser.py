@@ -21,6 +21,7 @@ from .cin import (
     Proto,
     Sieve,
     Stmt,
+    UPDATE_TOKEN,
     Where,
 )
 from .expr import Call, Expr, Extent, Lit, Var
@@ -46,8 +47,7 @@ MAX_DEPTH = 32
 
 MODIFIERS = {"window": 2, "offset": 1, "permit": 0}
 PROTOCOLS = {"walk", "gallop", "follow", "followzero"}
-_UPDATE = {"=": "set", "+=": "add", "*=": "mul", "<<min>>=": "min",
-           "<<max>>=": "max", "<<or>>=": "or"}
+_UPDATE = {token: op for op, token in UPDATE_TOKEN.items()}
 
 
 @dataclass

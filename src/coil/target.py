@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .cin import UPDATE_TOKEN
 from .expr import Expr, print_expr, subst, walk
 
 
@@ -167,9 +168,6 @@ def is_nop(s: TargetStmt) -> bool:
     return isinstance(s, Nop) or (isinstance(s, Block) and all(is_nop(x) for x in s.stmts))
 
 
-_WRITE_OP = {"set": "=", "add": "+=", "mul": "*=", "min": "<<min>>=", "max": "<<max>>=", "or": "<<or>>="}
-
-
 def print_stmt(s: TargetStmt, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(s, Nop):
@@ -184,7 +182,7 @@ def print_stmt(s: TargetStmt, indent: int = 0) -> str:
         return f"{pad}{s.name} = {print_expr(s.value)}"
     if isinstance(s, BufferWrite):
         idx = ", ".join(print_expr(i) for i in s.idx)
-        return f"{pad}{s.buf}[{idx}] {_WRITE_OP[s.op]} {print_expr(s.value)}"
+        return f"{pad}{s.buf}[{idx}] {UPDATE_TOKEN[s.op]} {print_expr(s.value)}"
     if isinstance(s, For):
         head = f"{pad}for {s.var} = {print_expr(s.lo)}:{print_expr(s.hi)}"
         body = print_stmt(s.body, indent + 1) if not is_nop(s.body) else None

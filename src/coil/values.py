@@ -46,20 +46,6 @@ def is_bool(v) -> bool:
     return isinstance(v, bool)
 
 
-def is_value(v) -> bool:
-    return is_number(v) or is_bool(v) or v is MISSING
-
-
-def dtype_of(v) -> str:
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, float):
-        return "float"
-    raise EvalError(f"not a storable value: {v!r}")
-
-
 def coerce(dtype: str, v):
     """Coerce a value to a tensor dtype at a write boundary.
 

@@ -2,8 +2,8 @@
 
 The equivalence gate runs every corpus kernel x admissible assignment through
 both backends and requires identical buffers (value, type and sign of zero)
-and identical counters; the parity tests require an `InterpError` from both
-wherever the interpreter raises one.
+and identical counters; the parity tests require the same `InterpError`
+message from both wherever the interpreter raises one.
 """
 
 import math
@@ -180,6 +180,8 @@ PARITY = {
     "int_overflow_index": (Let("x", Read("v", (iadd(Var("$n"), Lit(1)),))), {"$n": INT_MAX}, None),
     "int_overflow_loop": (Block((Let("p", Var("$n")), For("i", Lit(1), Lit(2), AssignVar(
         "p", iadd(Var("p"), Lit(2**62)))))), {"$n": 2**62}, None),
+    "int_overflow_accumulate": (BufferWrite("v", (Lit(2),), "add", Var("$n")), {"$n": INT_MAX},
+                                None),
     "missing_buffer_write": (BufferWrite("y", (Lit(1),), "set", Lit(MISSING)), {}, None),
     "missing_param_write": (BufferWrite("y", (Lit(1),), "add", Var("$m")), {"$m": MISSING}, None),
     "missing_append": (CallStmt("y.append_set", (Lit(1), Var("$m"))), {"$m": MISSING},
@@ -197,6 +199,11 @@ PARITY = {
     "unbound_at_run_time": (IfChain(((le(Lit(1), Var("$n")), Let("x", Var("ghost"))),)),
                             {"$n": 3}, None),
     "undeclared_assignment": (For("i", Lit(1), Lit(1), AssignVar("ghost", Lit(1))), {}, None),
+    "float_for_bound": (For("i", Lit(1), Lit(2.0), NOP), {}, None),
+    "int_select_condition": (Let("x", Call("select", (Lit(1), Lit(1.0), Lit(2.0)))), {}, None),
+    "non_boolean_or": (Let("x", Call("or", (Lit(False), Lit(3)))), {}, None),
+    "int_while_condition": (While(Lit(1), NOP), {}, None),
+    "unbound_writer_hook": (CallStmt("z.init"), {}, None),
 }
 
 
@@ -239,13 +246,16 @@ def test_deepest_accepted_kernel_runs_everywhere(shape):
 @pytest.mark.parametrize("name", sorted(PARITY))
 def test_error_parity(name):
     prog, params, writer = PARITY[name]
+    messages = []
     for run in BACKENDS:
         buffers = {"v": Buf("v", [1, 2]), "y": Buf("y", [0.0], "float")}
         writers = {"y": writer()} if writer else {}
         if writers:
             buffers = {"v": buffers["v"], **writers["y"].buffers}
-        with pytest.raises(InterpError):
+        with pytest.raises(InterpError) as err:
             run(prog, buffers, params, writers)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_unbound_name_off_the_taken_path_is_not_an_error():
