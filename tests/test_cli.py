@@ -266,3 +266,16 @@ def test_unreadable_file_exit_2(capsys, tmp_path, role, case):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: cannot read {path}") and "Traceback" not in err
+
+
+def test_writer_overflow_exit_3(capsys, tmp_path):
+    # two appends to C[1] of a sparse-list int output overflow when they combine
+    path = tmp_path / "a.txt"
+    write_dense_text(str(path), [1, 2], [2**62, 2**62])
+    kernel = tmp_path / "k.cin"
+    kernel.write_text("@V i j C[i] += A[i,j]\n")
+    rc = run_cli(["run", "--kernel", kernel, "--tensor", f"A={path}",
+                  "--tensor", "C=out:format=splist,dtype=int,fill=0"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "integer overflow" in err and "Traceback" not in err

@@ -8,6 +8,7 @@ message from both wherever the interpreter raises one.
 
 import math
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from coil import codegen
 from coil.api import (
     CODEGEN_MIN_ENTRIES,
     InputSpec,
+    OutputSpec,
     compile_kernel,
     execute,
     oracle_outputs,
@@ -166,8 +168,8 @@ def test_execute_picks_backend_by_stored_entries():
 # -- error parity: whatever the interpreter rejects, the generated code rejects --------
 
 
-def _writer(mode):
-    plan = WriterPlan("y", [4], 0.0, "float", [mode])
+def _writer(mode, fill=0.0, dtype="float"):
+    plan = WriterPlan("y", [4], fill, dtype, [mode])
     return lambda: plan.writer(plan)
 
 
@@ -187,6 +189,11 @@ PARITY = {
     "missing_append": (CallStmt("y.append_set", (Lit(1), Var("$m"))), {"$m": MISSING},
                        _writer("splist")),
     "missing_run_set": (CallStmt("y.run_set", (Lit(1), Lit(2), Lit(MISSING))), {}, _writer("rle")),
+    "int_overflow_append": (Block((CallStmt("y.append_add", (Lit(1), Var("$n"))),) * 2),
+                            {"$n": 2**62}, _writer("splist", 0, "int")),
+    "int_overflow_run_append": (Block((CallStmt("y.run_set", (Lit(1), Lit(1), Var("$n"))),
+                                       CallStmt("y.append_add", (Lit(1), Var("$n"))))),
+                                {"$n": 2**62}, _writer("rle", 0, "int")),
     "int_branch_condition": (IfChain(((Lit(1), NOP),)), {}, None),
     "missing_branch_condition": (IfChain(((Lit(False), NOP), (Var("$m"), NOP))), {"$m": MISSING},
                                  None),
@@ -241,6 +248,69 @@ def test_deepest_accepted_kernel_runs_everywhere(shape):
         assert got.backend == backend
         want = oracle_outputs(text, ins)["C"]
         assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got.dense["C"], want))
+
+
+# Calls with many operands, each in its own kernel. and, or and coalesce get
+# maybe-missing operands (A holds missing values), min and max proven floats.
+WIDE = {
+    "max": lambda n: "@V i C[i] = max(A[i], " + ", ".join(f"{k}.5" for k in range(n)) + ")",
+    "min": lambda n: "@V i C[i] = min(A[i], " + ", ".join(f"{k}.5" for k in range(n)) + ")",
+    "or": lambda n: ("@V i C[i] = coalesce(" + " || ".join(f"A[i] > {k}.5" for k in range(n))
+                     + ", false)"),
+    "and": lambda n: ("@V i C[i] = coalesce(" + " && ".join(f"A[i] < {k}.5" for k in range(n))
+                      + ", false)"),
+    "coalesce": lambda n: ("@V i C[i] = coalesce(A[i], " + ", ".join(f"$m{k}" for k in range(n))
+                           + ", 0.5)"),
+}
+
+
+@pytest.mark.parametrize("operands", [100, 250])
+@pytest.mark.parametrize("shape", sorted(WIDE))
+def test_wide_call_runs_everywhere(shape, operands):
+    """Operand count costs the generated code locals, not nesting."""
+    text = WIDE[shape](operands)
+    params = {f"m{k}": MISSING for k in range(operands)} if shape == "coalesce" else {}
+    logic = shape in ("and", "or")
+    outs = {"C": OutputSpec(dtype="bool", fill=False)} if logic else {}
+    for n, backend in ((8, "interp"), (CODEGEN_MIN_ENTRIES, "python")):
+        rng = random.Random(n)
+        a = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        if shape in ("and", "or", "coalesce"):
+            a = [MISSING if k % 5 == 0 else x for k, x in enumerate(a)]
+        ins = {"A": InputSpec([n], a, format=["dense"], fill=0.0, dtype="float")}
+        got = run_kernel(text, ins, outs, params)
+        assert got.backend == backend
+        assert got.dense["C"] == oracle_outputs(text, ins, outs, params)["C"]
+
+
+def _walk_loop(source):
+    """The lines of the generated code's outermost `while` loop."""
+    lines = source.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.lstrip().startswith("while "))
+    depth = len(lines[start]) - len(lines[start].lstrip())
+    end = next((k for k in range(start + 1, len(lines))
+                if len(lines[k]) - len(lines[k].lstrip()) <= depth), len(lines))
+    return "\n".join(lines[start:end])
+
+
+def test_walk_loop_reads_each_index_once():
+    """The two-finger merge reads each cursor's index, with its bounds check,
+    once per iteration, however many conditions use it."""
+    rng = random.Random(5)
+    n = 40
+    a = [rng.random() if rng.random() < 0.3 else 0.0 for _ in range(n * n)]
+    x = [rng.random() if rng.random() < 0.3 else 0.0 for _ in range(n)]
+    ins = {"A": InputSpec([n, n], a, format=["dense", "splist"], protocols={2: "walk"}),
+           "x": InputSpec([n], x, format=["splist"], protocols={1: "walk"})}
+    compiled = compile_kernel(parse("@V i j y[i] += A[i,j] * x[j]"), ins)
+    source = codegen._source(compiled.program, *runtime(compiled), {})[0]
+    loop = _walk_loop(source)
+    for buf in ("A_idx", "x_idx"):
+        data = re.search(rf"(\w+) = B\['{buf}'\]\.data", source).group(1)
+        size = re.search(rf"(\w+) = len\(B\['{buf}'\]\.data\)", source).group(1)
+        assert len(re.findall(rf"\b{data}\[", loop)) == 1, loop
+        assert len(re.findall(rf"\b{size}\b", loop)) == 1, loop
+    assert_same_run(*both(compiled.program, lambda: runtime(compiled)))
 
 
 @pytest.mark.parametrize("name", sorted(PARITY))

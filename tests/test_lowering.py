@@ -431,3 +431,24 @@ def test_dump_stages_deterministic():
     c1 = compile_kernel(parse(DOT), fig_inputs(), stages=True)
     c2 = compile_kernel(parse(DOT), fig_inputs(), stages=True)
     assert c1.stages == c2.stages
+
+
+def test_oracle_reads_inputs_without_assembly(monkeypatch):
+    """The oracle takes each input's payload as given: no format assembly,
+    the dtype inferred as assembly infers it, and the same typed errors."""
+    import coil.api
+    from coil.storage import FormatError
+
+    ins = {"A": InputSpec([2, 3], [1, 0, 2, 0, 0, 3], format=["dense", "splist"], fill=0),
+           "x": InputSpec([3], [0.5, 0.0, 2.0], format=["splist"])}
+    kernel = parse("@V i j y[i] += A[i,j] * x[j]")
+    want = execute(compile_kernel(kernel, ins)).dense
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the oracle assembled an input")
+
+    monkeypatch.setattr(coil.api, "from_dense", no_assembly)
+    assert oracle_outputs(kernel, ins) == want
+    for bad in (InputSpec([3], [1.0, 2.0]), InputSpec([0], [])):
+        with pytest.raises(FormatError):
+            oracle_outputs(kernel, {**ins, "x": bad})
