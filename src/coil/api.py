@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +24,7 @@ from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
 from .parser import parse
 from .rewrite import Ruleset
-from .storage import Tensor, from_dense, tensor_buffers, to_dense
+from .storage import Tensor, _infer_dtype, check_payload, from_dense, tensor_buffers, to_dense
 from .target import TargetStmt, print_ir
 from .unfurl import BoundTensor, CompileError, WriterPlan
 from .values import Value
@@ -93,26 +94,30 @@ def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec
          params: Optional[Dict[str, Value]] = None):
     """Build the compile-time tensor table: inputs get static storage, outputs
     get writer plans; rank-0 intermediates are bound automatically."""
-    params = params or {}
     tensors: Dict[str, BoundTensor] = {}
-    writers: Dict[str, WriterPlan] = {}
-    written = set(written_tensors(stmt)) | set(results(stmt))
-
     for name, spec in inputs.items():
         t = from_dense(name, spec.dims, spec.data, _format(spec.format, len(spec.dims)),
                        spec.fill, spec.dtype)
         tensors[name] = BoundTensor(
             name=name, dims=list(spec.dims), fill=t.fill, dtype=t.dtype,
             kinds=t.format_spec(), tensor=t, protocols=dict(spec.protocols))
+    writers = _bind_outputs(stmt, inputs, outputs, tensors)
+    return tensors, writers
 
+
+def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec],
+                  tensors: Dict[str, BoundTensor]) -> Dict[str, WriterPlan]:
+    """Writer plans of the outputs and of the tensors the kernel writes that
+    are bound neither way; their BoundTensors are added to `tensors`."""
+    writers: Dict[str, WriterPlan] = {}
     outputs = dict(outputs)
-    for name in written:
+    for name in set(written_tensors(stmt)) | set(results(stmt)):
         if name not in outputs and name not in inputs:
             outputs[name] = OutputSpec()  # auto-bound intermediate / output
 
     input_dims = {n: s.dims for n, s in inputs.items()}
     for name, spec in outputs.items():
-        if name in tensors:
+        if name in inputs:
             raise CompileError(f"tensor {name!r} bound as both input and output")
         dims = spec.dims
         if dims is None:
@@ -122,7 +127,7 @@ def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec
         tensors[name] = BoundTensor(
             name=name, dims=list(dims), fill=spec.fill, dtype=spec.dtype,
             kinds=plan.kinds, tensor=None, is_output=True)
-    return tensors, writers
+    return writers
 
 
 def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
@@ -212,17 +217,20 @@ def run_kernel(text_or_stmt, inputs: Dict[str, InputSpec],
 def oracle_outputs(text_or_stmt, inputs: Dict[str, InputSpec],
                    outputs: Optional[Dict[str, OutputSpec]] = None,
                    params: Optional[Dict[str, Value]] = None) -> Dict[str, list]:
-    """Dense-oracle evaluation with the same binding conventions as execute."""
+    """Dense-oracle evaluation with the same binding conventions as execute.
+
+    Inputs are read as given, not assembled into their formats: the payload
+    passes the checks `from_dense` makes, and a dtype the spec leaves out is
+    inferred as `from_dense` infers it."""
     stmt = parse(text_or_stmt) if isinstance(text_or_stmt, str) else text_or_stmt
-    tensors, writers = bind(stmt, inputs, outputs or {}, params)
     dd: Dict[str, DenseData] = {}
+    for name, spec in inputs.items():
+        check_payload(spec.dims, spec.data)
+        dtype = spec.dtype or _infer_dtype(set(map(type, spec.data)), spec.fill)
+        dd[name] = DenseData(list(spec.dims), spec.data, spec.fill, dtype)
+    tensors: Dict[str, BoundTensor] = {}
+    writers = _bind_outputs(stmt, inputs, outputs or {}, tensors)
     for name, bt in tensors.items():
-        if bt.tensor is not None:
-            dd[name] = DenseData(bt.dims, to_dense(bt.tensor), bt.fill, bt.dtype)
-        else:
-            n = 1
-            for d in bt.dims:
-                n *= d
-            dd[name] = DenseData(bt.dims, [bt.fill] * n, bt.fill, bt.dtype)
+        dd[name] = DenseData(bt.dims, [bt.fill] * math.prod(bt.dims), bt.fill, bt.dtype)
     outs = oracle_evaluate(stmt, dd, params or {})
     return {name: outs[name] for name in writers if name in outs}

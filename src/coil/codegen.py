@@ -33,11 +33,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from typing import Dict, Optional
 
 from .expr import Call, Lit, Read, Search, Var
-from .interp import (Buf, ExecCounters, InterpError, _hook, _loop, _lv, _range, _search, _sel,
-                     _stuck, _truth, _write)
+from .interp import (CANNOT_EVAL, CANNOT_EXEC, NO_WRITER, READ_NOT_LINEAR, UNBOUND, UNDECLARED,
+                     UNKNOWN_BUFFER, WRITE_NOT_LINEAR, Buf, ExecCounters, InterpError, _hook,
+                     _loop, _lv, _range, _search, _sel, _stuck, _truth, _write)
 from .target import AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, Nop, While
 from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op
 
@@ -197,12 +199,19 @@ def _literal(v, consts) -> str:
 
 
 class _E:
-    """An emitted expression: its code and facts."""
+    """An emitted expression: its code and facts. The code is a name, a
+    literal or one operation over names and literals; `off` is (name, k) when
+    the code is the int sum `name + k`."""
 
-    __slots__ = ("code", "ts", "iv")
+    __slots__ = ("code", "ts", "iv", "off")
 
-    def __init__(self, code, ts, iv=None):
-        self.code, self.ts, self.iv = code, ts, iv
+    def __init__(self, code, ts, iv=None, off=None):
+        self.code, self.ts, self.iv, self.off = code, ts, iv, off
+
+
+@lru_cache(maxsize=4096)
+def _names(code):
+    return tuple(sorted(set(re.findall(r"[A-Za-z_]\w*", code))))
 
 
 class _Buffers:
@@ -231,7 +240,13 @@ class _Buffers:
 
 class _Gen:
     """One generation pass. Facts of locals are read from `env` (the previous
-    pass) joined with what this pass has assigned so far."""
+    pass) joined with what this pass has assigned so far.
+
+    `avail` maps each value computed into a temporary, by its code and the
+    versions of the names in it, to that temporary; it holds only values
+    whose evaluation dominates the code being emitted. `ver` counts the
+    assignments to each reassigned local and the writes to each buffer's
+    aliases, so that a value over a name assigned since is not reused."""
 
     def __init__(self, bufs: _Buffers, writers: dict, params: dict, env: dict):
         self.bufs, self.writers, self.env = bufs, writers, env
@@ -243,6 +258,8 @@ class _Gen:
         self.ntmp = 0
         self.consts = []
         self.aliases = {}  # buffer or writer name -> prologue alias
+        self.avail = {}
+        self.ver = {}
         base = {}
         for k, (name, v) in enumerate(params.items()):
             loc = f"p{k}_{re.sub(r'[^A-Za-z0-9]', '_', name)}"
@@ -261,13 +278,46 @@ class _Gen:
         """Code that raises InterpError(msg) when it is reached."""
         return _E("_fail(%r)" % msg, _NONE, ())
 
-    def tmp(self, code):
-        """(first use, later uses) of a value that must be evaluated once."""
-        if _PURE(code):
-            return code, code
+    def fresh(self):
         self.ntmp += 1
-        t = f"t{self.ntmp}"
-        return f"({t} := {code})", t
+        return f"t{self.ntmp}"
+
+    def local(self, code):
+        """A name or literal holding the value of `code`, evaluated now: the
+        code itself, the temporary of an available evaluation of it, or a new
+        temporary."""
+        if _PURE(code):
+            return code
+        key = code
+        if self.ver:
+            vs = tuple(self.ver.get(n, 0) for n in _names(code))
+            if any(vs):
+                key = (code, vs)
+        t = self.avail.get(key)
+        if t is None:
+            t = self.fresh()
+            self.emit(f"{t} = {code}")
+            self.avail[key] = t
+        return t
+
+    def bump(self, name):
+        self.ver[name] = self.ver.get(name, 0) + 1
+
+    def written(self, buf):
+        """Values read from `buf` before this point are stale."""
+        for kind in "bd":
+            alias = self.aliases.get((kind, buf))
+            if alias:
+                self.bump(alias)
+
+    def operands(self, es):
+        """Each of `es` evaluated, in order, into a name or literal."""
+        out = []
+        for e in es:
+            x = self.expr(e)
+            x.code = self.local(x.code)
+            out.append(x)
+        return out
 
     def new_site(self, **vec):
         self.sites.append(Counter(vec))
@@ -309,36 +359,44 @@ class _Gen:
         written = self.env.get(("w", name))
         return (ts, iv) if written is None else (_tjoin(ts, written), None)
 
-    def arm(self, e):
-        """An expression evaluated only sometimes, counted on its own site."""
-        outer, self.site = self.site, self.new_site()
-        x = self.expr(e)
-        site, self.site = self.site, outer
+    def branch(self, head, site, fill, avail=None):
+        """Emit `head`, then `fill()` one level deeper, charging `site`, in a
+        region of its own: values it computes are not available after it. The
+        site is bumped on entry when it counts anything."""
+        self.emit(head)
+        outer, self.site = self.site, site
+        saved, self.avail = self.avail, dict(self.avail if avail is None else avail)
+        self.ind += 1
+        mark = len(self.lines)
+        fill()
+        if len(self.lines) == mark:
+            self.emit("pass")
         if any(self.sites[site].values()):
-            x.code = f"((k{site} := k{site} + 1) and {x.code})"
-        return x
+            if self.lines[mark].strip() == "pass":
+                del self.lines[mark]
+            self.lines.insert(mark, "    " * self.ind + f"k{site} += 1")
+        self.ind -= 1
+        self.avail = saved
+        self.site = outer
 
-    def apart(self, e):
-        """Emit `e`, returning its unconditional counts instead of charging them."""
+    def arm(self, head, e, then):
+        """A short-circuit arm: `e` evaluated under `head` only, counted on its
+        own site, and passed to `then`, which emits what uses it."""
+        self.branch(head, self.new_site(), lambda: then(self.expr(e)))
+
+    def detached(self, e):
+        """Emit `e` one level deeper into lines of its own, counting it on a
+        site of its own; returns the expression, its lines and its counts."""
+        lines, self.lines = self.lines, []
         outer, self.site = self.site, self.new_site()
+        self.ind += 1
         x = self.expr(e)
+        self.ind -= 1
         counts = Counter(self.sites[self.site])
         self.sites[self.site].clear()
         self.site = outer
-        return x, counts
-
-    def body(self, s, site):
-        """Emit `s` one level deeper, in a fresh scope, charging `site`."""
-        outer, self.site = self.site, site
-        self.ind += 1
-        self.scope.append({})
-        n = len(self.lines)
-        self.stmt(s)
-        if len(self.lines) == n:
-            self.emit("pass")
-        self.scope.pop()
-        self.ind -= 1
-        self.site = outer
+        pre, self.lines = self.lines, lines
+        return x, pre, counts
 
     # -- expressions
 
@@ -349,7 +407,7 @@ class _Gen:
         if isinstance(e, Var):
             loc = self.lookup(e.name)
             if loc is None:
-                return self.fail(f"unbound symbol {e.name!r}")
+                return self.fail(UNBOUND.format(e.name))
             return _E(loc, *self.fact(loc))
         if isinstance(e, Read):
             return self.read(e)
@@ -357,33 +415,47 @@ class _Gen:
             return self.search(e)
         if isinstance(e, Call):
             return self.call(e)
-        return self.fail(f"cannot evaluate {e!r}")
+        return self.fail(CANNOT_EVAL.format(e))
+
+    def slot(self, i, size):
+        """List position of the 1-based int index `i` when it is proven in
+        [1, size], else None."""
+        if i.ts != _I or not _fits(i.iv, 1, size):
+            return None
+        if _PURE(i.code) and i.iv[0] == i.iv[1]:
+            return str(i.iv[0] - 1)
+        if i.off:
+            name, k = i.off
+            return name if k == 1 else f"{name} + {k - 1}" if k > 1 else f"{name} - {1 - k}"
+        return f"{self.local(i.code)} - 1"
 
     def read(self, e):
         if e.buf not in self.bufs.buffers:
-            return self.fail(f"unknown buffer {e.buf!r}")
+            return self.fail(UNKNOWN_BUFFER.format(e.buf))
         if len(e.idx) != 1:
-            return self.fail(f"buffer read of {e.buf} must be linearized")
+            return self.fail(READ_NOT_LINEAR.format(e.buf))
         i = self.expr(e.idx[0])
         self.count("buffer_reads")
         self.count(("reads", e.buf))
         ts, iv = self.buf_facts(e.buf)
         b = self.alias(e.buf, "b")
-        if i.ts != _I or e.buf in self.bufs.dynamic:
-            return _E(f"{b}.get({i.code})", ts, iv)
-        d, n = self.alias(e.buf, "d"), self.alias(e.buf, "n")
-        size = len(self.bufs.buffers[e.buf].data)
-        if _fits(i.iv, 1, size):
-            if _PURE(i.code) and i.iv[0] == i.iv[1]:
-                return _E(f"{d}[{i.iv[0] - 1}]", ts, iv)
-            return _E(f"{d}[{i.code} - 1]", ts, iv)
-        first, ref = self.tmp(i.code)
-        return _E(f"({d}[{ref} - 1] if 0 < {first} <= {n} else {b}.get({ref}))", ts, iv)
+        slot = None
+        if i.ts == _I and e.buf not in self.bufs.dynamic:
+            slot = self.slot(i, len(self.bufs.buffers[e.buf].data))
+            d, n = self.alias(e.buf, "d"), self.alias(e.buf, "n")
+        if slot is not None:
+            code = f"{d}[{slot}]"
+        elif i.ts != _I or e.buf in self.bufs.dynamic:
+            code = f"{b}.get({self.local(i.code)})"
+        else:
+            ref = self.local(i.code)
+            code = f"{d}[{ref} - 1] if 0 < {ref} <= {n} else {b}.get({ref})"
+        return _E(self.local(code), ts, iv)
 
     def search(self, e):
         if e.buf not in self.bufs.buffers:
             return _E(f"_keyerror({e.buf!r})", _NONE, ())
-        lo, hi, key = self.expr(e.lo), self.expr(e.hi), self.expr(e.key)
+        lo, hi, key = self.operands((e.lo, e.hi, e.key))
         self.count("searches")
         b = self.alias(e.buf, "b")
         fast = (lo.ts == hi.ts == key.ts == _I and self.buf_facts(e.buf)[0] == _I
@@ -400,7 +472,7 @@ class _Gen:
             return self.select(e)
         if op in ("and", "or"):
             return self.logic(op, e.args)
-        args = [self.expr(a) for a in e.args]
+        args = self.operands(e.args)
         key, k = _counts(op, n)
         if key:
             self.count(key, k)
@@ -411,95 +483,111 @@ class _Gen:
         if num and (op in ("add", "mul") and n >= 2 or op == "sub" and n == 2
                     or op == "neg" and n == 1):
             if op == "mul" and ts == _F:
-                return _E(self.float_mul(args), ts, ())
+                return _E(f"{' * '.join(codes)} if {' and '.join(codes)} else 0.0", ts, ())
             sym = {"add": " + ", "sub": " - ", "mul": " * "}.get(op)
-            code = f"({sym.join(codes)})" if sym else f"(-{codes[0]})"
+            code = sym.join(codes) if sym else f"-{codes[0]}"
             if ts != _I:
                 return _E(code, ts, ())
             iv = _interval(op, [a.iv for a in args])
-            return _E(code, ts, iv) if _fits(iv) else _E(f"_ck({code})", ts, _FULL)
+            if not _fits(iv):
+                return _E(f"_ck({code})", ts, _FULL)
+            last = e.args[-1]
+            off = (codes[0], last.value) if (op == "add" and n == 2 and isinstance(last, Lit)
+                                             and type(last.value) is int) else None
+            return _E(code, ts, iv, off)
         if num and op in ("min", "max") and n >= 2:
-            return self.minmax(op, args, ts)
+            return self.minmax(op, codes, _interval(op, [a.iv for a in args]) if ts == _I else (),
+                               ts)
         if op in _CMP and n == 2 and all(t and t <= _SCALARS for t in tss):
-            return _E(f"({codes[0]} {_CMP[op]} {codes[1]})", _B, ())
+            return _E(f"{codes[0]} {_CMP[op]} {codes[1]}", _B, ())
         if op == "not" and n == 1 and tss[0] == _B:
-            return _E(f"(not {codes[0]})", _B, ())
+            return _E(f"not {codes[0]}", _B, ())
         if op == "round" and n == 1 and tss[0] in (_I, _F):
             return args[0] if tss[0] == _I else _E(f"float(round({codes[0]}))", _F, ())
-        if op == "coalesce" and n >= 1 and all(_PURE(c) for c in codes[1:]):
+        if op == "coalesce" and n >= 1:
             return self.coalesce(args)
         return _E(f"_op({op!r}, {', '.join(codes)})", ts, None)
 
-    def float_mul(self, args):
-        """Float product with apply_op's absorbing zero: 0.0 whenever an
-        operand is zero (native `0.0 * -x` is -0.0, `0.0 * inf` is nan).
-        Every impure operand is evaluated, in order, before the test."""
-        refs, firsts, pure = [], [], []
-        for a in args:
-            if _PURE(a.code):
-                refs.append(a.code)
-                pure.append(a.code)
-            else:
-                first, ref = self.tmp(a.code)
-                refs.append(ref)
-                firsts.append(first)
-        tests = [firsts[0]] if len(firsts) == 1 else [
-            " & ".join(f"({f} != 0)" for f in firsts)] if firsts else []
-        return f"({' * '.join(refs)} if {' and '.join(tests + pure)} else 0.0)"
-
-    def minmax(self, op, args, ts):
-        """Python's min/max keep the first extreme operand: fold pairwise."""
+    def minmax(self, op, codes, iv, ts):
+        """Python's min/max keep the first extreme operand: fold pairwise, one
+        statement per operand after the second."""
         rel = ">" if op == "min" else "<"
-        cur = args[0].code
-        for a in args[1:]:
-            first, ref = self.tmp(cur)
-            nfirst, nref = self.tmp(a.code)
-            cur = f"({nref} if {first} {rel} {nfirst} else {ref})"
-        iv = _interval(op, [a.iv for a in args]) if ts == _I else ()
-        return _E(cur, ts, iv)
+        code = f"{codes[1]} if {codes[0]} {rel} {codes[1]} else {codes[0]}"
+        if len(codes) == 2:
+            return _E(code, ts, iv)
+        r = self.fresh()
+        self.emit(f"{r} = {code}")
+        for c in codes[2:]:
+            self.emit(f"if {r} {rel} {c}: {r} = {c}")
+        return _E(r, ts, iv)
 
     def coalesce(self, args):
-        """First non-missing operand; operands after the first are pure, and
-        those after the first that is never missing are never reached."""
+        """First non-missing operand, every operand evaluated already; those
+        after the first that is never missing are never chosen."""
         head = []
         for a in args:
             head.append(a)
             if a.ts is not None:
                 break
-        code = head[-1].code
-        for a in reversed(head[:-1]):
-            first, ref = self.tmp(a.code)
-            code = f"({ref} if {first} is not MISSING else {code})"
-        return head[0] if len(head) == 1 else _E(code, None)
+        if len(head) == 1:
+            return head[0]
+        r = self.fresh()
+        self.emit(f"{r} = {head[0].code}")
+        for a in head[1:]:
+            self.emit(f"if {r} is MISSING: {r} = {a.code}")
+        return _E(r, None)
 
     def select(self, e):
         c = self.expr(e.args[0])
-        x, y = self.arm(e.args[1]), self.arm(e.args[2])
-        ts, iv = _join((x.ts, x.iv), (y.ts, y.iv))
+        r = self.fresh()
         if c.ts == _B:
-            return _E(f"({x.code} if {c.code} else {y.code})", ts, iv)
-        if c.ts is not None:  # never missing
-            return _E(f"({x.code} if _sel({c.code}) else {y.code})", ts, iv)
-        first, ref = self.tmp(c.code)
-        code = f"(MISSING if {first} is MISSING else ({x.code} if _sel({ref}) else {y.code}))"
-        return _E(code, None, iv)
+            head = f"if {c.code}:"
+        elif c.ts is not None:  # never missing
+            head = f"if _sel({c.code}):"
+        else:
+            ref = self.local(c.code)
+            self.emit(f"if {ref} is MISSING:")
+            self.emit(f"    {r} = MISSING")
+            head = f"elif _sel({ref}):"
+        arms = []
+
+        def then(x):
+            arms.append(x)
+            self.emit(f"{r} = {x.code}")
+
+        self.arm(head, e.args[1], then)
+        self.arm("else:", e.args[2], then)
+        ts, iv = _join((arms[0].ts, arms[0].iv), (arms[1].ts, arms[1].iv))
+        return _E(r, ts if c.ts is not None else None, iv)
 
     def logic(self, op, operands):
+        """`&&`/`||`: one `if` per operand after the first, each entered while
+        the result is still open; the result may turn missing on the way."""
         halt = op == "or"
         if not operands:
             return _E(repr(not halt), _B, ())
-        args = [self.expr(operands[0])] + [self.arm(a) for a in operands[1:]]
-        if all(a.ts == _B for a in args):
-            return _E("(" + f" {op} ".join(a.code for a in args) + ")", _B, ())
-        refs = []
-        for a in args:
-            first, ref = self.tmp(f"_lv({a.code}, {op!r})")
-            refs.append((first, ref))
-        code = f"(MISSING if {' or '.join(f'{r} is MISSING' for _, r in refs)} else {not halt})"
-        for first, _ in reversed(refs):
-            code = f"({halt} if {first} is {halt} else {code})"
-        anyts = any(a.ts is None for a in args)
-        return _E(code, None if anyts else _B, ())
+        first = self.expr(operands[0])
+        tss = [first.ts]
+        r = self.fresh()
+        self.emit(f"{r} = {first.code if first.ts == _B else f'_lv({first.code}, {op!r})'}")
+        for a in operands[1:]:
+            bools = all(t == _B for t in tss)
+            guard = (r if op == "and" else f"not {r}") if bools else f"{r} is not {halt}"
+
+            def then(x):
+                tss.append(x.ts)
+                if x.ts == _B and bools:
+                    self.emit(f"{r} = {x.code}")
+                elif x.ts == _B:
+                    self.emit(f"if {'' if halt else 'not '}({x.code}): {r} = {halt}")
+                else:
+                    v = self.local(f"_lv({x.code}, {op!r})")
+                    self.emit(f"if {v} is not {not halt}: {r} = {v}")
+
+            self.arm(f"if {guard}:", a, then)
+        if all(t == _B for t in tss):
+            return _E(r, _B, ())
+        return _E(r, None if any(t is None for t in tss) else _B, ())
 
     # -- statements
 
@@ -512,26 +600,38 @@ class _Gen:
             loc = self.define(s.name) if isinstance(s, Let) else self.lookup(s.name)
             if loc is None:
                 self.emit(v.code)
-                self.emit(self.fail(f"assignment to undeclared variable {s.name!r}").code)
+                self.emit(self.fail(UNDECLARED.format(s.name)).code)
             else:
                 self.assign(loc, v)
                 self.emit(f"{loc} = {v.code}")
+                if isinstance(s, AssignVar):
+                    self.bump(loc)
         elif not isinstance(s, Nop):
             emit = self.STMTS.get(type(s))
             if emit is None:
-                self.emit(self.fail(f"cannot execute {s!r}").code)
+                self.emit(self.fail(CANNOT_EXEC.format(s)).code)
             else:
                 emit(self, s)
 
+    def body(self, s):
+        """Emit `s` in a fresh scope, one level deeper than its header."""
+        self.scope.append({})
+        self.stmt(s)
+        self.scope.pop()
+
     def write(self, s):
         if len(s.idx) != 1:
-            self.emit(self.fail("buffer writes must be linearized").code)
+            self.emit(self.fail(WRITE_NOT_LINEAR).code)
             return
         if s.buf not in self.bufs.buffers:
             self.emit(f"_keyerror({s.buf!r})")
             return
         buf = self.bufs.buffers[s.buf]
-        i, v = self.expr(s.idx[0]), self.expr(s.value)
+        # the interpreter's order: index, value, coercion, then the bounds check
+        i = self.expr(s.idx[0])
+        slot = self.slot(i, len(buf.data))
+        ref = i.code if slot is not None else self.local(i.code)
+        v = self.expr(s.value)
         self.count("buffer_writes")
         stored = v.ts if buf.dtype is None else {"float": _F, "int": _I, "bool": _B}.get(
             buf.dtype, _NONE)
@@ -544,29 +644,17 @@ class _Gen:
         value = self.coerced(buf.dtype, v)
         if (i.ts != _I or s.buf in self.bufs.dynamic or value is None
                 or s.op not in ("set", "add") or s.op == "add" and not old == stored == _F):
-            self.emit(f"_write({b}, {i.code}, {s.op!r}, {v.code})")
-            return
-        # the interpreter's order: index, value, coercion, then the bounds check
-        ref = self.local(i.code)
-        assign = "=" if s.op == "set" else "+="
-        if _fits(i.iv, 1, len(buf.data)):
-            slot = f"{i.iv[0] - 1}" if _PURE(i.code) and i.iv[0] == i.iv[1] else f"{ref} - 1"
-            self.emit(f"{d}[{slot}] {assign} {value}")
-            return
-        value = self.local(value)
-        self.emit(f"if 0 < {ref} <= {n}:")
-        self.emit(f"    {d}[{ref} - 1] {assign} {value}")
-        self.emit("else:")  # out of bounds: `+=` fails on its read, as in the interpreter
-        self.emit(f"    {b}.set({ref}, {value})" if s.op == "set"
-                  else f"    _write({b}, {ref}, {s.op!r}, {value})")
-
-    def local(self, code):
-        """`code` evaluated now, into a temporary unless it is a name or literal."""
-        if _PURE(code):
-            return code
-        self.ntmp += 1
-        self.emit(f"t{self.ntmp} = {code}")
-        return f"t{self.ntmp}"
+            self.emit(f"_write({b}, {self.local(ref)}, {s.op!r}, {v.code})")
+        elif slot is not None:
+            self.emit(f"{d}[{slot}] {'=' if s.op == 'set' else '+='} {value}")
+        else:
+            value = self.local(value)
+            self.emit(f"if 0 < {ref} <= {n}:")
+            self.emit(f"    {d}[{ref} - 1] {'=' if s.op == 'set' else '+='} {value}")
+            self.emit("else:")  # out of bounds: `+=` fails on its read, as in the interpreter
+            self.emit(f"    {b}.set({ref}, {value})" if s.op == "set"
+                      else f"    _write({b}, {ref}, {s.op!r}, {value})")
+        self.written(s.buf)
 
     def coerced(self, dtype, v):
         """Native code for coerce(dtype, v), or None when it is not proven safe."""
@@ -583,10 +671,9 @@ class _Gen:
         return None
 
     def for_(self, s):
-        lo, hi = self.expr(s.lo), self.expr(s.hi)
+        lo, hi = self.operands((s.lo, s.hi))
         site = self.new_site(loop_iterations=1)
-        self.ntmp += 1
-        r = f"t{self.ntmp}"
+        r = self.fresh()
         self.emit(f"{r} = _range({lo.code}, {hi.code})")
         self.emit(f"k{site} += len({r})")
         self.scope.append({})  # the loop variable's frame; `body` adds the body's
@@ -596,86 +683,123 @@ class _Gen:
             iv = (lo.iv[0], hi.iv[1]) if lo.iv and hi.iv else ()
         self.assign(var, _E("", _I, iv))
         self.emit(f"for {var} in {r}:")
-        self.body(s.body, site)
+        saved, self.avail = self.avail, {}
+        outer, self.site = self.site, site
+        self.ind += 1
+        mark = len(self.lines)
+        self.body(s.body)
+        if len(self.lines) == mark:
+            self.emit("pass")
+        self.ind -= 1
+        self.site, self.avail = outer, saved
         self.scope.pop()
 
     def while_(self, s):
+        """`while c:`, or `while True:` with the condition's statements and a
+        `break` at the top of the body when it needs statements."""
         site = self.new_site(loop_iterations=1)
-        c, counts = self.apart(s.cond)
+        saved, self.avail = self.avail, {}
+        c, pre, counts = self.detached(s.cond)
         self.charge(self.site, counts)
         self.charge(site, counts)
+        cond = c.code if c.ts == _B else f"_loop({c.code})"
         cur = self.lookup(s.cursor) if s.cursor is not None else None
-        self.ntmp += 1
-        prev = f"t{self.ntmp}"
+        prev = self.fresh()
         int_cursor = cur is not None and self.fact(cur)[0] == _I
         if int_cursor:
             self.emit(f"{prev} = {cur} - 1")
         elif cur is not None:
             self.emit(f"{prev} = None")
-        self.emit(f"while {c.code if c.ts == _B else f'_loop({c.code})'}:")
-        self.emit(f"    k{site} += 1")
+        if pre:
+            self.emit("while True:")
+            self.lines.extend(pre)
+            self.emit(f"    if not ({cond}): break")
+        else:
+            self.emit(f"while {cond}:")
+        outer, self.site = self.site, site
+        self.ind += 1
+        self.emit(f"k{site} += 1")
         if s.cursor is not None:
             if cur is None:
-                self.emit("    " + self.fail(f"unbound symbol {s.cursor!r}").code)
+                self.emit(self.fail(UNBOUND.format(s.cursor)).code)
             else:
                 test = (f"{cur} <= {prev}" if int_cursor
                         else f"{prev} is not None and not {cur} > {prev}")
-                self.emit(f"    if {test}:")
-                self.emit(f"        _stuck({s.cursor!r}, {cur})")
-                self.emit(f"    {prev} = {cur}")
-        self.body(s.body, site)
+                self.emit(f"if {test}:")
+                self.emit(f"    _stuck({s.cursor!r}, {cur})")
+                self.emit(f"{prev} = {cur}")
+        self.body(s.body)
+        self.ind -= 1
+        self.site, self.avail = outer, saved
 
     def ifchain(self, s):
         """if/elif/else; a later condition runs when every earlier one failed,
-        so its counts go to the enclosing site less the earlier cases' sites."""
+        so its counts go to the enclosing site less the earlier cases' sites.
+        A later condition that needs statements opens a group `if open:`
+        after the earlier cases, which clear `open` when taken."""
         outer = self.site
-        arms, sites = [], []
-        for k, (cond, body) in enumerate(s.cases):
+        conds, sites = [], []  # (statements, code, values available to the case)
+        for k, (cond, _) in enumerate(s.cases):
             if k == 0:
-                c = self.expr(cond)
+                c, pre = self.expr(cond), None
+                after, self.avail = self.avail, dict(self.avail)  # the else region
             else:
-                c, counts = self.apart(cond)
+                c, pre, counts = self.detached(cond)
                 self.charge(outer, counts)
                 for earlier in sites:
                     self.charge(earlier, counts, -1)
+            sites.append(self.new_site())
             code = c.code if c.ts == _B else f"_truth({c.code}, 'branch condition')"
-            sites.append(self.new_site())
-            arms.append((f"{'if' if k == 0 else 'elif'} {code}:", body))
+            conds.append((pre, code, dict(self.avail)))
+        orelse_avail, self.avail = self.avail, after
+        groups = [k for k, (pre, _, _) in enumerate(conds) if pre]
+        flag = self.fresh() if groups else None
+        if flag:
+            self.emit(f"{flag} = True")
+        depth = 0
+        for k, ((pre, code, avail), (_, body)) in enumerate(zip(conds, s.cases)):
+            if pre:
+                self.emit(f"if {flag}:")
+                self.lines.extend(pre)
+                depth = 1
+            self.ind += depth
+            clear = flag and k < groups[-1]
+
+            def fill(body=body, clear=clear):
+                if clear:
+                    self.emit(f"{flag} = False")
+                self.body(body)
+
+            self.branch(f"{'if' if k == 0 or pre else 'elif'} {code}:", sites[k], fill, avail)
+            self.ind -= depth
         if s.orelse is not None:
-            sites.append(self.new_site())
-            arms.append(("else:", s.orelse))
-        for (head, body), site in zip(arms, sites):
-            self.emit(head)
-            mark = len(self.lines)
-            self.body(body, site)
-            if any(self.sites[site].values()):
-                if self.lines[mark].strip() == "pass":
-                    del self.lines[mark]
-                self.lines.insert(mark, "    " * (self.ind + 1) + f"k{site} += 1")
+            self.ind += depth
+            self.branch("else:", self.new_site(), lambda: self.body(s.orelse), orelse_avail)
+            self.ind -= depth
 
     def hook(self, s):
         tensor, _, action = s.fn.partition(".")
         if tensor not in self.writers:
-            self.emit(self.fail(f"no writer bound for output {tensor!r}").code)
+            self.emit(self.fail(NO_WRITER.format(tensor)).code)
             return
-        args = [self.expr(a) for a in s.args]
+        args = self.operands(s.args)
         w = self.alias(tensor, "w")
-        codes = ", ".join(a.code for a in args)
+        codes = [a.code for a in args]
         if action in ("init", "finalize"):
-            if args:
-                self.emit(f"({codes},)")
             self.emit(f"{w}.{action}()")
-            return
-        if action.startswith("append_") or action == "run_set":
-            self.count("buffer_writes")
-        # native calls where the values the interpreter checks are never missing
-        prefix = ", ".join(a.code for a in args[:-1 if action != "run_set" else -3])
-        if action.startswith("append_") and args and all(a.ts for a in args):
-            self.emit(f"{w}.append([{prefix}], {action[7:]!r}, {args[-1].code})")
-        elif action == "run_set" and len(args) >= 3 and args[-1].ts:
-            self.emit(f"{w}.run_set([{prefix}], {', '.join(a.code for a in args[-3:])})")
         else:
-            self.emit(f"_hook({w}, {s.fn!r}, [{codes}])")
+            if action.startswith("append_") or action == "run_set":
+                self.count("buffer_writes")
+            # native calls where the values the interpreter checks are never missing
+            prefix = ", ".join(codes[:-1 if action != "run_set" else -3])
+            if action.startswith("append_") and args and all(a.ts for a in args):
+                self.emit(f"{w}.append([{prefix}], {action[7:]!r}, {codes[-1]})")
+            elif action == "run_set" and len(args) >= 3 and args[-1].ts:
+                self.emit(f"{w}.run_set([{prefix}], {', '.join(codes[-3:])})")
+            else:
+                self.emit(f"_hook({w}, {s.fn!r}, [{', '.join(codes)}])")
+        for name in self.writers[tensor].buffers:
+            self.written(name)
 
 
 _Gen.STMTS = {BufferWrite: _Gen.write, For: _Gen.for_, While: _Gen.while_,

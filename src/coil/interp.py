@@ -38,6 +38,17 @@ class InterpError(Exception):
     pass
 
 
+# Messages of the errors that a malformed program raises, in both backends
+UNBOUND = "unbound symbol {!r}"
+UNKNOWN_BUFFER = "unknown buffer {!r}"
+READ_NOT_LINEAR = "buffer read of {} must be linearized"
+WRITE_NOT_LINEAR = "buffer writes must be linearized"
+UNDECLARED = "assignment to undeclared variable {!r}"
+CANNOT_EVAL = "cannot evaluate {!r}"
+CANNOT_EXEC = "cannot execute {!r}"
+NO_WRITER = "no writer bound for output {!r}"
+
+
 @dataclass
 class ExecCounters:
     loop_iterations: int = 0
@@ -159,7 +170,7 @@ def _hook(writer, fn, args):
     buffer writes it counts as."""
     tensor, _, action = fn.partition(".")
     if writer is None:
-        raise InterpError(f"no writer bound for output {tensor!r}")
+        raise InterpError(NO_WRITER.format(tensor))
     if action == "init":
         writer.init()
     elif action == "finalize":
@@ -198,7 +209,7 @@ class Scope:
         for fr in reversed(self.frames):
             if name in fr:
                 return fr[name]
-        raise InterpError(f"unbound symbol {name!r}")
+        raise InterpError(UNBOUND.format(name))
 
     def define(self, name: str, v):
         self.frames[-1][name] = v
@@ -208,7 +219,7 @@ class Scope:
             if name in fr:
                 fr[name] = v
                 return
-        raise InterpError(f"assignment to undeclared variable {name!r}")
+        raise InterpError(UNDECLARED.format(name))
 
 
 class Machine:
@@ -229,9 +240,9 @@ class Machine:
             return self.vars.lookup(e.name)
         if isinstance(e, Read):
             if e.buf not in self.buffers:
-                raise InterpError(f"unknown buffer {e.buf!r}")
+                raise InterpError(UNKNOWN_BUFFER.format(e.buf))
             if len(e.idx) != 1:
-                raise InterpError(f"buffer read of {e.buf} must be linearized")
+                raise InterpError(READ_NOT_LINEAR.format(e.buf))
             i = self.eval(e.idx[0])
             v = self.buffers[e.buf].get(i)
             self.counters.buffer_reads += 1
@@ -244,7 +255,7 @@ class Machine:
             return _search(buf, self.eval(e.lo), self.eval(e.hi), self.eval(e.key))
         if isinstance(e, Call):
             return self._call(e)
-        raise InterpError(f"cannot evaluate {e!r}")
+        raise InterpError(CANNOT_EVAL.format(e))
 
     def _call(self, e: Call):
         op = e.op
@@ -298,7 +309,7 @@ class Machine:
             return
         if isinstance(s, BufferWrite):
             if len(s.idx) != 1:
-                raise InterpError("buffer writes must be linearized")
+                raise InterpError(WRITE_NOT_LINEAR)
             buf = self.buffers[s.buf]
             _write(buf, self.eval(s.idx[0]), s.op, self.eval(s.value))
             self.counters.buffer_writes += 1
@@ -350,7 +361,7 @@ class Machine:
             args = [] if writer is None else [self.eval(a) for a in s.args]
             self.counters.buffer_writes += _hook(writer, s.fn, args)
             return
-        raise InterpError(f"cannot execute {s!r}")
+        raise InterpError(CANNOT_EXEC.format(s))
 
 
 def run_program(prog: TargetStmt, buffers: Dict[str, Buf], params: Optional[dict] = None,

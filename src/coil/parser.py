@@ -39,11 +39,13 @@ _TOKEN_RE = re.compile(
 )
 
 # Deepest statement/expression tree a kernel may have, counted in nodes from
-# the statement root to the deepest leaf. Simplify, lowering, the interpreter
-# and the oracle recurse per level, and generated code nests parentheses and
-# indentation per level (CPython allows 200 and 100); all of them run at this
-# height, and some fail at about 40.
-MAX_DEPTH = 32
+# the statement root to the deepest leaf; the parser's own recursion stops
+# here too. The parser (about 13 frames per level), simplify, lowering, the
+# interpreter and the oracle recurse per level, and generated code indents
+# one level per nested branch (CPython allows 100). Called from a stack 120
+# frames deep, all of them run every nesting shape to a height of 68, the
+# parser failing first; generated code fails at 101 (a `@sieve` per level).
+MAX_DEPTH = 64
 
 MODIFIERS = {"window": 2, "offset": 1, "permit": 0}
 PROTOCOLS = {"walk", "gallop", "follow", "followzero"}

@@ -82,15 +82,20 @@ def _infer_dtype(types, fill) -> str:
     return "int"
 
 
-def from_dense(name: str, dims: List[int], data: List[Value], spec: List[str],
-               fill: Value = 0.0, dtype: Optional[str] = None) -> Tensor:
-    """Construct a tensor in the given format from row-major dense data."""
+def check_payload(dims: List[int], data: List[Value]):
+    """A row-major payload has positive dims and one value per cell."""
     for d in dims:
         if d < 1:
             raise FormatError(f"dimension sizes must be positive, got {dims}")
     total = math.prod(dims)
     if len(data) != total:
         raise FormatError(f"expected {total} values for dims {dims}, got {len(data)}")
+
+
+def from_dense(name: str, dims: List[int], data: List[Value], spec: List[str],
+               fill: Value = 0.0, dtype: Optional[str] = None) -> Tensor:
+    """Construct a tensor in the given format from row-major dense data."""
+    check_payload(dims, data)
     asm = _Assembly(normalize_spec(spec, len(dims)), dims, data, fill)
     if dtype is None:
         dtype = _infer_dtype(asm.types, fill)

@@ -12,13 +12,7 @@ import math
 from typing import Dict
 
 from .interp import Buf, InterpError
-from .values import apply_op, coerce
-
-
-def _combine(op: str, old, new):
-    if op == "set":
-        return new
-    return apply_op(op, [old, new])
+from .values import EvalError, apply_op, coerce
 
 
 class Writer:
@@ -61,6 +55,13 @@ class Writer:
     def freeze(self):
         self.finalize()
         return self.plan.tensor({name: list(b.data) for name, b in self.buffers.items()})
+
+    def _combine(self, op: str, old, new):
+        """`new` combined into `old` by `op` and coerced to the output's dtype."""
+        try:
+            return coerce(self.plan.dtype, new if op == "set" else apply_op(op, [old, new]))
+        except EvalError as ex:
+            raise InterpError(str(ex)) from None
 
     def _prefix_pos(self, prefix) -> int:
         pos = 0
@@ -106,16 +107,14 @@ class SparseListWriter(Writer):
         if not (1 <= i <= size):
             raise InterpError(f"write index {i} out of bounds for {self.plan.name}")
         self._advance_to(f)
-        value = coerce(self.plan.dtype, value)
+        value = self._combine("set", None, value)
         have = len(self.idxb.data) > self.fiber_base
         last = self.idxb.data[-1] if have else 0
         if have and i == last:
-            self.valb.data[-1] = coerce(self.plan.dtype,
-                                        _combine(op, self.valb.data[-1], value))
+            self.valb.data[-1] = self._combine(op, self.valb.data[-1], value)
         elif i > last:
             self.idxb.data.append(i)
-            self.valb.data.append(coerce(self.plan.dtype,
-                                         _combine(op, self.plan.fill, value)))
+            self.valb.data.append(self._combine(op, self.plan.fill, value))
         else:
             raise InterpError(
                 f"non-ascending write to append-only output {self.plan.name}")
@@ -156,7 +155,7 @@ class RLEWriter(Writer):
             raise InterpError(
                 f"run write {lo}:{hi} out of bounds for {self.plan.name}")
         self._advance_to(f)
-        value = coerce(self.plan.dtype, value)
+        value = self._combine("set", None, value)
         if lo <= self.last_end:
             if op == "set" or lo != self.last_end or lo != hi:
                 raise InterpError(
@@ -166,14 +165,13 @@ class RLEWriter(Writer):
             prev_end = (self.idxb.data[-2]
                         if len(self.idxb.data) > self.fiber_base + 1 else 0)
             if self.idxb.data[-1] - prev_end == 1:
-                self.valb.data[-1] = coerce(self.plan.dtype, _combine(op, prev, value))
+                self.valb.data[-1] = self._combine(op, prev, value)
             else:
                 self.idxb.data[-1] = lo - 1
                 self.idxb.data.append(lo)
-                self.valb.data.append(coerce(self.plan.dtype, _combine(op, prev, value)))
+                self.valb.data.append(self._combine(op, prev, value))
             return
         if lo > self.last_end + 1:
             self._push_run(lo - 1, self.plan.fill)
-        v = value if op == "set" else coerce(self.plan.dtype,
-                                             _combine(op, self.plan.fill, value))
+        v = value if op == "set" else self._combine(op, self.plan.fill, value)
         self._push_run(hi, v)
