@@ -255,11 +255,12 @@ class _Gen:
         self.ind = 1
         self.sites = [Counter()]  # site 0: the function body, entered once
         self.site = 0
-        self.ntmp = 0
+        self.ntmp = self.nloc = 0
         self.consts = []
         self.aliases = {}  # buffer or writer name -> prologue alias
         self.avail = {}
         self.ver = {}
+        self.used = set()  # locals read by the value being assigned
         base = {}
         for k, (name, v) in enumerate(params.items()):
             loc = f"p{k}_{re.sub(r'[^A-Za-z0-9]', '_', name)}"
@@ -282,21 +283,22 @@ class _Gen:
         self.ntmp += 1
         return f"t{self.ntmp}"
 
-    def local(self, code):
+    def local(self, code, checked=False):
         """A name or literal holding the value of `code`, evaluated now: the
         code itself, the temporary of an available evaluation of it, or a new
-        temporary."""
-        if _PURE(code):
+        temporary. `checked` adds the int overflow check."""
+        if _PURE(code) and not checked:
             return code
-        key = code
-        if self.ver:
-            vs = tuple(self.ver.get(n, 0) for n in _names(code))
-            if any(vs):
-                key = (code, vs)
+        key = f"_ck({code})" if checked else code
+        names = _names(code)
+        if not self.ver.keys().isdisjoint(names):
+            key = (key, tuple(self.ver.get(n, 0) for n in names))
         t = self.avail.get(key)
         if t is None:
             t = self.fresh()
             self.emit(f"{t} = {code}")
+            if checked:
+                self.emit(f"if not {INT_MIN} <= {t} <= {INT_MAX}: _ck({t})")
             self.avail[key] = t
         return t
 
@@ -333,8 +335,15 @@ class _Gen:
     def fact(self, loc):
         return _join(self.env.get(loc, (_NONE, ())), self.facts.get(loc, (_NONE, ())))
 
-    def assign(self, loc, e):
-        self.facts[loc] = _join(self.facts.get(loc, (_NONE, ())), (e.ts, e.iv))
+    def assign(self, loc, e, widen=False):
+        """Join the facts of `e` into those of `loc`. With `widen`, `e` was
+        computed from `loc` itself: an interval that grows by it would grow
+        again in every pass, so it is widened now, not a pass later."""
+        old = self.facts.get(loc, (_NONE, ()))
+        new = _join(old, (e.ts, e.iv))
+        if widen and old[1] and new[1] != old[1]:
+            new = (new[0], None)
+        self.facts[loc] = new
 
     def lookup(self, name):
         for frame in reversed(self.scope):
@@ -343,8 +352,11 @@ class _Gen:
         return None
 
     def define(self, name):
-        self.ntmp += 1
-        loc = f"v{self.ntmp}_{re.sub(r'[^A-Za-z0-9]', '_', name)}"
+        """A new local for `name`; locals are numbered apart from temporaries,
+        so that their names, which key the facts, do not change from pass to
+        pass."""
+        self.nloc += 1
+        loc = f"v{self.nloc}_{re.sub(r'[^A-Za-z0-9]', '_', name)}"
         self.scope[-1][name] = loc
         return loc
 
@@ -369,12 +381,10 @@ class _Gen:
         self.ind += 1
         mark = len(self.lines)
         fill()
-        if len(self.lines) == mark:
-            self.emit("pass")
         if any(self.sites[site].values()):
-            if self.lines[mark].strip() == "pass":
-                del self.lines[mark]
             self.lines.insert(mark, "    " * self.ind + f"k{site} += 1")
+        elif len(self.lines) == mark:
+            self.emit("pass")
         self.ind -= 1
         self.avail = saved
         self.site = outer
@@ -401,21 +411,19 @@ class _Gen:
     # -- expressions
 
     def expr(self, e) -> _E:
-        if isinstance(e, Lit):
-            ts, iv = _lit_facts(e.value)
-            return _E(_literal(e.value, self.consts), ts, iv)
-        if isinstance(e, Var):
-            loc = self.lookup(e.name)
-            if loc is None:
-                return self.fail(UNBOUND.format(e.name))
-            return _E(loc, *self.fact(loc))
-        if isinstance(e, Read):
-            return self.read(e)
-        if isinstance(e, Search):
-            return self.search(e)
-        if isinstance(e, Call):
-            return self.call(e)
-        return self.fail(CANNOT_EVAL.format(e))
+        emit = self.EXPRS.get(type(e))
+        return self.fail(CANNOT_EVAL.format(e)) if emit is None else emit(self, e)
+
+    def lit(self, e):
+        ts, iv = _lit_facts(e.value)
+        return _E(_literal(e.value, self.consts), ts, iv)
+
+    def var(self, e):
+        loc = self.lookup(e.name)
+        if loc is None:
+            return self.fail(UNBOUND.format(e.name))
+        self.used.add(loc)
+        return _E(loc, *self.fact(loc))
 
     def slot(self, i, size):
         """List position of the 1-based int index `i` when it is proven in
@@ -439,17 +447,16 @@ class _Gen:
         self.count(("reads", e.buf))
         ts, iv = self.buf_facts(e.buf)
         b = self.alias(e.buf, "b")
-        slot = None
-        if i.ts == _I and e.buf not in self.bufs.dynamic:
-            slot = self.slot(i, len(self.bufs.buffers[e.buf].data))
-            d, n = self.alias(e.buf, "d"), self.alias(e.buf, "n")
-        if slot is not None:
-            code = f"{d}[{slot}]"
-        elif i.ts != _I or e.buf in self.bufs.dynamic:
+        if i.ts != _I or e.buf in self.bufs.dynamic:
             code = f"{b}.get({self.local(i.code)})"
         else:
-            ref = self.local(i.code)
-            code = f"{d}[{ref} - 1] if 0 < {ref} <= {n} else {b}.get({ref})"
+            d, n = self.alias(e.buf, "d"), self.alias(e.buf, "n")
+            slot = self.slot(i, len(self.bufs.buffers[e.buf].data))
+            if slot is None:
+                ref = self.local(i.code)
+                code = f"{d}[{ref} - 1] if 0 < {ref} <= {n} else {b}.get({ref})"
+            else:
+                code = f"{d}[{slot}]"
         return _E(self.local(code), ts, iv)
 
     def search(self, e):
@@ -490,7 +497,7 @@ class _Gen:
                 return _E(code, ts, ())
             iv = _interval(op, [a.iv for a in args])
             if not _fits(iv):
-                return _E(f"_ck({code})", ts, _FULL)
+                return _E(self.local(code, checked=True), ts, _FULL)
             last = e.args[-1]
             off = (codes[0], last.value) if (op == "add" and n == 2 and isinstance(last, Lit)
                                              and type(last.value) is int) else None
@@ -585,8 +592,6 @@ class _Gen:
                     self.emit(f"if {v} is not {not halt}: {r} = {v}")
 
             self.arm(f"if {guard}:", a, then)
-        if all(t == _B for t in tss):
-            return _E(r, _B, ())
         return _E(r, None if any(t is None for t in tss) else _B, ())
 
     # -- statements
@@ -596,13 +601,14 @@ class _Gen:
             for x in s.stmts:
                 self.stmt(x)
         elif isinstance(s, (Let, AssignVar)):
+            self.used = set()
             v = self.expr(s.value)
             loc = self.define(s.name) if isinstance(s, Let) else self.lookup(s.name)
             if loc is None:
                 self.emit(v.code)
                 self.emit(self.fail(UNDECLARED.format(s.name)).code)
             else:
-                self.assign(loc, v)
+                self.assign(loc, v, loc in self.used)
                 self.emit(f"{loc} = {v.code}")
                 if isinstance(s, AssignVar):
                     self.bump(loc)
@@ -629,7 +635,8 @@ class _Gen:
         buf = self.bufs.buffers[s.buf]
         # the interpreter's order: index, value, coercion, then the bounds check
         i = self.expr(s.idx[0])
-        slot = self.slot(i, len(buf.data))
+        native = i.ts == _I and s.buf not in self.bufs.dynamic
+        slot = self.slot(i, len(buf.data)) if native else None
         ref = i.code if slot is not None else self.local(i.code)
         v = self.expr(s.value)
         self.count("buffer_writes")
@@ -642,8 +649,8 @@ class _Gen:
         self.facts[key] = _tjoin(self.facts.get(key, _NONE), stored)
         b, d, n = (self.alias(s.buf, k) for k in "bdn")
         value = self.coerced(buf.dtype, v)
-        if (i.ts != _I or s.buf in self.bufs.dynamic or value is None
-                or s.op not in ("set", "add") or s.op == "add" and not old == stored == _F):
+        if (not native or value is None or s.op not in ("set", "add")
+                or s.op == "add" and not old == stored == _F):
             self.emit(f"_write({b}, {self.local(ref)}, {s.op!r}, {v.code})")
         elif slot is not None:
             self.emit(f"{d}[{slot}] {'=' if s.op == 'set' else '+='} {value}")
@@ -802,6 +809,8 @@ class _Gen:
             self.written(name)
 
 
+_Gen.EXPRS = {Lit: _Gen.lit, Var: _Gen.var, Read: _Gen.read, Search: _Gen.search,
+              Call: _Gen.call}
 _Gen.STMTS = {BufferWrite: _Gen.write, For: _Gen.for_, While: _Gen.while_,
               IfChain: _Gen.ifchain, CallStmt: _Gen.hook}
 _PROLOGUE = {"b": "B[%r]", "d": "B[%r].data", "n": "len(B[%r].data)", "w": "W[%r]"}

@@ -127,6 +127,53 @@ def test_select_arms_and_elif_conditions_count_when_evaluated():
     assert b[0]["y"] == [30, 10, 30, 20, 10]
 
 
+def test_reused_reads_respect_writes_assignments_and_branches():
+    """A read is reused only where an earlier read of the same slot dominates
+    it with no write to the buffer and no assignment to the index between."""
+    v = lambda idx: Read("v", (idx,))
+    y = lambda k, val: BufferWrite("y", (Lit(k),), "add", val)
+    prog = Block((Let("q", Lit(1)), y(8, v(Var("q"))), For("i", Lit(1), Lit(4), Block((
+        y(8, v(Var("q"))),                      # q is assigned later in the body
+        Let("p", Lit(1)),
+        y(1, v(Var("p"))),
+        BufferWrite("v", (Var("p"),), "add", Var("i")),
+        y(2, v(Var("p"))),                      # after a write to v
+        AssignVar("p", iadd(Var("p"), Lit(1))),
+        y(3, v(Var("p"))),                      # after an assignment to p
+        IfChain(((Call("gt", (Var("i"), Lit(2))), y(4, v(Lit(3)))),)),
+        y(5, v(Lit(3))),                        # after a branch that read it
+        y(6, Call("select", (Call("lt", (Var("i"), Lit(3))), v(Lit(2)), v(Lit(3))))),
+        y(7, v(Lit(2))),                        # after a select arm that read it
+        AssignVar("q", Lit(2)),
+    ))), For("i", Lit(1), Lit(0), y(9, v(Lit(3)))), y(9, v(Lit(3)))))
+    a, b = both(prog, plain(v=Buf("v", [1, 2, 3], "int"), y=Buf("y", [0] * 9, "int")))
+    assert_same_run(a, b)
+    assert b[0]["y"] == [1 + 2 + 4 + 7, 2 + 4 + 7 + 11, 8, 6, 12, 10, 8, 1 + 1 + 2 * 3, 3]
+
+
+def test_conditions_with_statements():
+    """A `while` or later `elif` condition that needs statements of its own:
+    the loop tests it at the top of each iteration, the chain evaluates it
+    only when every earlier case failed."""
+    v = lambda idx: Read("v", (idx,))
+    walk = Call("and", (le(Var("p"), Lit(4)), Call("lt", (v(Var("p")), Lit(9)))))
+    chain = IfChain((
+        (Call("eq", (v(Var("p")), Lit(2))), BufferWrite("y", (Lit(1),), "add", Lit(1))),
+        (Call("and", (Call("gt", (Var("p"), Lit(1))), Call("lt", (v(Var("p")), Lit(6))))),
+         BufferWrite("y", (Lit(2),), "add", Var("p"))),
+        (Call("gt", (Var("p"), Lit(3))), BufferWrite("y", (Lit(3),), "add", Lit(1))),
+    ), BufferWrite("y", (Lit(4),), "add", v(Var("p"))))
+    prog = Block((Let("p", Lit(1)), Let("x", v(Var("p"))), While(walk, Block((
+        chain, AssignVar("p", iadd(Var("p"), Lit(1))))), cursor="p")))
+    state = plain(v=Buf("v", [1, 2, 5, 7, 9], "int"), y=Buf("y", [0] * 4, "int"))
+    a, b = both(prog, state)
+    assert_same_run(a, b)
+    assert b[0]["y"] == [1, 3, 1, 1]
+    buffers, writers = state()
+    source = codegen._source(prog, buffers, writers, {})[0]
+    assert "while True:" in source and re.search(r"\n *t\d+ = True\n", source)
+
+
 def test_search_matches_interpreter_probes():
     rng = random.Random(3)
     for _ in range(200):
