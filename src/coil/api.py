@@ -101,14 +101,15 @@ def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec
         tensors[name] = BoundTensor(
             name=name, dims=list(spec.dims), fill=t.fill, dtype=t.dtype,
             kinds=t.format_spec(), tensor=t, protocols=dict(spec.protocols))
-    writers = _bind_outputs(stmt, inputs, outputs, tensors)
+    out, writers = _bind_outputs(stmt, inputs, outputs)
+    tensors.update(out)
     return tensors, writers
 
 
-def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec],
-                  tensors: Dict[str, BoundTensor]) -> Dict[str, WriterPlan]:
-    """Writer plans of the outputs and of the tensors the kernel writes that
-    are bound neither way; their BoundTensors are added to `tensors`."""
+def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec]):
+    """BoundTensors and writer plans of the outputs, and of the tensors the
+    kernel writes that are bound neither way."""
+    tensors: Dict[str, BoundTensor] = {}
     writers: Dict[str, WriterPlan] = {}
     outputs = dict(outputs)
     for name in set(written_tensors(stmt)) | set(results(stmt)):
@@ -127,7 +128,7 @@ def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, O
         tensors[name] = BoundTensor(
             name=name, dims=list(dims), fill=spec.fill, dtype=spec.dtype,
             kinds=plan.kinds, tensor=None, is_output=True)
-    return writers
+    return tensors, writers
 
 
 def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
@@ -228,8 +229,7 @@ def oracle_outputs(text_or_stmt, inputs: Dict[str, InputSpec],
         check_payload(spec.dims, spec.data)
         dtype = spec.dtype or _infer_dtype(set(map(type, spec.data)), spec.fill)
         dd[name] = DenseData(list(spec.dims), spec.data, spec.fill, dtype)
-    tensors: Dict[str, BoundTensor] = {}
-    writers = _bind_outputs(stmt, inputs, outputs or {}, tensors)
+    tensors, writers = _bind_outputs(stmt, inputs, outputs or {})
     for name, bt in tensors.items():
         dd[name] = DenseData(bt.dims, [bt.fill] * math.prod(bt.dims), bt.fill, bt.dtype)
     outs = oracle_evaluate(stmt, dd, params or {})

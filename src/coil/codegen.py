@@ -5,10 +5,27 @@ function, compiles it with `exec` and runs it on the interpreter's `Buf`s and
 writers. The interpreter (`interp.py`) stays the reference: the generated code
 raises `InterpError` wherever the interpreter does, leaves the same values in
 every buffer and writer, and yields the same `ExecCounters`. The runtime
-checks, the binary search, the buffer write and the writer hooks are defined
-once, in `interp.py`; the generated code calls those functions, so both
-backends raise the same messages.
+checks, the binary search, the buffer write, the writer hooks and the messages
+of malformed-program errors are defined once, in `interp.py`; the generated
+code calls those functions, so both backends raise the same messages.
 
+- Flat code. The code is three-address: every operand is evaluated, in the
+  interpreter's order, into a name, a literal or a temporary on a line of its
+  own, and each line applies one operation to such operands. Short-circuit
+  arms (`&&`, `||`, `select`) and the `min`/`max`/`coalesce` folds are `if`
+  statements, one per operand, so operand count and depth cost statements,
+  not nested parentheses. A `while` or later `elif` condition that needs
+  statements of its own is tested at the top of a `while True:` loop, or in
+  an `if` group entered while no earlier case has been taken.
+- Reuse. A value computed into a temporary is reused by a later evaluation
+  of the same code, such as a read of the same buffer at the same index,
+  when the first evaluation dominates the second and no name in the code
+  has been assigned, and no buffer in it written, in between. A loop body
+  starts with nothing to reuse, and what a branch computes is not reused
+  after it, so no evaluation moves above the condition that guards it and
+  every error is raised where the interpreter raises it. Reused reads share
+  one bounds check; the walk loops read each cursor's index once per
+  iteration.
 - Scoping. Every `Let`, `For` variable and parameter gets its own Python
   local, resolved by the interpreter's scope rules while the code is
   generated; a name that is unbound there becomes a call that raises when
@@ -25,7 +42,7 @@ backends raise the same messages.
   by its trip count, up front). Later `elif` conditions are charged to the
   enclosing site minus the earlier cases; arms of `&&`, `||` and `select`
   have their own sites, bumped only when evaluated. The counters are the
-  sum of site bumps times site counts.
+  sum of site bumps times site counts; reusing a value changes no count.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ and `||` operands, cursor progress), the binary search, the buffer write and
 the writer hooks are defined once, here, as the module's `_range`, `_truth`,
 `_loop`, `_sel`, `_lv`, `_stuck`, `_search`, `_write` and `_hook`. `Machine`
 calls them, and so does the code that `codegen` generates, so both backends
-raise the same `InterpError` messages.
+raise the same `InterpError` messages. The messages of the errors a malformed
+program raises (an unbound name, an unknown buffer, an unlinearized access)
+are this module's constants, which both backends format.
 """
 
 from __future__ import annotations

@@ -15,6 +15,12 @@ from .interp import Buf, InterpError
 from .values import EvalError, apply_op, coerce
 
 
+def _combine(op: str, old, new):
+    if op == "set":
+        return new
+    return apply_op(op, [old, new])
+
+
 class Writer:
     """One output's runtime buffers and the hooks the lowered program calls on
     them: `init`, the writes, then `finalize`; `freeze` seals the output into
@@ -56,13 +62,6 @@ class Writer:
         self.finalize()
         return self.plan.tensor({name: list(b.data) for name, b in self.buffers.items()})
 
-    def _combine(self, op: str, old, new):
-        """`new` combined into `old` by `op` and coerced to the output's dtype."""
-        try:
-            return coerce(self.plan.dtype, new if op == "set" else apply_op(op, [old, new]))
-        except EvalError as ex:
-            raise InterpError(str(ex)) from None
-
     def _prefix_pos(self, prefix) -> int:
         pos = 0
         for k, i in enumerate(prefix):
@@ -101,23 +100,29 @@ class SparseListWriter(Writer):
     appends = True
 
     def append(self, idx, op, value):
-        f = self._prefix_pos(idx[:-1])
-        i = idx[-1]
-        size = self.plan.dims[-1]
-        if not (1 <= i <= size):
-            raise InterpError(f"write index {i} out of bounds for {self.plan.name}")
-        self._advance_to(f)
-        value = self._combine("set", None, value)
-        have = len(self.idxb.data) > self.fiber_base
-        last = self.idxb.data[-1] if have else 0
-        if have and i == last:
-            self.valb.data[-1] = self._combine(op, self.valb.data[-1], value)
-        elif i > last:
-            self.idxb.data.append(i)
-            self.valb.data.append(self._combine(op, self.plan.fill, value))
-        else:
-            raise InterpError(
-                f"non-ascending write to append-only output {self.plan.name}")
+        """EvalError from coercion or combination is raised as InterpError."""
+        try:
+            f = self._prefix_pos(idx[:-1])
+            i = idx[-1]
+            size = self.plan.dims[-1]
+            if not (1 <= i <= size):
+                raise InterpError(f"write index {i} out of bounds for {self.plan.name}")
+            self._advance_to(f)
+            value = coerce(self.plan.dtype, value)
+            have = len(self.idxb.data) > self.fiber_base
+            last = self.idxb.data[-1] if have else 0
+            if have and i == last:
+                self.valb.data[-1] = coerce(self.plan.dtype,
+                                            _combine(op, self.valb.data[-1], value))
+            elif i > last:
+                self.idxb.data.append(i)
+                self.valb.data.append(coerce(self.plan.dtype,
+                                             _combine(op, self.plan.fill, value)))
+            else:
+                raise InterpError(
+                    f"non-ascending write to append-only output {self.plan.name}")
+        except EvalError as ex:
+            raise InterpError(str(ex)) from None
 
 
 class RLEWriter(Writer):
@@ -149,29 +154,34 @@ class RLEWriter(Writer):
         self.run_set(idx[:-1], idx[-1], idx[-1], value, op=op)
 
     def run_set(self, prefix, lo: int, hi: int, value, op: str = "set"):
-        f = self._prefix_pos(prefix)
-        size = self.plan.dims[-1]
-        if not (1 <= lo <= hi <= size):
-            raise InterpError(
-                f"run write {lo}:{hi} out of bounds for {self.plan.name}")
-        self._advance_to(f)
-        value = self._combine("set", None, value)
-        if lo <= self.last_end:
-            if op == "set" or lo != self.last_end or lo != hi:
+        """EvalError from coercion or combination is raised as InterpError."""
+        try:
+            f = self._prefix_pos(prefix)
+            size = self.plan.dims[-1]
+            if not (1 <= lo <= hi <= size):
                 raise InterpError(
-                    f"non-ascending write to append-only output {self.plan.name}")
-            # combining update at the most recent index: split the run if needed
-            prev = self.valb.data[-1]
-            prev_end = (self.idxb.data[-2]
-                        if len(self.idxb.data) > self.fiber_base + 1 else 0)
-            if self.idxb.data[-1] - prev_end == 1:
-                self.valb.data[-1] = self._combine(op, prev, value)
-            else:
-                self.idxb.data[-1] = lo - 1
-                self.idxb.data.append(lo)
-                self.valb.data.append(self._combine(op, prev, value))
-            return
-        if lo > self.last_end + 1:
-            self._push_run(lo - 1, self.plan.fill)
-        v = value if op == "set" else self._combine(op, self.plan.fill, value)
-        self._push_run(hi, v)
+                    f"run write {lo}:{hi} out of bounds for {self.plan.name}")
+            self._advance_to(f)
+            value = coerce(self.plan.dtype, value)
+            if lo <= self.last_end:
+                if op == "set" or lo != self.last_end or lo != hi:
+                    raise InterpError(
+                        f"non-ascending write to append-only output {self.plan.name}")
+                # combining update at the most recent index: split the run if needed
+                prev = self.valb.data[-1]
+                prev_end = (self.idxb.data[-2]
+                            if len(self.idxb.data) > self.fiber_base + 1 else 0)
+                if self.idxb.data[-1] - prev_end == 1:
+                    self.valb.data[-1] = coerce(self.plan.dtype, _combine(op, prev, value))
+                else:
+                    self.idxb.data[-1] = lo - 1
+                    self.idxb.data.append(lo)
+                    self.valb.data.append(coerce(self.plan.dtype, _combine(op, prev, value)))
+                return
+            if lo > self.last_end + 1:
+                self._push_run(lo - 1, self.plan.fill)
+            v = value if op == "set" else coerce(self.plan.dtype,
+                                                 _combine(op, self.plan.fill, value))
+            self._push_run(hi, v)
+        except EvalError as ex:
+            raise InterpError(str(ex)) from None
