@@ -217,13 +217,12 @@ def _literal(v, consts) -> str:
 
 class _E:
     """An emitted expression: its code and facts. The code is a name, a
-    literal or one operation over names and literals; `off` is (name, k) when
-    the code is the int sum `name + k`."""
+    literal or one operation over names and literals."""
 
-    __slots__ = ("code", "ts", "iv", "off")
+    __slots__ = ("code", "ts", "iv")
 
-    def __init__(self, code, ts, iv=None, off=None):
-        self.code, self.ts, self.iv, self.off = code, ts, iv, off
+    def __init__(self, code, ts, iv=None):
+        self.code, self.ts, self.iv = code, ts, iv
 
 
 @lru_cache(maxsize=4096)
@@ -449,9 +448,6 @@ class _Gen:
             return None
         if _PURE(i.code) and i.iv[0] == i.iv[1]:
             return str(i.iv[0] - 1)
-        if i.off:
-            name, k = i.off
-            return name if k == 1 else f"{name} + {k - 1}" if k > 1 else f"{name} - {1 - k}"
         return f"{self.local(i.code)} - 1"
 
     def read(self, e):
@@ -515,10 +511,7 @@ class _Gen:
             iv = _interval(op, [a.iv for a in args])
             if not _fits(iv):
                 return _E(self.local(code, checked=True), ts, _FULL)
-            last = e.args[-1]
-            off = (codes[0], last.value) if (op == "add" and n == 2 and isinstance(last, Lit)
-                                             and type(last.value) is int) else None
-            return _E(code, ts, iv, off)
+            return _E(code, ts, iv)
         if num and op in ("min", "max") and n >= 2:
             return self.minmax(op, codes, _interval(op, [a.iv for a in args]) if ts == _I else (),
                                ts)
