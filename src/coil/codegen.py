@@ -752,8 +752,9 @@ class _Gen:
     def ifchain(self, s):
         """if/elif/else; a later condition runs when every earlier one failed,
         so its counts go to the enclosing site less the earlier cases' sites.
-        A later condition that needs statements opens a group `if open:`
-        after the earlier cases, which clear `open` when taken."""
+        A later condition that needs statements opens a group, `if flag:`,
+        entered while no earlier case has been taken: taking one clears the
+        flag."""
         outer = self.site
         conds, sites = [], []  # (statements, code, values available to the case)
         for k, (cond, _) in enumerate(s.cases):
