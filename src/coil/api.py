@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -15,6 +16,7 @@ from .cin import (
     Proto,
     Stmt,
     annotate_extents,
+    print_stmt,
     results,
     written_tensors,
 )
@@ -55,6 +57,7 @@ class Compiled:
     tensors: Dict[str, BoundTensor]
     writers: Dict[str, WriterPlan]
     stages: Optional[List[str]] = None
+    lowering: str = "fresh"  # "cached": the program was lowered for an earlier binding
 
     def ir_text(self) -> str:
         return print_ir(self.program)
@@ -131,15 +134,98 @@ def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, O
     return tensors, writers
 
 
+# Lowered programs kept for reuse by `compile_kernel`. A program depends on the
+# kernel, on each binding's signature (level kinds, dims, dtype, fill,
+# protocols) and on the facts of static payload that unfurling folded into it
+# (`BoundTensor.fact`); it is reused for a binding with the same signature
+# whose payload reads the same facts. At most this many programs are kept,
+# the least recently used evicted first: one pass of the benchmark's corpus
+# sweep compiles 164 signatures.
+PROGRAM_CACHE_ENTRIES = 256
+
+
+def _same(a, b) -> bool:
+    """Equal and of one type: 1, 1.0 and True are different facts."""
+    return type(a) is type(b) and a == b
+
+
+class ProgramCache:
+    """Lowered programs by signature, each with the facts it was lowered under.
+
+    Holds programs, strings and ints only, never a tensor: the facts are
+    (tensor, depth, field, at, value) tuples."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries: "OrderedDict[tuple, list]" = OrderedDict()  # most recent last
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def clear(self):
+        self.entries.clear()
+        self.size = 0
+
+    def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[TargetStmt]:
+        """The program of the first entry of `sig` whose facts `tensors` read
+        alike. Facts are re-read in the order lowering read them, so a window
+        is checked before any entry it bounds is read."""
+        progs = self.entries.get(sig, ())
+        for k, (facts, prog) in enumerate(progs):
+            if all(_same(tensors[n].fact(d, f, at), v) for n, d, f, at, v in facts):
+                self.entries.move_to_end(sig)
+                progs.insert(0, progs.pop(k))
+                return prog
+        return None
+
+    def put(self, sig: tuple, facts: tuple, prog: TargetStmt):
+        self.entries.setdefault(sig, []).insert(0, (facts, prog))
+        self.entries.move_to_end(sig)
+        self.size += 1
+        while self.size > self.capacity:
+            oldest, progs = next(iter(self.entries.items()))
+            progs.pop()
+            self.size -= 1
+            if not progs:
+                del self.entries[oldest]
+
+
+PROGRAMS = ProgramCache(PROGRAM_CACHE_ENTRIES)
+
+
+def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor], ruleset: Ruleset) -> tuple:
+    """What a lowered program depends on but the folded facts. The kernel is
+    keyed by its printed text, which tells 2 from 2.0; equal `Stmt`s do not."""
+    return (print_stmt(stmt), tuple(ruleset.rules), tuple(
+        (name, tuple(bt.kinds), tuple(bt.dims), bt.dtype, bt.is_output,
+         tuple(sorted((bt.protocols or {}).items())), type(bt.fill), repr(bt.fill))
+        for name, bt in tensors.items()))
+
+
 def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
                    outputs: Optional[Dict[str, OutputSpec]] = None,
                    params: Optional[Dict[str, Value]] = None,
                    ruleset: Optional[Ruleset] = None,
                    stages: bool = False) -> Compiled:
+    """Bind the tensors and lower the kernel, or reuse the program lowered for
+    an earlier binding of the same signature and facts (`PROGRAMS`). Collecting
+    the lowering stages bypasses the cache; failures are never cached."""
     tensors, writers = bind(stmt, inputs, outputs or {}, params)
-    ctx = LowerCtx(tensors, writers, ruleset=ruleset, collect_stages=stages)
-    prog = lower_program(ctx, stmt)
-    return Compiled(prog, tensors, writers, stages=ctx.stages)
+    ruleset = ruleset or Ruleset()
+    if stages:
+        ctx = LowerCtx(tensors, writers, ruleset=ruleset, collect_stages=True)
+        return Compiled(lower_program(ctx, stmt), tensors, writers, stages=ctx.stages)
+    sig = _signature(stmt, tensors, ruleset)
+    prog = PROGRAMS.get(sig, tensors)
+    if prog is not None:
+        return Compiled(prog, tensors, writers, lowering="cached")
+    for bt in tensors.values():  # facts read by the lookup are not guards
+        bt.facts.clear()
+    prog = lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt)
+    facts = tuple((name, *key, v) for name, bt in tensors.items() for key, v in bt.facts.items())
+    PROGRAMS.put(sig, facts, prog)
+    return Compiled(prog, tensors, writers)
 
 
 @dataclass

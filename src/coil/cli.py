@@ -286,6 +286,7 @@ def cmd_run(args) -> int:
         "outputs": {name: _jsonable(vals) for name, vals in result.dense.items()},
         "counters": result.counters.as_dict(),
         "backend": result.backend,
+        "lowering": compiled.lowering,
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -305,14 +306,14 @@ def _jsonable(vals):
 
 def cmd_check(args) -> int:
     job = build_job(args)
+    stmt = parse(job.kernel_text)
     worst_overall = 0.0
     for trial in range(args.trials):
         seed = args.seed + trial
         inputs = _materialize_inputs(job, seed)
-        compiled = _compile(job, inputs)
+        compiled = compile_kernel(stmt, inputs, job.outputs, job.params)
         result = execute(compiled, job.params)
-        want = oracle_outputs(parse(job.kernel_text), inputs, job.outputs,
-                              job.params)
+        want = oracle_outputs(stmt, inputs, job.outputs, job.params)
         worst = 0.0
         ok = set(result.dense) == set(want)
         if ok:
@@ -330,8 +331,14 @@ def cmd_check(args) -> int:
                 "tensors": {
                     name: {"dims": spec.dims, "data": _jsonable(spec.data),
                            "format": spec.format,
-                           "fill": _scalar_jsonable(spec.fill), "dtype": spec.dtype}
+                           "fill": _scalar_jsonable(spec.fill), "dtype": spec.dtype,
+                           "protocols": {str(m): p for m, p in sorted(spec.protocols.items())}}
                     for name, spec in inputs.items()
+                },
+                "outputs": {
+                    name: {"dims": spec.dims, "format": spec.format,
+                           "fill": _scalar_jsonable(spec.fill), "dtype": spec.dtype}
+                    for name, spec in job.outputs.items()
                 },
                 "expected": {name: _jsonable(v) for name, v in want.items()},
                 "got": {name: _jsonable(v) for name, v in result.dense.items()},

@@ -105,10 +105,11 @@ def _check_pos(pos, nfibers, where):
 class Fiber:
     """Compile-time view of one fiber: level `depth` of the bound tensor `bt`
     at position `pos` (an expression), with fresh names from `names`. When
-    `static` is (level, position), the payload and the position are known and
-    structural metadata is folded into literals; value payloads never are."""
+    `static`, the payload and the position (a literal) are known, and
+    structural metadata is folded into literals, each read as a recorded
+    `bt.fact`; value payloads never are."""
 
-    def __init__(self, bt, depth: int, pos, names, static=None):
+    def __init__(self, bt, depth: int, pos, names, static: bool = False):
         self.bt, self.depth, self.pos, self.names, self.static = bt, depth, pos, names, static
         self.level = bt.levels[depth - 1]
         self.fill = Lit(bt.fill)
@@ -121,17 +122,13 @@ class Fiber:
 
     def get(self, field: str, shift: int = 0):
         """Entry pos + shift of this level's `field` buffer."""
-        if self.static is not None:
-            lvl, p = self.static
-            return Lit(getattr(lvl, field)[p - 1 + shift])
+        if self.static:
+            return Lit(self.bt.fact(self.depth, field, self.pos.value - 1 + shift))
         return self.read(field, iadd(self.pos, Lit(shift)) if shift else self.pos)
 
     def empty(self) -> bool:
         """Whether the fiber is known to store nothing."""
-        if self.static is None:
-            return False
-        lvl, p = self.static
-        return next(lvl.entries(p), None) is None
+        return self.static and self.bt.fact(self.depth, "empty", self.pos.value)
 
     def window(self):
         """First and one-past-last entry of the fiber in a pos-windowed level."""
@@ -145,8 +142,8 @@ class Fiber:
     def last(self):
         """idx of the window's last entry, 0 when it is empty."""
         lo, hi = self.window()
-        if self.static is not None:
-            return Lit(self.static[0].idx[hi.value - 2])
+        if self.static:
+            return Lit(self.bt.fact(self.depth, "idx", hi.value - 2))
         return Call("select", (le(iadd(lo, ONE), hi), self.read("idx", isub(hi, ONE)), Lit(0)))
 
     def child(self, at):

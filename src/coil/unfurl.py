@@ -4,8 +4,14 @@ This is the single point where storage meets the looplet IR: the level class
 of the accessed mode unfurls the fiber with its function for the protocol
 (`Level.protocols`). When a fiber's position is a compile-time constant
 (vector roots, static inputs), structural metadata (position windows, band
-bounds) is folded into the nest, which is what lets an all-fill operand
-annihilate at compile time. Value payloads are never folded.
+bounds, whether the fiber is empty) is folded into the nest, which is what
+lets an all-fill operand annihilate at compile time. Value payloads are never
+folded.
+
+Every folded fact is read through `BoundTensor.fact`, which records it. The
+recorded facts are the guards of a cached program (`api.compile_kernel`):
+the program is reused for a later binding of the same signature only when
+that binding's payload reads the same facts.
 """
 
 from __future__ import annotations
@@ -39,6 +45,18 @@ class BoundTensor:
     def __post_init__(self):
         self.buffers = buffer_names(self.name, self.kinds)
         self.levels = [KINDS[k] for k in self.kinds]
+        self.payload = self.tensor.levels() if self.tensor is not None else None
+        self.facts: Dict[Tuple[int, str, int], Value] = {}  # what `fact` has read
+
+    def fact(self, depth: int, field: str, at: int):
+        """A structural fact of the static payload, recorded in `facts` as
+        (depth, field, at) -> value: entry `at` (0-based) of level `depth`'s
+        `field` buffer, or, for field "empty", whether fiber `at` stores
+        nothing."""
+        lvl = self.payload[depth - 1]
+        v = next(lvl.entries(at), None) is None if field == "empty" else getattr(lvl, field)[at]
+        self.facts[(depth, field, at)] = v
+        return v
 
     def bufname(self, depth: int, field: str) -> str:
         return self.buffers[(depth, field)]
@@ -68,9 +86,7 @@ def unfurl(bt: BoundTensor, cur: Cursor, proto: str, names: _FreshNames) -> "Loo
     level = bt.levels[cur.depth - 1]
     if proto not in level.protocols:
         raise CompileError(f"unsupported protocol {proto!r} for {level.kind} level of {bt.name}")
-    static = None
-    if bt.tensor is not None and isinstance(cur.pos, Lit):
-        static = (bt.tensor.levels()[cur.depth - 1], cur.pos.value)
+    static = bt.tensor is not None and isinstance(cur.pos, Lit)
     f = Fiber(bt, cur.depth, cur.pos, names, static)
     if f.empty():
         return Run(f.fill)

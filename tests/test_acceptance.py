@@ -8,7 +8,7 @@ operation counts, code structure, and the randomized property suites.
 import itertools
 import random
 
-from coil.api import InputSpec, OutputSpec, compile_kernel, execute, oracle_outputs
+from coil.api import PROGRAMS, InputSpec, OutputSpec, compile_kernel, execute, oracle_outputs
 from coil.oracle import max_rel_error
 from coil.parser import parse
 from coil.target import count_loops
@@ -330,9 +330,15 @@ def test_criterion_7_golden_ir():
 
     ins = lambda: {"A": InputSpec([11], FIG_A, format=["splist"]),
                    "B": InputSpec([11], FIG_B, format=["sband"])}
-    t1 = compile_kernel(parse(DOT), ins()).ir_text()
-    t2 = compile_kernel(parse(DOT), ins()).ir_text()
-    assert t1 == t2
+    texts = []
+    for clear in (True, True, False):  # cold twice, then warm
+        if clear:
+            PROGRAMS.clear()
+        compiled = compile_kernel(parse(DOT), ins())
+        assert compiled.lowering == ("fresh" if clear else "cached")
+        texts.append(compiled.ir_text())
+    t1 = texts[0]
+    assert texts == [t1] * 3
     golden = pathlib.Path(__file__).parent / "goldens" / "dot_ir.txt"
     assert t1 + "\n" == golden.read_text()
     assert t1.count("search(") == 1

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from coil import cli
+from coil.api import PROGRAMS, InputSpec, OutputSpec, oracle_outputs, run_kernel
 from coil.parser import MAX_DEPTH
 from coil.tensorio import write_dense_text
 
@@ -45,14 +46,17 @@ def test_run_json_report(capsys, tmp_path):
     write_dense_text(str(path), [4], [1.0, 2.0, 3.0, 4.0])
     path2 = tmp_path / "w.txt"
     write_dense_text(str(path2), [4], [1.0, 1.0, 1.0, 1.0])
-    rc = run_cli(["run", "--kernel", KERNELS / "dot.cin",
-                  "--tensor", f"A={path}", "--tensor", f"B={path2}", "--json"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    report = json.loads(out)
-    assert report["outputs"]["C"] == [10.0]
-    assert report["counters"]["loop_iterations"] == 4
-    assert report["backend"] == "interp"
+    PROGRAMS.clear()
+    for lowering in ("fresh", "cached"):  # the second run reuses the first's program
+        rc = run_cli(["run", "--kernel", KERNELS / "dot.cin",
+                      "--tensor", f"A={path}", "--tensor", f"B={path2}", "--json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        report = json.loads(out)
+        assert report["outputs"]["C"] == [10.0]
+        assert report["counters"]["loop_iterations"] == 4
+        assert report["backend"] == "interp"
+        assert report["lowering"] == lowering
 
 
 def test_check_passes_on_dot(capsys):
@@ -118,6 +122,27 @@ def test_check_corrupted_rule_negative_control(capsys, tmp_path, monkeypatch):
                    "--trials", "5", "--seed", "3", "--replay", replay])
     capsys.readouterr()
     assert rc2 == 1 and replay.read_bytes() == first
+
+    # protocols and output specs are recorded, and the file alone replays the run
+    rc3 = run_cli(["check", "--kernel", KERNELS / "spmspv.cin",
+                   "--tensor", "A=random:dims=6x12,density=0.4,format=dense.splist",
+                   "--tensor", "x=random:dims=12,density=0.4,format=splist",
+                   "--tensor", "y=out:format=splist", "--protocol", "x.1=gallop",
+                   "--trials", "5", "--seed", "3", "--replay", replay])
+    capsys.readouterr()
+    assert rc3 == 1
+    data = json.loads(replay.read_text())
+    assert data["tensors"]["x"]["protocols"] == {"1": "gallop"}
+    assert data["tensors"]["A"]["protocols"] == {}
+    assert data["outputs"] == {"y": {"dims": None, "format": ["splist"], "fill": 0.0,
+                                     "dtype": "float"}}
+    inputs = {name: InputSpec(t["dims"], t["data"], t["format"], t["fill"], t["dtype"],
+                              {int(m): p for m, p in t["protocols"].items()})
+              for name, t in data["tensors"].items()}
+    outputs = {name: OutputSpec(**o) for name, o in data["outputs"].items()}
+    got = run_kernel(data["kernel"], inputs, outputs, data["params"])
+    assert got.dense == data["got"] != data["expected"]
+    assert oracle_outputs(data["kernel"], inputs, outputs, data["params"]) == data["expected"]
 
 
 def test_bench_reports_per_variant_counters(capsys):

@@ -7,7 +7,9 @@ printed IR, the loop count and the execution counters of each must match
 the lowering as it stood before the traversal protocol replaced the
 hand-written tree walks; it is never regenerated to make a change pass.
 Walk order is observable (fresh names and furl tags are handed out in visit
-order), so a traversal change that reorders visits shows up here.
+order), so a traversal change that reorders visits shows up here. The
+programs are compared twice: lowered cold, from an emptied program cache,
+and then warm, each served from the cache (`cold_and_warm`).
 
 The same programs also pass a static verifier (`verify`): every variable is
 bound where it is used, every buffer access names a runtime buffer, every
@@ -23,6 +25,7 @@ import json
 import pathlib
 import random
 
+import coil.api
 from coil.api import compile_kernel, execute, runtime
 from coil.expr import Expr, Lit, Read, Search, Var
 from coil.parser import parse
@@ -64,6 +67,17 @@ def render_snapshot() -> str:
     return render(snapshot_programs())
 
 
+def cold_and_warm(programs):
+    """Snapshot texts of `programs()` lowered cold, from an emptied program
+    cache, and then warm, every program served from the cache. Both must
+    match the golden: the first pins lowering, the second the cache."""
+    coil.api.PROGRAMS.clear()
+    cold = render(programs())
+    warm = list(programs())
+    assert all(compiled.lowering == "cached" for _, compiled, _ in warm)
+    return cold, render(warm)
+
+
 def _cases(text: str) -> dict:
     out = {}
     for chunk in text.split("### case ")[1:]:
@@ -72,16 +86,16 @@ def _cases(text: str) -> dict:
 
 
 def test_corpus_ir_snapshot():
-    got = render_snapshot()
     want = GOLDEN.read_text(encoding="utf-8")
-    if got != want:
-        g, w = _cases(got), _cases(want)
-        assert list(g) == list(w), "snapshot case list changed"
-        bad = [k for k in w if g[k] != w[k]]
-        first = bad[0]
-        raise AssertionError(
-            f"{len(bad)} of {len(w)} snapshot cases differ; first, case {first}:\n"
-            f"--- golden\n{w[first]}\n--- got\n{g[first]}")
+    for got in cold_and_warm(snapshot_programs):
+        if got != want:
+            g, w = _cases(got), _cases(want)
+            assert list(g) == list(w), "snapshot case list changed"
+            bad = [k for k in w if g[k] != w[k]]
+            first = bad[0]
+            raise AssertionError(
+                f"{len(bad)} of {len(w)} snapshot cases differ; first, case {first}:\n"
+                f"--- golden\n{w[first]}\n--- got\n{g[first]}")
 
 
 def verify(prog, buffers, params, writers=()) -> list:

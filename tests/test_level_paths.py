@@ -6,8 +6,8 @@ index, so lowering locates into each level kind: a constant index
 (`A[3]`), a permitted or offset-and-permitted parameter index
 (`A[permit[$k]]`), and a constant row of a matrix whose inner level is any
 kind (`A[2, i]`). Each program's printed IR, loop count and counters must
-match `goldens/level_paths_ir.txt` byte for byte, and its outputs must match
-the dense oracle.
+match `goldens/level_paths_ir.txt` byte for byte, lowered cold and served
+warm from the program cache, and its outputs must match the dense oracle.
 
 The inadmissible (level kind, protocol) pairs are checked here too: each
 raises a `CompileError` naming the tensor and the protocol, and `coil run`
@@ -27,7 +27,7 @@ from coil.api import InputSpec, compile_kernel, execute, oracle_outputs, runtime
 from coil.parser import parse
 from coil.unfurl import CompileError
 
-from test_ir_snapshot import render, verify
+from test_ir_snapshot import cold_and_warm, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "level_paths_ir.txt"
 KINDS = ("rle", "sband", "svbl", "splist", "dense")
@@ -76,8 +76,8 @@ def level_path_programs():
 
 
 def test_level_path_ir_snapshot():
-    got = render(level_path_programs())
-    assert got == GOLDEN.read_text(encoding="utf-8")
+    cold, warm = cold_and_warm(level_path_programs)
+    assert cold == warm == GOLDEN.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("kernel,inputs,params", list(level_path_cases()))
