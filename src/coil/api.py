@@ -20,7 +20,7 @@ from .cin import (
     results,
     written_tensors,
 )
-from .expr import Var, walk
+from .expr import Expr, Var, walk
 from .interp import Buf, ExecCounters
 from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
@@ -152,8 +152,8 @@ def _same(a, b) -> bool:
 class ProgramCache:
     """Lowered programs by signature, each with the facts it was lowered under.
 
-    Holds programs, strings and ints only, never a tensor: the facts are
-    (tensor, depth, field, at, value) tuples."""
+    Holds programs, strings and ints only, never a tensor: an entry's facts
+    are one flat tuple of (tensor, depth, field, at, value) runs."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -169,17 +169,21 @@ class ProgramCache:
 
     def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[TargetStmt]:
         """The program of the first entry of `sig` whose facts `tensors` read
-        alike. Facts are re-read in the order lowering read them, so a window
-        is checked before any entry it bounds is read."""
+        alike. Each tensor's facts are re-read in the order lowering read
+        them, so a window is checked before any entry it bounds is read."""
         progs = self.entries.get(sig, ())
         for k, (facts, prog) in enumerate(progs):
-            if all(_same(tensors[n].fact(d, f, at), v) for n, d, f, at, v in facts):
+            runs = [iter(facts)] * 5
+            if all(_same(tensors[n].fact(d, f, at), v) for n, d, f, at, v in zip(*runs)):
                 self.entries.move_to_end(sig)
                 progs.insert(0, progs.pop(k))
                 return prog
         return None
 
     def put(self, sig: tuple, facts: tuple, prog: TargetStmt):
+        if self.entries:  # keys share the rules tuple they usually have in common
+            last = next(reversed(self.entries))[1]
+            sig = (sig[0], last) if last == sig[1] else sig
         self.entries.setdefault(sig, []).insert(0, (facts, prog))
         self.entries.move_to_end(sig)
         self.size += 1
@@ -194,13 +198,35 @@ class ProgramCache:
 PROGRAMS = ProgramCache(PROGRAM_CACHE_ENTRIES)
 
 
+def _shared(prog: TargetStmt) -> TargetStmt:
+    """`prog` rebuilt with one node per distinct subtree, so that a program
+    the cache keeps costs less memory: lowering repeats cursor reads, bounds
+    and literals. Nodes are told apart by type and by the type and repr of
+    their scalar fields, so 1, 1.0, True, 0.0 and -0.0 stay apart."""
+    nodes: Dict[tuple, object] = {}
+
+    def key(v):
+        if isinstance(v, tuple):
+            return tuple(map(key, v))
+        return id(v) if isinstance(v, (Expr, TargetStmt)) else (type(v), repr(v))
+
+    def share(n):
+        n = n.map(share, share)
+        fields = n.__dataclass_fields__
+        return nodes.setdefault((type(n), tuple(key(getattr(n, f)) for f in fields)), n)
+
+    return share(prog)
+
+
 def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor], ruleset: Ruleset) -> tuple:
-    """What a lowered program depends on but the folded facts. The kernel is
-    keyed by its printed text, which tells 2 from 2.0; equal `Stmt`s do not."""
-    return (print_stmt(stmt), tuple(ruleset.rules), tuple(
-        (name, tuple(bt.kinds), tuple(bt.dims), bt.dtype, bt.is_output,
-         tuple(sorted((bt.protocols or {}).items())), type(bt.fill), repr(bt.fill))
-        for name, bt in tensors.items()))
+    """What a lowered program depends on but the folded facts: one string of
+    the kernel, keyed by its printed text, which tells 2 from 2.0 (equal
+    `Stmt`s do not), and of the bindings, each fill as its type's name and
+    repr; and the rules."""
+    binds = [(name, bt.kinds, bt.dims, bt.dtype, bt.is_output,
+              sorted((bt.protocols or {}).items()), type(bt.fill).__name__, bt.fill)
+             for name, bt in tensors.items()]
+    return f"{print_stmt(stmt)}\n{binds!r}", tuple(ruleset.rules)
 
 
 def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
@@ -222,8 +248,9 @@ def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
         return Compiled(prog, tensors, writers, lowering="cached")
     for bt in tensors.values():  # facts read by the lookup are not guards
         bt.facts.clear()
-    prog = lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt)
-    facts = tuple((name, *key, v) for name, bt in tensors.items() for key, v in bt.facts.items())
+    prog = _shared(lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt))
+    facts = tuple(x for name, bt in tensors.items() for key, v in bt.facts.items()
+                  for x in (name, *key, v))
     PROGRAMS.put(sig, facts, prog)
     return Compiled(prog, tensors, writers)
 

@@ -28,7 +28,7 @@ class CompileError(Exception):
 # -- expression extensions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access(Expr):
     """Tensor access; base is a tensor name until lowering installs cursors."""
 
@@ -49,7 +49,7 @@ class Access(Expr):
         return f"{base}[{', '.join(print_expr(i) for i in self.idx)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mod(Expr):
     """Index modifier applied around an index expression (innermost first)."""
 
@@ -71,7 +71,7 @@ class Mod(Expr):
         return f"{self.kind}[{inner}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proto(Expr):
     """Protocol annotation on an index use: i::gallop."""
 
@@ -88,7 +88,7 @@ class Proto(Expr):
         return f"{print_expr(self.inner)}::{self.proto}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cursor(Expr):
     """A fiber handle installed as an access base during lowering: the fiber at
     1-based position `pos` within level `depth` of `tensor`."""
@@ -110,7 +110,7 @@ class Cursor(Expr):
 _furl_tags = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Furl(Expr):
     """An unfurled looplet over `index`; tag identifies the node during passes.
     A leaf of the traversal protocol: passes replace a furl whole, by tag."""
@@ -141,7 +141,7 @@ class Stmt:
 UPDATE_OPS = ("set", "add", "mul", "min", "max", "or")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign(Stmt):
     lhs: Access
     op: str
@@ -154,7 +154,7 @@ class Assign(Stmt):
         return Assign(fe(self.lhs), self.op, fe(self.rhs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Stmt):
     idx: str
     ext: Optional[Extent]
@@ -172,7 +172,7 @@ class Forall(Stmt):
         return Forall(self.idx, ext, fs(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Where(Stmt):
     """consumer where producer; `inits` lists tensors whose init/finalize this
     statement owns (filled by assign_scopes)."""
@@ -188,7 +188,7 @@ class Where(Stmt):
         return Where(fs(self.cons), fs(self.prod), self.inits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multi(Stmt):
     parts: Tuple[Stmt, ...]
 
@@ -199,7 +199,7 @@ class Multi(Stmt):
         return Multi(tuple(map(fs, self.parts)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sieve(Stmt):
     cond: Expr
     body: Stmt
@@ -211,7 +211,7 @@ class Sieve(Stmt):
         return Sieve(fe(self.cond), fs(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PassStmt(Stmt):
     tensors: Tuple[str, ...]
 

@@ -29,7 +29,7 @@ class Expr:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(Expr):
     value: object
 
@@ -37,12 +37,12 @@ class Lit(Expr):
         return f"Lit({value_repr(self.value)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read(Expr):
     """Element read of a named runtime buffer; subscripts are 1-based."""
 
@@ -56,7 +56,7 @@ class Read(Expr):
         return Read(self.buf, tuple(map(fe, self.idx)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Expr):
     op: str
     args: Tuple[Expr, ...]
@@ -68,7 +68,7 @@ class Call(Expr):
         return Call(self.op, tuple(map(fe, self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Search(Expr):
     """First position p in [lo, hi] with buf[p] >= key; hi+1 if none."""
 
@@ -189,7 +189,7 @@ def le(a: Expr, b: Expr) -> Expr:
     return Call("le", (a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extent:
     """Inclusive absolute index range start:stop; empty when start = stop+1."""
 

@@ -46,7 +46,7 @@ class Looplet:
 Body = Union[Looplet, Expr]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run(Looplet):
     """The same value over the whole target region."""
 
@@ -59,7 +59,7 @@ class Run(Looplet):
         return Run(fe(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spike(Looplet):
     """body everywhere except a single tail value at the region's last index."""
 
@@ -73,7 +73,7 @@ class Spike(Looplet):
         return Spike(fe(self.body), fe(self.tail))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lookup(Looplet):
     """Arbitrary per-index value: body is a template instantiated at each index.
 
@@ -92,7 +92,7 @@ class Lookup(Looplet):
         return Lookup(self.index_sym, fs(self.body), binds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Switch(Looplet):
     """First-match choice between looplets under runtime conditions."""
 
@@ -105,7 +105,7 @@ class Switch(Looplet):
         return Switch(tuple((fe(c), fs(b)) for c, b in self.cases))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase:
     """One segment of a pipeline; stop is absolute and inclusive, None extends
     to the target stop."""
@@ -114,7 +114,7 @@ class Phase:
     stop: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pipeline(Looplet):
     phases: Tuple[Phase, ...]
 
@@ -139,7 +139,7 @@ class _Steps(Looplet):
                           None if self.seek is None else fs(self.seek))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stepper(_Steps):
     """Unbounded sequence of identical children.
 
@@ -153,7 +153,7 @@ class Stepper(_Steps):
     seek: Optional[Template] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Jumper(_Steps):
     """Like Stepper, but lowered with the largest declared extent (leader)."""
 
@@ -163,7 +163,7 @@ class Jumper(_Steps):
     seek: Optional[Template] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift(Looplet):
     """body indexed at i - delta."""
 
@@ -177,7 +177,7 @@ class Shift(Looplet):
         return Shift(fe(self.delta), fs(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplifyMark(Looplet):
     """No-op marker that requests an early simplification pass."""
 

@@ -28,7 +28,7 @@ class TargetStmt:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(TargetStmt):
     stmts: Tuple[TargetStmt, ...]
 
@@ -39,7 +39,7 @@ class Block(TargetStmt):
         return Block(tuple(map(fs, self.stmts)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let(TargetStmt):
     """Declare-and-bind a fresh variable in the current scope."""
 
@@ -53,7 +53,7 @@ class Let(TargetStmt):
         return Let(self.name, fe(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignVar(TargetStmt):
     name: str
     value: Expr
@@ -65,7 +65,7 @@ class AssignVar(TargetStmt):
         return AssignVar(self.name, fe(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferWrite(TargetStmt):
     """Combine a value into a buffer slot: op in {set, add, mul, min, max, or}."""
 
@@ -81,7 +81,7 @@ class BufferWrite(TargetStmt):
         return BufferWrite(self.buf, tuple(map(fe, self.idx)), self.op, fe(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class For(TargetStmt):
     var: str
     lo: Expr
@@ -95,7 +95,7 @@ class For(TargetStmt):
         return For(self.var, fe(self.lo), fe(self.hi), fs(self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class While(TargetStmt):
     """cursor, when set, names a variable that must strictly increase per
     iteration; the interpreter traps non-progressing loops."""
@@ -111,7 +111,7 @@ class While(TargetStmt):
         return While(fe(self.cond), fs(self.body), self.cursor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfChain(TargetStmt):
     cases: Tuple[Tuple[Expr, TargetStmt], ...]
     orelse: Optional[TargetStmt] = None
@@ -125,7 +125,7 @@ class IfChain(TargetStmt):
         return IfChain(cases, None if self.orelse is None else fs(self.orelse))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallStmt(TargetStmt):
     """Writer hook invocation (init / append / run_set / finalize)."""
 
@@ -139,7 +139,7 @@ class CallStmt(TargetStmt):
         return CallStmt(self.fn, tuple(map(fe, self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nop(TargetStmt):
     pass
 
@@ -219,7 +219,7 @@ def count_loops(s: TargetStmt) -> int:
     return sum(1 for n in walk(s) if isinstance(n, (For, While)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Template:
     """A parameterized statement list (stepper seek/next code).
 

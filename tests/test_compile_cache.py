@@ -14,8 +14,10 @@ import pytest
 import coil.api as api
 import coil.rewrite as rw
 from coil.api import InputSpec, ProgramCache, compile_kernel, execute, oracle_outputs
+from coil.expr import Call, Lit, Read, Var
 from coil.parser import parse
 from coil.rewrite import Ruleset
+from coil.target import Block, Let, print_ir
 from coil.unfurl import CompileError
 
 DOT = "@V i C[] += A[i] * B[i]"
@@ -74,6 +76,17 @@ def test_fills_of_equal_value_get_their_own_programs():
     assert_own_programs(cases)
 
 
+def test_shared_programs_keep_typed_literals_apart():
+    mul = lambda lit: Call("mul", (Read("A_val", (Var("p"),)), lit))
+    lits = (Lit(2), Lit(2.0), Lit(True), Lit(1), Lit(0.0), Lit(-0.0))
+    prog = Block(tuple(Let(f"x{k}", mul(lit)) for k, lit in enumerate(lits + lits)))
+    shared = api._shared(prog)
+    assert print_ir(shared) == print_ir(prog)
+    first, second = shared.stmts[:6], shared.stmts[6:]
+    assert all(a.value is b.value for a, b in zip(first, second))  # repeats are one node
+    assert len({id(s.value) for s in first}) == 6
+
+
 # -- guards ------------------------------------------------------------------------
 
 
@@ -108,6 +121,22 @@ def test_changed_band_bounds_miss():
     emptied = compile_checked(DOT, band([0.0] * 6))
     assert [c.lowering for c in (base, same, moved, emptied)] == [
         "fresh", "cached", "fresh", "fresh"]
+
+
+def test_facts_compare_by_type():
+    class Reads:  # a binding whose every fact reads `value`
+        def __init__(self, value):
+            self.value = value
+
+        def fact(self, depth, field, at):
+            return self.value
+
+    cache = ProgramCache(4)
+    cache.put(("kernel", ()), ("A", 1, "pos", 1, 1), "program")
+    assert cache.get(("kernel", ()), {"A": Reads(1)}) == "program"
+    assert cache.get(("kernel", ()), {"A": Reads(True)}) is None
+    assert cache.get(("kernel", ()), {"A": Reads(1.0)}) is None
+    assert cache.get(("kernel", ()), {"A": Reads(2)}) is None
 
 
 def test_only_root_facts_are_guards():
@@ -203,6 +232,7 @@ def test_cache_holds_no_payload():
     assert len(api.PROGRAMS) == 1
     for progs in api.PROGRAMS.entries.values():
         for facts, _ in progs:
-            for name, depth, field, at, value in facts:
+            runs = [iter(facts)] * 5
+            for name, depth, field, at, value in zip(*runs):
                 assert type(name) is str and type(field) is str
                 assert type(depth) is int and type(at) is int and type(value) in (int, bool)
