@@ -142,6 +142,11 @@ def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, O
 # the least recently used evicted first: one pass of the benchmark's corpus
 # sweep compiles 164 signatures.
 PROGRAM_CACHE_ENTRIES = 256
+# Programs kept per signature, the most recently used first. A lookup scans a
+# signature's entries, and a run of bindings whose root facts all differ
+# (`coil check` trials of a sparse root) would otherwise fill the cache with
+# programs of one signature, each lookup re-reading the facts of every one.
+PROGRAMS_PER_SIGNATURE = 4
 
 
 def _same(a, b) -> bool:
@@ -184,9 +189,13 @@ class ProgramCache:
         if self.entries:  # keys share the rules tuple they usually have in common
             last = next(reversed(self.entries))[1]
             sig = (sig[0], last) if last == sig[1] else sig
-        self.entries.setdefault(sig, []).insert(0, (facts, prog))
+        progs = self.entries.setdefault(sig, [])
+        progs.insert(0, (facts, prog))
         self.entries.move_to_end(sig)
         self.size += 1
+        if len(progs) > PROGRAMS_PER_SIGNATURE:
+            progs.pop()
+            self.size -= 1
         while self.size > self.capacity:
             oldest, progs = next(iter(self.entries.items()))
             progs.pop()

@@ -221,6 +221,15 @@ def test_capacity_bounds_the_cache(monkeypatch):
     assert len(api.PROGRAMS) == 3
 
 
+def test_one_signature_keeps_its_latest_programs():
+    for k in range(6):  # one signature, other facts
+        compile_checked(DOT, dot_inputs([0.0] * k + [1.0] + [0.0] * (5 - k)))
+    assert len(api.PROGRAMS) == api.PROGRAMS_PER_SIGNATURE
+    latest = [dot_inputs([0.0] * k + [2.0] + [0.0] * (5 - k)) for k in range(5, 1, -1)]
+    assert [compile_checked(DOT, ins).lowering for ins in latest] == ["cached"] * 4
+    assert compile_checked(DOT, dot_inputs([2.0] + [0.0] * 5)).lowering == "fresh"
+
+
 def test_cache_holds_no_payload():
     compiled = compile_checked(DOT, dot_inputs([0.0, 1.0, 0.0, 2.0]))
     again = compile_checked(DOT, dot_inputs([0.0, 3.0, 0.0, 4.0]))
