@@ -138,15 +138,11 @@ def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, O
 # kernel, on each binding's signature (level kinds, dims, dtype, fill,
 # protocols) and on the facts of static payload that unfurling folded into it
 # (`BoundTensor.fact`); it is reused for a binding with the same signature
-# whose payload reads the same facts. At most this many programs are kept,
-# the least recently used evicted first: one pass of the benchmark's corpus
-# sweep compiles 164 signatures.
+# whose payload reads the same facts. A signature keeps the program it was
+# last lowered to, and at most this many are kept, the least recently used
+# evicted first: one pass of the benchmark's corpus sweep compiles 164
+# signatures.
 PROGRAM_CACHE_ENTRIES = 256
-# Programs kept per signature, the most recently used first. A lookup scans a
-# signature's entries, and a run of bindings whose root facts all differ
-# (`coil check` trials of a sparse root) would otherwise fill the cache with
-# programs of one signature, each lookup re-reading the facts of every one.
-PROGRAMS_PER_SIGNATURE = 4
 
 
 def _same(a, b) -> bool:
@@ -162,46 +158,31 @@ class ProgramCache:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: "OrderedDict[tuple, list]" = OrderedDict()  # most recent last
-        self.size = 0
+        self.entries: "OrderedDict[tuple, tuple]" = OrderedDict()  # most recent last
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.entries)
 
     def clear(self):
         self.entries.clear()
-        self.size = 0
 
     def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[TargetStmt]:
-        """The program of the first entry of `sig` whose facts `tensors` read
-        alike. Each tensor's facts are re-read in the order lowering read
-        them, so a window is checked before any entry it bounds is read."""
-        progs = self.entries.get(sig, ())
-        for k, (facts, prog) in enumerate(progs):
-            runs = [iter(facts)] * 5
-            if all(_same(tensors[n].fact(d, f, at), v) for n, d, f, at, v in zip(*runs)):
-                self.entries.move_to_end(sig)
-                progs.insert(0, progs.pop(k))
-                return prog
-        return None
+        """The program of `sig` if `tensors` read its facts alike. Each
+        tensor's facts are re-read in the order lowering read them, so a
+        window is checked before any entry it bounds is read."""
+        facts, prog = self.entries.get(sig, ((), None))
+        runs = [iter(facts)] * 5
+        if prog is None or not all(_same(tensors[n].fact(d, f, at), v)
+                                   for n, d, f, at, v in zip(*runs)):
+            return None
+        self.entries.move_to_end(sig)
+        return prog
 
     def put(self, sig: tuple, facts: tuple, prog: TargetStmt):
-        if self.entries:  # keys share the rules tuple they usually have in common
-            last = next(reversed(self.entries))[1]
-            sig = (sig[0], last) if last == sig[1] else sig
-        progs = self.entries.setdefault(sig, [])
-        progs.insert(0, (facts, prog))
+        self.entries[sig] = (facts, prog)
         self.entries.move_to_end(sig)
-        self.size += 1
-        if len(progs) > PROGRAMS_PER_SIGNATURE:
-            progs.pop()
-            self.size -= 1
-        while self.size > self.capacity:
-            oldest, progs = next(iter(self.entries.items()))
-            progs.pop()
-            self.size -= 1
-            if not progs:
-                del self.entries[oldest]
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
 
 
 PROGRAMS = ProgramCache(PROGRAM_CACHE_ENTRIES)
