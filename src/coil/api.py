@@ -20,7 +20,7 @@ from .cin import (
     results,
     written_tensors,
 )
-from .expr import Expr, Var, walk
+from .expr import Var, walk
 from .interp import Buf, ExecCounters
 from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
@@ -188,26 +188,6 @@ class ProgramCache:
 PROGRAMS = ProgramCache(PROGRAM_CACHE_ENTRIES)
 
 
-def _shared(prog: TargetStmt) -> TargetStmt:
-    """`prog` rebuilt with one node per distinct subtree, so that a program
-    the cache keeps costs less memory: lowering repeats cursor reads, bounds
-    and literals. Nodes are told apart by type and by the type and repr of
-    their scalar fields, so 1, 1.0, True, 0.0 and -0.0 stay apart."""
-    nodes: Dict[tuple, object] = {}
-
-    def key(v):
-        if isinstance(v, tuple):
-            return tuple(map(key, v))
-        return id(v) if isinstance(v, (Expr, TargetStmt)) else (type(v), repr(v))
-
-    def share(n):
-        n = n.map(share, share)
-        fields = n.__dataclass_fields__
-        return nodes.setdefault((type(n), tuple(key(getattr(n, f)) for f in fields)), n)
-
-    return share(prog)
-
-
 def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor], ruleset: Ruleset) -> tuple:
     """What a lowered program depends on but the folded facts: one string of
     the kernel, keyed by its printed text, which tells 2 from 2.0 (equal
@@ -238,7 +218,7 @@ def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
         return Compiled(prog, tensors, writers, lowering="cached")
     for bt in tensors.values():  # facts read by the lookup are not guards
         bt.facts.clear()
-    prog = _shared(lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt))
+    prog = lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt)
     facts = tuple(x for name, bt in tensors.items() for key, v in bt.facts.items()
                   for x in (name, *key, v))
     PROGRAMS.put(sig, facts, prog)

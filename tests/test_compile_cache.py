@@ -14,10 +14,8 @@ import pytest
 import coil.api as api
 import coil.rewrite as rw
 from coil.api import InputSpec, ProgramCache, compile_kernel, execute, oracle_outputs
-from coil.expr import Call, Lit, Read, Var
 from coil.parser import parse
 from coil.rewrite import Ruleset
-from coil.target import Block, Let, print_ir
 from coil.unfurl import CompileError
 
 DOT = "@V i C[] += A[i] * B[i]"
@@ -74,17 +72,6 @@ def test_equal_stmts_of_typed_literals_get_their_own_programs():
 def test_fills_of_equal_value_get_their_own_programs():
     cases = [(DOT, lambda f=f: dot_inputs([f, 1.0, f, 2.0], fill=f)) for f in (0, 0.0, -0.0, False)]
     assert_own_programs(cases)
-
-
-def test_shared_programs_keep_typed_literals_apart():
-    mul = lambda lit: Call("mul", (Read("A_val", (Var("p"),)), lit))
-    lits = (Lit(2), Lit(2.0), Lit(True), Lit(1), Lit(0.0), Lit(-0.0))
-    prog = Block(tuple(Let(f"x{k}", mul(lit)) for k, lit in enumerate(lits + lits)))
-    shared = api._shared(prog)
-    assert print_ir(shared) == print_ir(prog)
-    first, second = shared.stmts[:6], shared.stmts[6:]
-    assert all(a.value is b.value for a, b in zip(first, second))  # repeats are one node
-    assert len({id(s.value) for s in first}) == 6
 
 
 # -- guards ------------------------------------------------------------------------
