@@ -153,8 +153,8 @@ def _same(a, b) -> bool:
 class ProgramCache:
     """Lowered programs by signature, each with the facts it was lowered under.
 
-    Holds programs, strings and ints only, never a tensor: an entry's facts
-    are one flat tuple of (tensor, depth, field, at, value) runs."""
+    Holds programs, strings, ints and the rules, never a tensor: an entry's
+    facts are one flat tuple of (tensor, depth, field, at, value) runs."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
