@@ -231,6 +231,7 @@ class RunResult:
     dense: Dict[str, list]
     counters: ExecCounters
     backend: str  # "interp" or "python": which backend ran the program
+    codegen: Optional[str] = None  # "fresh" or "cached" generated code; None: interpreted
 
 
 # Programs whose runtime buffers (inputs and outputs) hold at least this many
@@ -247,10 +248,12 @@ CODEGEN_MIN_ENTRIES = 1024
 
 @dataclass
 class Execution:
-    """What one run of a program counted, and which backend ran it."""
+    """What one run of a program counted, which backend ran it, and whether
+    generated code was generated for it or reused."""
 
     counters: ExecCounters
     backend: str
+    codegen: Optional[str] = None
 
 
 def run_program(prog: TargetStmt, buffers: Dict[str, Buf], params: Optional[dict] = None,
@@ -262,7 +265,8 @@ def run_program(prog: TargetStmt, buffers: Dict[str, Buf], params: Optional[dict
     if sum(len(b) for b in buffers.values()) >= CODEGEN_MIN_ENTRIES:
         from . import codegen  # loaded on first use: small programs never need it
 
-        return Execution(codegen.run_program(prog, buffers, params, writers), "python")
+        code, reuse = codegen.generated(prog, buffers, params, writers)
+        return Execution(code(buffers, params, writers), "python", reuse)
     machine = interp.run_program(prog, buffers, params=params, writers=writers)
     return Execution(machine.counters, "interp")
 
@@ -286,7 +290,7 @@ def execute(compiled: Compiled, params: Optional[Dict[str, Value]] = None) -> Ru
     run = run_program(compiled.program, buffers, params=mparams, writers=writers)
     outs = {name: w.freeze() for name, w in writers.items()}
     dense = {name: to_dense(t) for name, t in outs.items()}
-    return RunResult(outs, dense, run.counters, run.backend)
+    return RunResult(outs, dense, run.counters, run.backend, run.codegen)
 
 
 def run_kernel(text_or_stmt, inputs: Dict[str, InputSpec],

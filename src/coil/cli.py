@@ -9,7 +9,10 @@ Tensor bindings use one flag per tensor:
 
 `check` runs randomized trials through the compiled kernel and the dense
 oracle and fails on any disagreement; `bench` reports operation counters (and
-informational wall-clock) per protocol variant.
+informational wall-clock) per protocol variant. `run --json` and `bench`
+report the backend that ran the program, whether it was lowered afresh or
+reused ("lowering"), and, for generated code, whether the code was generated
+for the run or reused ("codegen", null when interpreted).
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ def parse_tensor_spec(name: str, spec: str):
             raise CliError(f"tensor {name}: random spec needs dims=")
         rs = RandomSpec(dims)
         rs.density = _parse_number(float, kv.pop("density", "0.1"), "density")
+        if not 0.0 <= rs.density <= 1.0:  # nan fails too
+            raise CliError(f"tensor {name}: density must lie in [0, 1], got {rs.density}")
         rs.dist = kv.pop("dist", "uniform01")
         if "seed" in kv:
             rs.seed = _parse_number(int, kv.pop("seed"), "seed")
@@ -287,6 +292,7 @@ def cmd_run(args) -> int:
         "counters": result.counters.as_dict(),
         "backend": result.backend,
         "lowering": compiled.lowering,
+        "codegen": result.codegen,
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -380,6 +386,7 @@ def cmd_bench(args) -> int:
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         report[label] = {**result.counters.as_dict(), "backend": result.backend,
+                         "lowering": compiled.lowering, "codegen": result.codegen,
                          "wall_clock_s": best}
     print(json.dumps(report, indent=2))
     return 0
@@ -419,7 +426,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("bench", help="report operation counters per protocol variant")
     common(p)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=3, metavar="N",
+                   help="runs per variant; wall_clock_s is the fastest. Generated code "
+                        "(large inputs) is generated by the first run and reused by the "
+                        "other N-1, so with N > 1 it times a reused run")
     p.add_argument("--variant", action="append", metavar="LABEL:PROTOSPEC[;...]")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)

@@ -9,6 +9,18 @@ checks, the binary search, the buffer write, the writer hooks and the messages
 of malformed-program errors are defined once, in `interp.py`; the generated
 code calls those functions, so both backends raise the same messages.
 
+Code is generated once per program and runtime facts, and reused. Generation
+reads the runtime state only through one table (`_Facts`): each buffer's
+dtype, length and value facts (types, and bounds of int values), the buffers
+append writers grow, each writer's class and buffer names, and each
+parameter's facts. `CODE` keeps one compiled `_run` per program, with the
+key of the table it was generated under, and `generated` reuses it for a
+later state whose table is equal in type and value, so a program run again on
+inputs of the same structure skips generation and `compile`. The buffers are
+still scanned on every run: the scan is the guard. A program's code is
+replaced when its facts change, and at most `PROGRAM_CACHE_ENTRIES` programs
+are kept, the least recently used evicted first.
+
 - Flat code. The code is three-address: every operand is evaluated, in the
   interpreter's order, into a name, a literal or a temporary on a line of its
   own, and each line applies one operation to such operands. Short-circuit
@@ -49,10 +61,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, OrderedDict
 from functools import lru_cache
 from typing import Dict, Optional
 
+from .api import PROGRAM_CACHE_ENTRIES, _same
 from .expr import Call, Lit, Read, Search, Var
 from .interp import (CANNOT_EVAL, CANNOT_EXEC, NO_WRITER, READ_NOT_LINEAR, UNBOUND, UNDECLARED,
                      UNKNOWN_BUFFER, WRITE_NOT_LINEAR, Buf, ExecCounters, InterpError, _hook,
@@ -230,25 +243,37 @@ def _names(code):
     return tuple(sorted(set(re.findall(r"[A-Za-z_]\w*", code))))
 
 
-class _Buffers:
-    """Read facts of the runtime buffers, from their data."""
+class _Facts:
+    """Every fact about the runtime state that generation reads, and nothing
+    else; generation reads the state only through this table.
 
-    def __init__(self, buffers: Dict[str, Buf], writers: dict):
-        self.buffers = buffers
+    For each buffer: its dtype, its length and the facts of its values (types
+    and int interval, or "any" where append writers grow the buffer or it
+    holds a non-scalar); the buffers append writers grow; each writer's class
+    and buffer names; each parameter's facts. `key` flattens the table, with
+    the size of each part first, so two states whose keys are equal element
+    by element, in type and value, get the same code."""
+
+    def __init__(self, buffers: Dict[str, Buf], writers: dict, params: dict):
         # append writers grow their buffers; reads of them go through Buf.get
-        self.dynamic = {name for w in writers.values() if w.appends
-                        for name in w.buffers}
-        self.facts = {}
+        self.dynamic = frozenset(name for w in writers.values() if w.appends
+                                 for name in w.buffers)
+        self.bufs = {name: (b.dtype, len(b.data), self.scan(b.data, name in self.dynamic))
+                     for name, b in buffers.items()}
+        self.writers = {name: tuple(w.buffers) for name, w in writers.items()}
+        self.params = {name: _lit_facts(v) for name, v in params.items()}
+        self.key = (len(self.bufs), len(writers), len(self.params),
+                    *(x for name, (dtype, size, (ts, iv)) in self.bufs.items()
+                      for x in (name, name in self.dynamic, dtype, size, ts, iv)),
+                    *(x for name, w in writers.items() for x in (name, type(w), self.writers[name])),
+                    *(x for name, f in self.params.items() for x in (name, *f)))
 
-    def scan(self, name):
-        if name not in self.facts:
-            data = self.buffers[name].data
-            ts = frozenset(map(type, data))
-            if name in self.dynamic or not ts <= _SCALARS:
-                self.facts[name] = _ANY
-            else:
-                self.facts[name] = (ts, (min(data), max(data)) if ts == _I else ())
-        return self.facts[name]
+    @staticmethod
+    def scan(data, dynamic):
+        ts = None if dynamic else frozenset(map(type, data))
+        if ts is None or not ts <= _SCALARS:
+            return _ANY
+        return (ts, (min(data), max(data)) if ts == _I else ())
 
 
 # -- generation ------------------------------------------------------------------------
@@ -264,8 +289,8 @@ class _Gen:
     assignments to each reassigned local and the writes to each buffer's
     aliases, so that a value over a name assigned since is not reused."""
 
-    def __init__(self, bufs: _Buffers, writers: dict, params: dict, env: dict):
-        self.bufs, self.writers, self.env = bufs, writers, env
+    def __init__(self, table: _Facts, env: dict):
+        self.table, self.env = table, env
         self.facts = {}
         self.lines = []
         self.ind = 1
@@ -278,10 +303,10 @@ class _Gen:
         self.ver = {}
         self.used = set()  # locals read by the value being assigned
         base = {}
-        for k, (name, v) in enumerate(params.items()):
+        for k, (name, f) in enumerate(table.params.items()):
             loc = f"p{k}_{re.sub(r'[^A-Za-z0-9]', '_', name)}"
             base[name] = loc
-            self.facts[loc] = _lit_facts(v) if type(v) in _SCALARS else _ANY
+            self.facts[loc] = f
         self.params = dict(base)
         self.scope = [base]
 
@@ -383,7 +408,7 @@ class _Gen:
         return self.aliases[key]
 
     def buf_facts(self, name):
-        ts, iv = self.bufs.scan(name)
+        ts, iv = self.table.bufs[name][2]
         written = self.env.get(("w", name))
         return (ts, iv) if written is None else (_tjoin(ts, written), None)
 
@@ -451,7 +476,7 @@ class _Gen:
         return f"{self.local(i.code)} - 1"
 
     def read(self, e):
-        if e.buf not in self.bufs.buffers:
+        if e.buf not in self.table.bufs:
             return self.fail(UNKNOWN_BUFFER.format(e.buf))
         if len(e.idx) != 1:
             return self.fail(READ_NOT_LINEAR.format(e.buf))
@@ -460,11 +485,11 @@ class _Gen:
         self.count(("reads", e.buf))
         ts, iv = self.buf_facts(e.buf)
         b = self.alias(e.buf, "b")
-        if i.ts != _I or e.buf in self.bufs.dynamic:
+        if i.ts != _I or e.buf in self.table.dynamic:
             code = f"{b}.get({self.local(i.code)})"
         else:
             d, n = self.alias(e.buf, "d"), self.alias(e.buf, "n")
-            slot = self.slot(i, len(self.bufs.buffers[e.buf].data))
+            slot = self.slot(i, self.table.bufs[e.buf][1])
             if slot is None:
                 ref = self.local(i.code)
                 code = f"{d}[{ref} - 1] if 0 < {ref} <= {n} else {b}.get({ref})"
@@ -473,13 +498,13 @@ class _Gen:
         return _E(self.local(code), ts, iv)
 
     def search(self, e):
-        if e.buf not in self.bufs.buffers:
+        if e.buf not in self.table.bufs:
             return _E(f"_keyerror({e.buf!r})", _NONE, ())
         lo, hi, key = self.operands((e.lo, e.hi, e.key))
         self.count("searches")
         b = self.alias(e.buf, "b")
         fast = (lo.ts == hi.ts == key.ts == _I and self.buf_facts(e.buf)[0] == _I
-                and e.buf not in self.bufs.dynamic)
+                and e.buf not in self.table.dynamic)
         code = f"{'_isearch' if fast else '_search'}({b}, {lo.code}, {hi.code}, {key.code})"
         if lo.ts == hi.ts == _I:  # the result is lo or lies in [lo, hi + 1]
             iv = _interval("max", [lo.iv, _interval("add", [hi.iv, (1, 1)])])
@@ -639,26 +664,26 @@ class _Gen:
         if len(s.idx) != 1:
             self.emit(self.fail(WRITE_NOT_LINEAR).code)
             return
-        if s.buf not in self.bufs.buffers:
+        if s.buf not in self.table.bufs:
             self.emit(f"_keyerror({s.buf!r})")
             return
-        buf = self.bufs.buffers[s.buf]
+        dtype, size, _ = self.table.bufs[s.buf]
         # the interpreter's order: index, value, coercion, then the bounds check
         i = self.expr(s.idx[0])
-        native = i.ts == _I and s.buf not in self.bufs.dynamic
-        slot = self.slot(i, len(buf.data)) if native else None
+        native = i.ts == _I and s.buf not in self.table.dynamic
+        slot = self.slot(i, size) if native else None
         ref = i.code if slot is not None else self.local(i.code)
         v = self.expr(s.value)
         self.count("buffer_writes")
-        stored = v.ts if buf.dtype is None else {"float": _F, "int": _I, "bool": _B}.get(
-            buf.dtype, _NONE)
+        stored = v.ts if dtype is None else {"float": _F, "int": _I, "bool": _B}.get(
+            dtype, _NONE)
         old = self.buf_facts(s.buf)[0]
         if s.op != "set":
             stored = _tjoin(stored, _result_types(s.op, [old, stored]))
         key = ("w", s.buf)
         self.facts[key] = _tjoin(self.facts.get(key, _NONE), stored)
         b, d, n = (self.alias(s.buf, k) for k in "bdn")
-        value = self.coerced(buf.dtype, v)
+        value = self.coerced(dtype, v)
         if (not native or value is None or s.op not in ("set", "add")
                 or s.op == "add" and not old == stored == _F):
             self.emit(f"_write({b}, {self.local(ref)}, {s.op!r}, {v.code})")
@@ -797,7 +822,7 @@ class _Gen:
 
     def hook(self, s):
         tensor, _, action = s.fn.partition(".")
-        if tensor not in self.writers:
+        if tensor not in self.table.writers:
             self.emit(self.fail(NO_WRITER.format(tensor)).code)
             return
         args = self.operands(s.args)
@@ -816,7 +841,7 @@ class _Gen:
                 self.emit(f"{w}.run_set([{prefix}], {', '.join(codes[-3:])})")
             else:
                 self.emit(f"_hook({w}, {s.fn!r}, [{', '.join(codes)}])")
-        for name in self.writers[tensor].buffers:
+        for name in self.table.writers[tensor]:
             self.written(name)
 
 
@@ -827,17 +852,16 @@ _Gen.STMTS = {BufferWrite: _Gen.write, For: _Gen.for_, While: _Gen.while_,
 _PROLOGUE = {"b": "B[%r]", "d": "B[%r].data", "n": "len(B[%r].data)", "w": "W[%r]"}
 
 
-def _source(prog, buffers: Dict[str, Buf], writers: dict, params: dict):
+def _source(prog, table: _Facts):
     """Run generation passes until the facts they rely on stop changing.
 
     Returns the source of `_run(B, W, P)`, its constants, and the static
     counts of site 0 and of each site `_run` returns a bump count for."""
-    bufs = _Buffers(buffers, writers)
     env = {}
     npass = 0
     while True:
         npass += 1
-        g = _Gen(bufs, writers, params, env)
+        g = _Gen(table, env)
         g.stmt(prog)
         new = dict(env)
         for key, f in g.facts.items():
@@ -865,23 +889,94 @@ def _source(prog, buffers: Dict[str, Buf], writers: dict, params: dict):
     return src, g.consts, [g.sites[0]] + [g.sites[k] for k in live]
 
 
-def run_program(prog, buffers: Dict[str, Buf], params: Optional[dict] = None,
-                writers: Optional[dict] = None) -> ExecCounters:
-    """Generate, compile and run `prog`; the counters equal the interpreter's."""
-    src, consts, sites = _source(prog, buffers, writers or {}, params or {})
+# -- reuse -----------------------------------------------------------------------------
+
+
+class _Code:
+    """A program's compiled `_run`, the key of the facts table it was
+    generated under, and the static counts of its sites."""
+
+    __slots__ = ("prog", "key", "run", "sites")
+
+    def __init__(self, prog, key: tuple, run, sites: list):
+        self.prog, self.key, self.run, self.sites = prog, key, run, sites
+
+    def __call__(self, buffers: Dict[str, Buf], params: Optional[dict] = None,
+                 writers: Optional[dict] = None) -> ExecCounters:
+        """Run on a state whose facts table has this code's key."""
+        bumps = (1,) + self.run(buffers, writers or {}, params or {})
+        total = Counter()
+        for n, site in zip(bumps, self.sites):
+            for key, c in site.items():
+                total[key] += n * c
+        counters = ExecCounters()
+        for key, n in total.items():
+            if isinstance(key, tuple):
+                if n:
+                    counters.reads_by_buffer[key[1]] = n
+            else:
+                setattr(counters, key, n)
+        return counters
+
+
+class CodeCache:
+    """Generated code by program, one variant each: the code generated under
+    the facts table the program last ran with, replaced when the facts change.
+
+    A program is keyed by identity, since equal IR can hold literals of
+    different types (`Lit(2) == Lit(2.0)`); the entry holds the program, so
+    its id is not reused while the entry lives. At most `capacity` programs
+    are kept, the least recently used evicted first."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries: "OrderedDict[int, _Code]" = OrderedDict()  # most recent last
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def clear(self):
+        self.entries.clear()
+
+    def get(self, prog, key: tuple) -> Optional[_Code]:
+        """The code of `prog` if it was generated under a table of this key,
+        compared element by element in type and value."""
+        code = self.entries.get(id(prog))
+        if code is None or len(code.key) != len(key) or not all(map(_same, code.key, key)):
+            return None
+        self.entries.move_to_end(id(prog))
+        return code
+
+    def put(self, code: _Code):
+        self.entries[id(code.prog)] = code
+        self.entries.move_to_end(id(code.prog))
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+
+CODE = CodeCache(PROGRAM_CACHE_ENTRIES)
+
+
+def generated(prog, buffers: Dict[str, Buf], params: Optional[dict] = None,
+              writers: Optional[dict] = None):
+    """The code of `prog` for this state, and "cached" when it was generated
+    for an earlier state with the same facts table (`CODE`), else "fresh"."""
+    table = _Facts(buffers, writers or {}, params or {})
+    code = CODE.get(prog, table.key)
+    if code is not None:
+        return code, "cached"
+    src, consts, sites = _source(prog, table)
     ns = dict(_GLOBALS, **{f"_c{k}": v for k, v in enumerate(consts)})
     exec(compile(src, "<coil codegen>", "exec"), ns)
-    run = ns.pop("_run")  # so that the function and its globals form no cycle
-    bumps = (1,) + run(buffers, writers or {}, params or {})
-    total = Counter()
-    for n, site in zip(bumps, sites):
-        for key, c in site.items():
-            total[key] += n * c
-    counters = ExecCounters()
-    for key, n in total.items():
-        if isinstance(key, tuple):
-            if n:
-                counters.reads_by_buffer[key[1]] = n
-        else:
-            setattr(counters, key, n)
-    return counters
+    # popped so that the function and its globals form no cycle
+    code = _Code(prog, table.key, ns.pop("_run"), sites)
+    CODE.put(code)
+    return code, "fresh"
+
+
+def run_program(prog, buffers: Dict[str, Buf], params: Optional[dict] = None,
+                writers: Optional[dict] = None) -> ExecCounters:
+    """Run `prog` as generated code, generated now or reused; the counters
+    equal the interpreter's."""
+    code, _ = generated(prog, buffers, params, writers)
+    return code(buffers, params, writers)

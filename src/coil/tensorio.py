@@ -133,7 +133,10 @@ def read_dense_text(path: str) -> Tuple[List[int], list, str]:
         first = fh.readline()
         if not first.lower().startswith("dims:"):
             raise TensorIOError(f"{path}: first line must be 'dims: d1 d2 ...'")
-        dims = [int(x) for x in first.split(":", 1)[1].split()]
+        try:
+            dims = [int(x) for x in first.split(":", 1)[1].split()]
+        except ValueError:
+            raise TensorIOError(f"{path}: bad dims line {first.strip()!r}") from None
         toks = fh.read().split()
     total = 1
     for d in dims:
@@ -145,9 +148,14 @@ def read_dense_text(path: str) -> Tuple[List[int], list, str]:
     if all(t in ("true", "false") for t in toks):
         data = [t == "true" for t in toks]
         return dims, data, "bool"
-    if is_float:
-        return dims, [float(t) for t in toks], "float"
-    return dims, [int(t) for t in toks], "int"
+    conv, dtype = (float, "float") if is_float else (int, "int")
+    data = []
+    for t in toks:
+        try:
+            data.append(conv(t))
+        except ValueError:
+            raise TensorIOError(f"{path}: bad {dtype} value {t!r}") from None
+    return dims, data, dtype
 
 
 def write_dense_text(path: str, dims: List[int], data: list):

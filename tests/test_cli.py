@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from coil import cli
+from coil.codegen import CODE
 from coil.api import PROGRAMS, InputSpec, OutputSpec, oracle_outputs, run_kernel
 from coil.parser import MAX_DEPTH
 from coil.tensorio import write_dense_text
@@ -41,22 +42,27 @@ def test_compile_unsupported_pair_exit_2(capsys):
     assert "protocol" in err or "gallop" in err
 
 
-def test_run_json_report(capsys, tmp_path):
+@pytest.mark.parametrize("n, backend, codegen", [
+    (4, "interp", [None, None]), (600, "python", ["fresh", "cached"])])
+def test_run_json_report(capsys, tmp_path, n, backend, codegen):
     path = tmp_path / "v.txt"
-    write_dense_text(str(path), [4], [1.0, 2.0, 3.0, 4.0])
+    write_dense_text(str(path), [n], [float(k % 4 + 1) for k in range(n)])
     path2 = tmp_path / "w.txt"
-    write_dense_text(str(path2), [4], [1.0, 1.0, 1.0, 1.0])
+    write_dense_text(str(path2), [n], [1.0] * n)
     PROGRAMS.clear()
-    for lowering in ("fresh", "cached"):  # the second run reuses the first's program
+    CODE.clear()
+    # the second run reuses the first's program, and its code when generated
+    for lowering, code in zip(("fresh", "cached"), codegen):
         rc = run_cli(["run", "--kernel", KERNELS / "dot.cin",
                       "--tensor", f"A={path}", "--tensor", f"B={path2}", "--json"])
         out = capsys.readouterr().out
         assert rc == 0
         report = json.loads(out)
-        assert report["outputs"]["C"] == [10.0]
-        assert report["counters"]["loop_iterations"] == 4
-        assert report["backend"] == "interp"
+        assert report["outputs"]["C"] == [10.0 * n / 4]
+        assert report["counters"]["loop_iterations"] == n
+        assert report["backend"] == backend
         assert report["lowering"] == lowering
+        assert report["codegen"] == code
 
 
 def test_check_passes_on_dot(capsys):
@@ -160,6 +166,22 @@ def test_bench_reports_per_variant_counters(capsys):
         assert "loop_iterations" in report[label]
         assert "wall_clock_s" in report[label]
         assert report[label]["backend"] == "interp"
+        assert report[label]["codegen"] is None
+
+
+def test_bench_reuses_generated_code(capsys, tmp_path):
+    """The first of N trials generates the code, the other N - 1 reuse it."""
+    n = 600
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [n], [1.0] * n)
+    CODE.clear()
+    rc = run_cli(["bench", "--kernel", KERNELS / "dot.cin", "--tensor", f"A={a}",
+                  "--tensor", f"B={a}", "--trials", "3"])
+    report = json.loads(capsys.readouterr().out)["default"]
+    assert rc == 0
+    assert (report["backend"], report["codegen"], report["loop_iterations"]) == (
+        "python", "cached", n)
+    assert len(CODE) == 1
 
 
 def test_bench_dense_dot_iterations_equal_length(capsys, tmp_path):
@@ -229,7 +251,9 @@ def test_double_underscore_param_reaches_the_kernel(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["random:dims10", "random:dims=1xq",
-                                  "random:dims=4,density=abc", "random:dims=4,seed=z"])
+                                  "random:dims=4,density=abc", "random:dims=4,seed=z",
+                                  "random:dims=4,density=2", "random:dims=4,density=-0.1",
+                                  "random:dims=4,density=nan"])
 def test_malformed_random_spec_exit_2(capsys, spec):
     rc = run_cli(["run", "--kernel", KERNELS / "dot.cin", "--tensor", f"A={spec}",
                   "--tensor", "B=random:dims=4"])
@@ -246,6 +270,18 @@ def test_malformed_matrix_market_entry_exit_2(capsys, tmp_path, entry):
                   "--tensor", "x=random:dims=2,density=0.5,seed=2,format=splist"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["dims: 3\n1 inf 2\n", "dims: 2\ntrue 1.5\n",
+                                  "dims: 3x\n1 2 3\n"])
+def test_malformed_dense_text_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    rc = run_cli(["run", "--kernel", KERNELS / "dot.cin", "--tensor", f"A={path}",
+                  "--tensor", "B=random:dims=3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_run_rejects_over_deep_kernel_exit_2(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """The generated-Python backend against the interpreter, its reference.
 
 The equivalence gate runs every corpus kernel x admissible assignment through
-both backends and requires identical buffers (value, type and sign of zero)
-and identical counters; the parity tests require the same `InterpError`
-message from both wherever the interpreter raises one.
+the interpreter and through generated code, generated afresh (cold) and then
+reused on a fresh state (warm), and requires identical buffers (value, type
+and sign of zero) and identical counters; the parity tests require the same
+`InterpError` message from all three wherever the interpreter raises one.
 """
 
 import math
@@ -46,12 +47,29 @@ def same(a, b) -> bool:
     return a == b
 
 
-BACKENDS = (lambda *args: run_program(*args).counters, codegen.run_program)
+def cold(prog, buffers, params, writers):
+    """Generated code, generated for this run."""
+    codegen.CODE.clear()
+    code, reuse = codegen.generated(prog, buffers, params, writers)
+    assert reuse == "fresh"
+    return code(buffers, params, writers)
 
 
-def both(prog, make_state, params=None):
+def warm(prog, buffers, params, writers):
+    """Generated code reused from an earlier run of `prog` on the same facts."""
+    code, reuse = codegen.generated(prog, buffers, params, writers)
+    assert reuse == "cached"
+    return code(buffers, params, writers)
+
+
+# the reference, then generated code cold and warm, in this order
+BACKENDS = (lambda *args: run_program(*args).counters, cold, warm)
+
+
+def agree(prog, make_state, params=None):
     """Run `prog` through each backend on fresh (buffers, writers) from
-    `make_state`; return each run's buffer data, frozen outputs and counters."""
+    `make_state`, require the same buffer data, frozen outputs and counters
+    from all, and return the last run's."""
     out = []
     for run in BACKENDS:
         buffers, writers = make_state()
@@ -59,7 +77,9 @@ def both(prog, make_state, params=None):
         data = {k: b.data for k, b in buffers.items()}
         data.update({f"{n} frozen": to_dense(w.freeze()) for n, w in writers.items()})
         out.append((data, counters.as_dict()))
-    return out
+    for other in out[1:]:
+        assert_same_run(out[0], other)
+    return out[-1]
 
 
 def plain(**buffers):
@@ -83,7 +103,7 @@ def test_equivalence_gate_corpus():
         for kernel, ins, outs, params, _ in corpus_cases(random.Random(seed), 1):
             compiled = compile_kernel(parse(kernel), ins, outs, params)
             mparams = {f"${k}": v for k, v in params.items()}
-            assert_same_run(*both(compiled.program, lambda: runtime(compiled), mparams))
+            agree(compiled.program, lambda: runtime(compiled), mparams)
             cases += 1
     assert cases == 2 * 164
 
@@ -96,8 +116,7 @@ def test_absorbing_zero_keeps_positive_zero():
     ))
     state = plain(a=Buf("a", [0.0], "float"), b=Buf("b", [-2.0, math.inf], "float"),
                   y=Buf("y", [1.0, 1.0, 1.0], "float"))
-    a, b = both(prog, state, {"$s": -0.0})
-    assert_same_run(a, b)
+    b = agree(prog, state, {"$s": -0.0})
     assert [math.copysign(1.0, v) for v in b[0]["y"]] == [1.0, 1.0, 1.0]
 
 
@@ -109,8 +128,7 @@ def test_short_circuit_guards_bounds_and_counts():
         For("p", Lit(1), Lit(4), IfChain(((cond, AssignVar("hits", iadd(Var("hits"), Lit(1)))),))),
         BufferWrite("y", (Lit(1),), "set", Var("hits")),
     ))
-    a, b = both(prog, plain(idx=Buf("idx", [5, 7]), y=Buf("y", [0], "int")))
-    assert_same_run(a, b)
+    b = agree(prog, plain(idx=Buf("idx", [5, 7]), y=Buf("y", [0], "int")))
     assert b[1]["reads_by_buffer"] == {"idx": 2} and b[0]["y"] == [1]
 
 
@@ -122,8 +140,7 @@ def test_select_arms_and_elif_conditions_count_when_evaluated():
           BufferWrite("y", (Var("i"),), "set",
                       Call("select", (Call("gt", (Var("i"), Lit(3))), v(4), v(5)))))),
         BufferWrite("y", (Var("i"),), "add", Call("max", (v(1), v(2), Var("i"))))))
-    a, b = both(prog, plain(v=Buf("v", [2, 10, 5, 20, 30]), y=Buf("y", [0] * 5, "int")))
-    assert_same_run(a, b)
+    b = agree(prog, plain(v=Buf("v", [2, 10, 5, 20, 30]), y=Buf("y", [0] * 5, "int")))
     assert b[0]["y"] == [30, 10, 30, 20, 10]
 
 
@@ -146,8 +163,7 @@ def test_reused_reads_respect_writes_assignments_and_branches():
         y(7, v(Lit(2))),                        # after a select arm that read it
         AssignVar("q", Lit(2)),
     ))), For("i", Lit(1), Lit(0), y(9, v(Lit(3)))), y(9, v(Lit(3)))))
-    a, b = both(prog, plain(v=Buf("v", [1, 2, 3], "int"), y=Buf("y", [0] * 9, "int")))
-    assert_same_run(a, b)
+    b = agree(prog, plain(v=Buf("v", [1, 2, 3], "int"), y=Buf("y", [0] * 9, "int")))
     assert b[0]["y"] == [1 + 2 + 4 + 7, 2 + 4 + 7 + 11, 8, 6, 12, 10, 8, 1 + 1 + 2 * 3, 3]
 
 
@@ -166,11 +182,10 @@ def test_conditions_with_statements():
     prog = Block((Let("p", Lit(1)), Let("x", v(Var("p"))), While(walk, Block((
         chain, AssignVar("p", iadd(Var("p"), Lit(1))))), cursor="p")))
     state = plain(v=Buf("v", [1, 2, 5, 7, 9], "int"), y=Buf("y", [0] * 4, "int"))
-    a, b = both(prog, state)
-    assert_same_run(a, b)
+    b = agree(prog, state)
     assert b[0]["y"] == [1, 3, 1, 1]
     buffers, writers = state()
-    source = codegen._source(prog, buffers, writers, {})[0]
+    source = codegen._source(prog, codegen._Facts(buffers, writers, {}))[0]
     assert "while True:" in source and re.search(r"\n *t\d+ = True\n", source)
 
 
@@ -183,12 +198,10 @@ def test_search_matches_interpreter_probes():
         prog = BufferWrite("y", (Lit(1),), "set", Search("b", Lit(lo), Lit(hi), Lit(key)))
         state = plain(b=Buf("b", data), y=Buf("y", [0]))
         try:
-            want = both(prog, state)
+            agree(prog, state)
         except InterpError:
             with pytest.raises(InterpError):
                 codegen.run_program(prog, state()[0])
-            continue
-        assert_same_run(*want)
 
 
 def test_execute_picks_backend_by_stored_entries():
@@ -203,9 +216,11 @@ def test_execute_picks_backend_by_stored_entries():
     small, large = spmspv(8), spmspv(48)
     assert sum(len(b) for b in runtime(small)[0].values()) < CODEGEN_MIN_ENTRIES
     assert sum(len(b) for b in runtime(large)[0].values()) >= CODEGEN_MIN_ENTRIES
-    assert execute(small).backend == "interp"
+    assert (execute(small).backend, execute(small).codegen) == ("interp", None)
+    codegen.CODE.clear()
     r = execute(large)
-    assert r.backend == "python"
+    assert (r.backend, r.codegen) == ("python", "fresh")
+    assert execute(large).codegen == "cached"
     buffers, writers = runtime(large)
     m = run_program(large.program, buffers, writers=writers)
     assert r.counters.as_dict() == m.counters.as_dict()
@@ -350,14 +365,14 @@ def test_walk_loop_reads_each_index_once():
     ins = {"A": InputSpec([n, n], a, format=["dense", "splist"], protocols={2: "walk"}),
            "x": InputSpec([n], x, format=["splist"], protocols={1: "walk"})}
     compiled = compile_kernel(parse("@V i j y[i] += A[i,j] * x[j]"), ins)
-    source = codegen._source(compiled.program, *runtime(compiled), {})[0]
+    source = codegen._source(compiled.program, codegen._Facts(*runtime(compiled), {}))[0]
     loop = _walk_loop(source)
     for buf in ("A_idx", "x_idx"):
         data = re.search(rf"(\w+) = B\['{buf}'\]\.data", source).group(1)
         size = re.search(rf"(\w+) = len\(B\['{buf}'\]\.data\)", source).group(1)
         assert len(re.findall(rf"\b{data}\[", loop)) == 1, loop
         assert len(re.findall(rf"\b{size}\b", loop)) == 1, loop
-    assert_same_run(*both(compiled.program, lambda: runtime(compiled)))
+    agree(compiled.program, lambda: runtime(compiled))
 
 
 @pytest.mark.parametrize("name", sorted(PARITY))
@@ -372,10 +387,9 @@ def test_error_parity(name):
         with pytest.raises(InterpError) as err:
             run(prog, buffers, params, writers)
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 def test_unbound_name_off_the_taken_path_is_not_an_error():
     prog, _, _ = PARITY["unbound_at_run_time"]
-    a, b = both(prog, plain(), {"$n": 0})
-    assert_same_run(a, b)
+    agree(prog, plain(), {"$n": 0})
