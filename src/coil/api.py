@@ -236,13 +236,16 @@ class RunResult:
 
 # Programs whose runtime buffers (inputs and outputs) hold at least this many
 # stored entries run as generated Python; smaller ones are interpreted.
-# Generating and compiling costs a fixed 1.5-10 ms per run (there is no
-# cache); interpreting costs about 25-35 us per stored entry. Measured on a
-# 2-vCPU x86-64 machine with CPython 3.11, the two meet at 100-350 entries
-# (splist dot ~150, spmspv dense.splist x splist walk ~250 and gallop ~300,
-# dense blend under 200); at 1024 the generated code is 3.5-15x faster, and
-# every job of the benchmark's corpus sweep (at most 108 entries) stays
-# interpreted.
+# Generating and compiling a program costs a fixed 1.5-10 ms the first time it
+# runs on given runtime facts (`codegen.CODE` keeps the code, and later runs
+# on the same facts pay only the buffer scan that guards it); interpreting
+# costs about 25-100 us per stored entry. Measured on a 2-vCPU x86-64 machine
+# with CPython 3.11, the interpreter and fresh code meet at 100-350 entries,
+# and the interpreter and reused code at 10-20 (reused code ran faster on 158
+# of the benchmark's 164 corpus-sweep programs, of 4-108 entries). A lower bar
+# would pay off only where programs rerun on the same facts, and `coil check`
+# trials on random inputs seldom do; at 1024 fresh code is 3.5-15x faster, and
+# every corpus-sweep job stays interpreted.
 CODEGEN_MIN_ENTRIES = 1024
 
 

@@ -42,27 +42,26 @@ def test_compile_unsupported_pair_exit_2(capsys):
     assert "protocol" in err or "gallop" in err
 
 
-@pytest.mark.parametrize("n, backend, codegen", [
-    (4, "interp", [None, None]), (600, "python", ["fresh", "cached"])])
-def test_run_json_report(capsys, tmp_path, n, backend, codegen):
-    path = tmp_path / "v.txt"
-    write_dense_text(str(path), [n], [float(k % 4 + 1) for k in range(n)])
-    path2 = tmp_path / "w.txt"
-    write_dense_text(str(path2), [n], [1.0] * n)
-    PROGRAMS.clear()
-    CODE.clear()
-    # the second run reuses the first's program, and its code when generated
-    for lowering, code in zip(("fresh", "cached"), codegen):
-        rc = run_cli(["run", "--kernel", KERNELS / "dot.cin",
-                      "--tensor", f"A={path}", "--tensor", f"B={path2}", "--json"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        report = json.loads(out)
-        assert report["outputs"]["C"] == [10.0 * n / 4]
-        assert report["counters"]["loop_iterations"] == n
-        assert report["backend"] == backend
-        assert report["lowering"] == lowering
-        assert report["codegen"] == code
+def test_run_json_report(capsys, tmp_path):
+    for n, backend, codegen in ((4, "interp", [None, None]), (600, "python", ["fresh", "cached"])):
+        path = tmp_path / "v.txt"
+        write_dense_text(str(path), [n], [float(k % 4 + 1) for k in range(n)])
+        path2 = tmp_path / "w.txt"
+        write_dense_text(str(path2), [n], [1.0] * n)
+        PROGRAMS.clear()
+        CODE.clear()
+        # the second run reuses the first's program, and its code when generated
+        for lowering, code in zip(("fresh", "cached"), codegen):
+            rc = run_cli(["run", "--kernel", KERNELS / "dot.cin",
+                          "--tensor", f"A={path}", "--tensor", f"B={path2}", "--json"])
+            out = capsys.readouterr().out
+            assert rc == 0
+            report = json.loads(out)
+            assert report["outputs"]["C"] == [10.0 * n / 4]
+            assert report["counters"]["loop_iterations"] == n
+            assert report["backend"] == backend
+            assert report["lowering"] == lowering
+            assert report["codegen"] == code
 
 
 def test_check_passes_on_dot(capsys):
