@@ -51,13 +51,28 @@ class OutputSpec:
     dtype: str = "float"
 
 
+class Lowered:
+    """A lowered program, the facts of static payload lowering folded into it
+    (see `ProgramCache`), and the code last generated for it (`codegen`),
+    which lives as long as the program does."""
+
+    __slots__ = ("program", "facts", "code")
+
+    def __init__(self, program: TargetStmt, facts: tuple = ()):
+        self.program, self.facts, self.code = program, facts, None
+
+
 @dataclass
 class Compiled:
-    program: TargetStmt
+    lowered: Lowered
     tensors: Dict[str, BoundTensor]
     writers: Dict[str, WriterPlan]
     stages: Optional[List[str]] = None
     lowering: str = "fresh"  # "cached": the program was lowered for an earlier binding
+
+    @property
+    def program(self) -> TargetStmt:
+        return self.lowered.program
 
     def ir_text(self) -> str:
         return print_ir(self.program)
@@ -151,14 +166,17 @@ def _same(a, b) -> bool:
 
 
 class ProgramCache:
-    """Lowered programs by signature, each with the facts it was lowered under.
+    """Lowered programs by signature, each with the facts it was lowered under
+    and its generated code, which goes when the program is replaced or
+    evicted.
 
-    Holds programs, strings, ints and the rules, never a tensor: an entry's
-    facts are one flat tuple of (tensor, depth, field, at, value) runs."""
+    Holds programs, code, strings, ints and the rules, never a tensor: an
+    entry's facts are one flat tuple of (tensor, depth, field, at, value)
+    runs."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: "OrderedDict[tuple, tuple]" = OrderedDict()  # most recent last
+        self.entries: "OrderedDict[tuple, Lowered]" = OrderedDict()  # most recent last
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -166,20 +184,21 @@ class ProgramCache:
     def clear(self):
         self.entries.clear()
 
-    def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[TargetStmt]:
-        """The program of `sig` if `tensors` read its facts alike. Each
+    def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[Lowered]:
+        """The entry of `sig` if `tensors` read its facts alike. Each
         tensor's facts are re-read in the order lowering read them, so a
         window is checked before any entry it bounds is read."""
-        facts, prog = self.entries.get(sig, ((), None))
-        runs = [iter(facts)] * 5
-        if prog is None or not all(_same(tensors[n].fact(d, f, at), v)
-                                   for n, d, f, at, v in zip(*runs)):
+        entry = self.entries.get(sig)
+        if entry is None:
+            return None
+        runs = [iter(entry.facts)] * 5
+        if not all(_same(tensors[n].fact(d, f, at), v) for n, d, f, at, v in zip(*runs)):
             return None
         self.entries.move_to_end(sig)
-        return prog
+        return entry
 
-    def put(self, sig: tuple, facts: tuple, prog: TargetStmt):
-        self.entries[sig] = (facts, prog)
+    def put(self, sig: tuple, entry: Lowered):
+        self.entries[sig] = entry
         self.entries.move_to_end(sig)
         if len(self.entries) > self.capacity:
             self.entries.popitem(last=False)
@@ -211,18 +230,18 @@ def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
     ruleset = ruleset or Ruleset()
     if stages:
         ctx = LowerCtx(tensors, writers, ruleset=ruleset, collect_stages=True)
-        return Compiled(lower_program(ctx, stmt), tensors, writers, stages=ctx.stages)
+        return Compiled(Lowered(lower_program(ctx, stmt)), tensors, writers, stages=ctx.stages)
     sig = _signature(stmt, tensors, ruleset)
-    prog = PROGRAMS.get(sig, tensors)
-    if prog is not None:
-        return Compiled(prog, tensors, writers, lowering="cached")
+    entry = PROGRAMS.get(sig, tensors)
+    if entry is not None:
+        return Compiled(entry, tensors, writers, lowering="cached")
     for bt in tensors.values():  # facts read by the lookup are not guards
         bt.facts.clear()
     prog = lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt)
-    facts = tuple(x for name, bt in tensors.items() for key, v in bt.facts.items()
-                  for x in (name, *key, v))
-    PROGRAMS.put(sig, facts, prog)
-    return Compiled(prog, tensors, writers)
+    entry = Lowered(prog, tuple(x for name, bt in tensors.items() for key, v in bt.facts.items()
+                                for x in (name, *key, v)))
+    PROGRAMS.put(sig, entry)
+    return Compiled(entry, tensors, writers)
 
 
 @dataclass
@@ -237,12 +256,13 @@ class RunResult:
 # Programs whose runtime buffers (inputs and outputs) hold at least this many
 # stored entries run as generated Python; smaller ones are interpreted.
 # Generating and compiling a program costs a fixed 1.5-10 ms the first time it
-# runs on given runtime facts (`codegen.CODE` keeps the code, and later runs
-# on the same facts pay only the buffer scan that guards it); interpreting
-# costs about 25-100 us per stored entry. Measured on a 2-vCPU x86-64 machine
-# with CPython 3.11, the interpreter and fresh code meet at 100-350 entries,
-# and the interpreter and reused code at 10-20 (reused code ran faster on 158
-# of the benchmark's 164 corpus-sweep programs, of 4-108 entries). A lower bar
+# runs on given runtime facts (its `Lowered` entry keeps the code, and later
+# runs on the same facts pay only the guard, which reads the facts assembly
+# recorded); interpreting costs about 25-100 us per stored entry. Measured on
+# a 2-vCPU x86-64 machine with CPython 3.11, the interpreter and fresh code
+# meet at 100-350 entries, and the interpreter and reused code at 10-20
+# (reused code ran faster on 158 of the benchmark's 164 corpus-sweep
+# programs, of 4-108 entries, when the guard still scanned). A lower bar
 # would pay off only where programs rerun on the same facts, and `coil check`
 # trials on random inputs seldom do; at 1024 fresh code is 3.5-15x faster, and
 # every corpus-sweep job stays interpreted.
@@ -259,18 +279,19 @@ class Execution:
     codegen: Optional[str] = None
 
 
-def run_program(prog: TargetStmt, buffers: Dict[str, Buf], params: Optional[dict] = None,
+def run_program(lowered: Lowered, buffers: Dict[str, Buf], params: Optional[dict] = None,
                 writers: Optional[dict] = None) -> Execution:
-    """Run a target program on the backend its size calls for.
+    """Run a lowered program on the backend its size calls for; generated
+    code is kept in, and reused from, `lowered`.
 
     Both backends leave the same buffers and writers and count the same
     `ExecCounters`; the interpreter is the reference for both."""
     if sum(len(b) for b in buffers.values()) >= CODEGEN_MIN_ENTRIES:
         from . import codegen  # loaded on first use: small programs never need it
 
-        code, reuse = codegen.generated(prog, buffers, params, writers)
+        code, reuse = codegen.generated(lowered, buffers, params, writers)
         return Execution(code(buffers, params, writers), "python", reuse)
-    machine = interp.run_program(prog, buffers, params=params, writers=writers)
+    machine = interp.run_program(lowered.program, buffers, params=params, writers=writers)
     return Execution(machine.counters, "interp")
 
 
@@ -290,7 +311,7 @@ def runtime(compiled: Compiled) -> Tuple[Dict[str, Buf], Dict[str, Writer]]:
 def execute(compiled: Compiled, params: Optional[Dict[str, Value]] = None) -> RunResult:
     buffers, writers = runtime(compiled)
     mparams = {f"${k}": v for k, v in (params or {}).items()}
-    run = run_program(compiled.program, buffers, params=mparams, writers=writers)
+    run = run_program(compiled.lowered, buffers, params=mparams, writers=writers)
     outs = {name: w.freeze() for name, w in writers.items()}
     dense = {name: to_dense(t) for name, t in outs.items()}
     return RunResult(outs, dense, run.counters, run.backend, run.codegen)

@@ -13,13 +13,16 @@ Code is generated once per program and runtime facts, and reused. Generation
 reads the runtime state only through one table (`_Facts`): each buffer's
 dtype, length and value facts (types, and bounds of int values), the buffers
 append writers grow, each writer's class and buffer names, and each
-parameter's facts. `CODE` keeps one compiled `_run` per program, with the
-key of the table it was generated under, and `generated` reuses it for a
-later state whose table is equal in type and value, so a program run again on
-inputs of the same structure skips generation and `compile`. The buffers are
-still scanned on every run: the scan is the guard. A program's code is
-replaced when its facts change, and at most `PROGRAM_CACHE_ENTRIES` programs
-are kept, the least recently used evicted first.
+parameter's facts. A program's `api.Lowered` entry keeps one compiled `_run`,
+with the key of the table it was generated under, and `generated` reuses it
+for a later state whose table is equal in type and value, so a program run
+again on inputs of the same structure skips generation and `compile`. The
+code is replaced when the facts change, and goes with its entry when the
+program cache (`api.PROGRAMS`) replaces or evicts the program. Building the
+table is the guard, and it reads an input buffer's value facts from its
+storage level (`Level.facts`), which records them at assembly or scans the
+array once and keeps the result; only writers' buffers and buffers built
+without a level are scanned on every run.
 
 - Flat code. The code is three-address: every operand is evaluated, in the
   interpreter's order, into a name, a literal or a temporary on a line of its
@@ -61,24 +64,25 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import Counter, OrderedDict
+from collections import Counter
 from functools import lru_cache
 from typing import Dict, Optional
 
-from .api import PROGRAM_CACHE_ENTRIES, _same
+from .api import Lowered, _same
 from .expr import Call, Lit, Read, Search, Var
-from .interp import (CANNOT_EVAL, CANNOT_EXEC, NO_WRITER, READ_NOT_LINEAR, UNBOUND, UNDECLARED,
-                     UNKNOWN_BUFFER, WRITE_NOT_LINEAR, Buf, ExecCounters, InterpError, _hook,
-                     _loop, _lv, _range, _search, _sel, _stuck, _truth, _write)
+from .interp import (CANNOT_EVAL, CANNOT_EXEC, INTS as _I, NO_WRITER, READ_NOT_LINEAR,
+                     SCALARS as _SCALARS, UNBOUND, UNDECLARED, UNKNOWN_BUFFER, WRITE_NOT_LINEAR,
+                     Buf, ExecCounters, InterpError, _hook, _loop, _lv, _range, _search, _sel,
+                     _stuck, _truth, _write)
 from .target import AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, Nop, While
 from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op
 
-# Facts about a value are (types, interval). Types is a frozenset of int,
-# float and bool, or None for "any" (missing included). The interval bounds an
-# int: (lo, hi), () while there is no value yet, None when unknown.
-_I, _F, _B = frozenset({int}), frozenset({float}), frozenset({bool})
+# Facts about a value are (types, interval), as `interp.scan_facts` reads them
+# from a buffer. Types is a frozenset of int, float and bool, or None for "any"
+# (missing included). The interval bounds an int: (lo, hi), () while there is
+# no value yet, None when unknown.
+_F, _B = frozenset({float}), frozenset({bool})
 _NONE = frozenset()  # no value yet (or never: the expression raises)
-_SCALARS = frozenset({int, float, bool})
 _FULL = (INT_MIN, INT_MAX)
 _ANY = (None, None)
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -249,16 +253,18 @@ class _Facts:
 
     For each buffer: its dtype, its length and the facts of its values (types
     and int interval, or "any" where append writers grow the buffer or it
-    holds a non-scalar); the buffers append writers grow; each writer's class
-    and buffer names; each parameter's facts. `key` flattens the table, with
-    the size of each part first, so two states whose keys are equal element
-    by element, in type and value, get the same code."""
+    holds a non-scalar), as recorded with the buffer or else scanned
+    (`Buf.initial_facts`); the buffers append writers grow; each writer's
+    class and buffer names; each parameter's facts. `key` flattens the table,
+    with the size of each part first, so two states whose keys are equal
+    element by element, in type and value, get the same code."""
 
     def __init__(self, buffers: Dict[str, Buf], writers: dict, params: dict):
         # append writers grow their buffers; reads of them go through Buf.get
         self.dynamic = frozenset(name for w in writers.values() if w.appends
                                  for name in w.buffers)
-        self.bufs = {name: (b.dtype, len(b.data), self.scan(b.data, name in self.dynamic))
+        self.bufs = {name: (b.dtype, len(b.data),
+                            _ANY if name in self.dynamic else b.initial_facts())
                      for name, b in buffers.items()}
         self.writers = {name: tuple(w.buffers) for name, w in writers.items()}
         self.params = {name: _lit_facts(v) for name, v in params.items()}
@@ -267,13 +273,6 @@ class _Facts:
                       for x in (name, name in self.dynamic, dtype, size, ts, iv)),
                     *(x for name, w in writers.items() for x in (name, type(w), self.writers[name])),
                     *(x for name, f in self.params.items() for x in (name, *f)))
-
-    @staticmethod
-    def scan(data, dynamic):
-        ts = None if dynamic else frozenset(map(type, data))
-        if ts is None or not ts <= _SCALARS:
-            return _ANY
-        return (ts, (min(data), max(data)) if ts == _I else ())
 
 
 # -- generation ------------------------------------------------------------------------
@@ -896,10 +895,15 @@ class _Code:
     """A program's compiled `_run`, the key of the facts table it was
     generated under, and the static counts of its sites."""
 
-    __slots__ = ("prog", "key", "run", "sites")
+    __slots__ = ("key", "run", "sites")
 
-    def __init__(self, prog, key: tuple, run, sites: list):
-        self.prog, self.key, self.run, self.sites = prog, key, run, sites
+    def __init__(self, key: tuple, run, sites: list):
+        self.key, self.run, self.sites = key, run, sites
+
+    def fits(self, key: tuple) -> bool:
+        """Whether the code was generated under a table of this key, compared
+        element by element in type and value."""
+        return len(self.key) == len(key) and all(map(_same, self.key, key))
 
     def __call__(self, buffers: Dict[str, Buf], params: Optional[dict] = None,
                  writers: Optional[dict] = None) -> ExecCounters:
@@ -919,64 +923,26 @@ class _Code:
         return counters
 
 
-class CodeCache:
-    """Generated code by program, one variant each: the code generated under
-    the facts table the program last ran with, replaced when the facts change.
-
-    A program is keyed by identity, since equal IR can hold literals of
-    different types (`Lit(2) == Lit(2.0)`); the entry holds the program, so
-    its id is not reused while the entry lives. At most `capacity` programs
-    are kept, the least recently used evicted first."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.entries: "OrderedDict[int, _Code]" = OrderedDict()  # most recent last
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def clear(self):
-        self.entries.clear()
-
-    def get(self, prog, key: tuple) -> Optional[_Code]:
-        """The code of `prog` if it was generated under a table of this key,
-        compared element by element in type and value."""
-        code = self.entries.get(id(prog))
-        if code is None or len(code.key) != len(key) or not all(map(_same, code.key, key)):
-            return None
-        self.entries.move_to_end(id(prog))
-        return code
-
-    def put(self, code: _Code):
-        self.entries[id(code.prog)] = code
-        self.entries.move_to_end(id(code.prog))
-        if len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-
-
-CODE = CodeCache(PROGRAM_CACHE_ENTRIES)
-
-
-def generated(prog, buffers: Dict[str, Buf], params: Optional[dict] = None,
+def generated(lowered: Lowered, buffers: Dict[str, Buf], params: Optional[dict] = None,
               writers: Optional[dict] = None):
-    """The code of `prog` for this state, and "cached" when it was generated
-    for an earlier state with the same facts table (`CODE`), else "fresh"."""
+    """The code of `lowered.program` for this state, and "cached" when it is
+    the code `lowered` keeps, generated for an earlier state whose facts table
+    is equal in type and value, else "fresh": generated now and kept in
+    `lowered` in its place."""
     table = _Facts(buffers, writers or {}, params or {})
-    code = CODE.get(prog, table.key)
-    if code is not None:
-        return code, "cached"
-    src, consts, sites = _source(prog, table)
+    if lowered.code is not None and lowered.code.fits(table.key):
+        return lowered.code, "cached"
+    src, consts, sites = _source(lowered.program, table)
     ns = dict(_GLOBALS, **{f"_c{k}": v for k, v in enumerate(consts)})
     exec(compile(src, "<coil codegen>", "exec"), ns)
     # popped so that the function and its globals form no cycle
-    code = _Code(prog, table.key, ns.pop("_run"), sites)
-    CODE.put(code)
-    return code, "fresh"
+    lowered.code = _Code(table.key, ns.pop("_run"), sites)
+    return lowered.code, "fresh"
 
 
 def run_program(prog, buffers: Dict[str, Buf], params: Optional[dict] = None,
                 writers: Optional[dict] = None) -> ExecCounters:
-    """Run `prog` as generated code, generated now or reused; the counters
-    equal the interpreter's."""
-    code, _ = generated(prog, buffers, params, writers)
+    """Run `prog` as code generated for this run alone; the counters equal
+    the interpreter's."""
+    code, _ = generated(Lowered(prog), buffers, params, writers)
     return code(buffers, params, writers)

@@ -75,15 +75,35 @@ class ExecCounters:
         }
 
 
+SCALARS = frozenset({int, float, bool})
+INTS = frozenset({int})
+
+
+def scan_facts(data, types=None) -> tuple:
+    """The facts of a buffer's values: (the set of their types, (min, max)
+    when they are all ints else ()), or (None, None) when a value is not a
+    scalar, such as missing. The types are read from every value unless they
+    are given."""
+    ts = frozenset(map(type, data) if types is None else types)
+    if not ts <= SCALARS:
+        return (None, None)
+    return (ts, (min(data), max(data)) if ts == INTS else ())
+
+
 class Buf:
-    """Flat 1-based value buffer with a dtype used to coerce writes."""
+    """Flat 1-based value buffer with a dtype used to coerce writes.
 
-    __slots__ = ("name", "data", "dtype")
+    `facts`, when given, is a function of no arguments that returns the facts
+    of the values the buffer is built with, as `scan_facts` reads them; the
+    storage level that holds those values records them (`Level.facts`)."""
 
-    def __init__(self, name: str, data: List, dtype: Optional[str] = None):
+    __slots__ = ("name", "data", "dtype", "facts")
+
+    def __init__(self, name: str, data: List, dtype: Optional[str] = None, facts=None):
         self.name = name
         self.data = list(data)
         self.dtype = dtype
+        self.facts = facts
 
     def get(self, i: int):
         if not isinstance(i, int) or isinstance(i, bool) or not (1 <= i <= len(self.data)):
@@ -97,6 +117,11 @@ class Buf:
 
     def __len__(self):
         return len(self.data)
+
+    def initial_facts(self) -> tuple:
+        """The facts of the values the buffer was built with: recorded, or
+        read from its data."""
+        return scan_facts(self.data) if self.facts is None else self.facts()
 
 
 # -- runtime checks, search, write and writer hooks: both backends call these ---------

@@ -17,7 +17,13 @@ owns everything coil knows about that kind:
 - `locate`, random access to one index, shared by the `follow` protocol and
   by the lowering of reads at a bound index;
 - `writer`, the runtime writer of an output whose last mode it is (None if it
-  cannot be one).
+  cannot be one);
+- `facts`, the facts of each buffer's values (types, and bounds of int
+  values) that generated code is guarded by. Assembly records them from
+  what it knows of the arrays it builds, in time linear in the fibers:
+  `pos` and `ofs` ascend from 1, and `idx` ascends within each fiber, so its
+  bounds are its fibers' first and last entries. Buffers with nothing
+  recorded are scanned on first use and the result kept.
 
 `@level` registers a class in `KINDS`; spec parsing, assembly, validation,
 unfurling, lowering and output binding all look kinds up there.
@@ -32,6 +38,7 @@ from typing import Dict, List
 
 from .cin import CompileError, Cursor
 from .expr import Call, Lit, ONE, Read, Search, TRUE, Var, eq, iadd, imul, isub, le
+from .interp import INTS, scan_facts
 from .looplets import Jumper, Lookup, Phase, Pipeline, Run, Spike, Stepper, Switch
 from .target import AssignVar, Let, Template
 from .values import Value
@@ -160,6 +167,7 @@ class Level:
     """The interface every level format implements; see the module docstring."""
 
     __slots__ = ()
+    known: Dict[str, tuple]  # buffer field -> facts of its values, once known
     kind = "?"
     # access protocol -> function of a Fiber (defined in the class body,
     # without self) returning the fiber's looplet nest
@@ -168,6 +176,23 @@ class Level:
     # raised when a fiber's entries are out of order or out of bounds; None when
     # they are ordered by construction
     Disorder = FormatError
+
+    def __post_init__(self):
+        self.known = {}
+
+    def recorded(self, **facts) -> "Level":
+        """The level, with the facts of these buffers recorded."""
+        self.known.update(facts)
+        return self
+
+    def facts(self, field: str) -> tuple:
+        """Facts of buffer `field`, as `scan_facts` reads them: recorded at
+        assembly, or scanned now and kept. The level's arrays are not
+        changed once validated, so what is kept stays true."""
+        got = self.known.get(field)
+        if got is None:
+            got = self.known[field] = scan_facts(getattr(self, field))
+        return got
 
     @classmethod
     def assemble(cls, a, k: int, fibers: List[int]) -> "Level":
@@ -229,6 +254,20 @@ def _steps(f: Fiber, var: str, stop, body, node=Stepper):
 def _steps_then_fill(f: Fiber, var: str, stop, body, node=Stepper):
     """The steps over the window, then fill past its last entry."""
     return Pipeline((Phase(_steps(f, var, stop, body, node), stop=f.last()), Phase(Run(f.fill))))
+
+
+def _ascending(a: List[int]) -> tuple:
+    """Facts of an int array that ascends from 1, such as `pos` and `ofs`."""
+    return (INTS, (1, a[-1]))
+
+
+def _fibered(pos: List[int], idx: List[int]) -> tuple:
+    """Facts of an int array that ascends within each fiber of `pos`: its
+    least fiber-first and greatest fiber-last entries bound it."""
+    windows = [(lo, hi) for lo, hi in zip(pos, pos[1:]) if lo < hi]
+    if not windows:
+        return (frozenset(), ())
+    return (INTS, (min(idx[lo - 1] for lo, _ in windows), max(idx[hi - 2] for _, hi in windows)))
 
 
 def _listed_entries(lvl, p: int):
@@ -301,7 +340,8 @@ class SparseList(Level):
             idx += got
             children += [b + (i - 1) * ss for i in got]
             pos.append(len(idx) + 1)
-        return cls(size, pos, idx, a.level(k + 1, children))
+        return cls(size, pos, idx, a.level(k + 1, children)).recorded(
+            pos=_ascending(pos), idx=_fibered(pos, idx))
 
     entries = _listed_entries
 
@@ -346,7 +386,8 @@ class SparseBand(Level):
             stop.append(hi)
             children += range(b + (lo - 1) * ss, b + hi * ss, ss)
             ofs.append(len(children) + 1)
-        return cls(size, start, stop, ofs, a.level(k + 1, children))
+        return cls(size, start, stop, ofs, a.level(k + 1, children)).recorded(
+            start=scan_facts(start), stop=scan_facts(stop), ofs=_ascending(ofs))
 
     def entries(self, p):
         a, b, o = self.start[p - 1], self.stop[p - 1], self.ofs[p - 1]
@@ -404,7 +445,8 @@ class SparseVBL(Level):
             ofs += [len(children) + n + 1 for n in ends]
             children += [b + (i - 1) * ss for i in got]
             pos.append(len(idx) + 1)
-        return cls(size, pos, idx, ofs, a.level(k + 1, children))
+        return cls(size, pos, idx, ofs, a.level(k + 1, children)).recorded(
+            pos=_ascending(pos), idx=_fibered(pos, idx), ofs=_ascending(ofs))
 
     def entries(self, p):
         for b in range(self.pos[p - 1], self.pos[p]):
@@ -478,7 +520,10 @@ class RepeatRLE(Level):
             val += firsts
             idx += accumulate(lens)
             pos.append(len(idx) + 1)
-        return cls(size, pos, idx, val)
+        facts = {"pos": _ascending(pos), "idx": _fibered(pos, idx)}
+        if len(fibers) * size == len(data):  # the runs cover the payload and share its types
+            facts["val"] = scan_facts(val, a.types)
+        return cls(size, pos, idx, val).recorded(**facts)
 
     entries = _listed_entries
 

@@ -17,6 +17,12 @@ most once per payload and shared by dtype inference and run-length
 assembly; a payload that needs neither (a given dtype, no rle level) is not
 scanned.
 
+Assembly also records the facts of each level array that generated code is
+guarded by (`Level.facts`: value types and int bounds), from what it knows
+of the arrays it builds, so no run scans them; the runtime buffers that
+`tensor_buffers` makes carry them. Level arrays are not changed after
+`validate`, so recorded facts stay true for the tensor's life.
+
 `to_dense` and `validate` walk each level's stored entries; `tensor_buffers`
 and `from_buffers` convert between a tensor and its runtime buffers.
 """
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from operator import is_not, ne
 from typing import Dict, List, Optional, Tuple
@@ -187,7 +193,7 @@ def tensor_buffers(t: Tensor) -> Dict[str, Buf]:
         for f in lvl.buffers:
             data = getattr(lvl, f)
             dtype = t.dtype if f == "val" else None
-            out[names[(d, f)]] = Buf(names[(d, f)], data, dtype)
+            out[names[(d, f)]] = Buf(names[(d, f)], data, dtype, partial(lvl.facts, f))
     return out
 
 

@@ -31,8 +31,9 @@ def reading(path: str, error=TensorIOError):
 def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
     """Returns (dims, triples sorted row-major, value dtype).
 
-    Triples are (i, j, v) with 1-based coordinates (or (i, v) for vectors);
-    symmetric inputs are expanded to general, pattern entries read as 1.
+    A MatrixMarket file holds a matrix, so dims are always [rows, columns]
+    and triples always (i, j, v), with 1-based coordinates; symmetric inputs
+    are expanded to general, pattern entries read as 1.
     """
     dims, entries, dtype = _read_entries(path)
     ncols = dims[1]
@@ -45,7 +46,7 @@ def _read_entries(path: str) -> Tuple[List[int], Dict[int, Value], str]:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
             raise TensorIOError(f"{path}: missing MatrixMarket header")
-        parts = header.split()
+        parts = header.lower().split()  # the header's keywords are case-insensitive
         if len(parts) < 5 or parts[1] != "matrix":
             raise TensorIOError(f"{path}: malformed header {header.strip()!r}")
         layout, field, symmetry = parts[2], parts[3], parts[4]
@@ -128,6 +129,11 @@ def matrix_market_dense(path: str) -> Tuple[List[int], list, str]:
     return dims, data, dtype
 
 
+# float tokens without a point or an exponent, as `write_dense_text` writes
+# non-finite floats
+_NON_FINITE = ("inf", "infinity", "nan")
+
+
 def read_dense_text(path: str) -> Tuple[List[int], list, str]:
     with reading(path) as fh:
         first = fh.readline()
@@ -143,8 +149,8 @@ def read_dense_text(path: str) -> Tuple[List[int], list, str]:
         total *= d
     if len(toks) != total:
         raise TensorIOError(f"{path}: expected {total} values, found {len(toks)}")
-    is_float = any(("." in t or "e" in t.lower()) and t not in ("true", "false")
-                   for t in toks)
+    is_float = any(("." in t or "e" in t.lower() or t.lower().lstrip("+-") in _NON_FINITE)
+                   and t not in ("true", "false") for t in toks)
     if all(t in ("true", "false") for t in toks):
         data = [t == "true" for t in toks]
         return dims, data, "bool"

@@ -1,6 +1,17 @@
 import random
 
-from coil.api import InputSpec
+import pytest
+
+from coil.api import PROGRAMS, InputSpec
+
+
+@pytest.fixture
+def programs():
+    """The program cache (`api.PROGRAMS`), empty at the start of the test and
+    emptied again after it; generated code lives in its entries."""
+    PROGRAMS.clear()
+    yield PROGRAMS
+    PROGRAMS.clear()
 
 
 def make_vector(rng: random.Random, n: int, density: float, fmt: str,

@@ -4,10 +4,9 @@ import pathlib
 import pytest
 
 from coil import cli
-from coil.codegen import CODE
-from coil.api import PROGRAMS, InputSpec, OutputSpec, oracle_outputs, run_kernel
+from coil.api import InputSpec, OutputSpec, oracle_outputs, run_kernel
 from coil.parser import MAX_DEPTH
-from coil.tensorio import write_dense_text
+from coil.tensorio import read_dense_text, write_dense_text
 
 KERNELS = pathlib.Path(__file__).parent.parent / "kernels"
 
@@ -42,14 +41,12 @@ def test_compile_unsupported_pair_exit_2(capsys):
     assert "protocol" in err or "gallop" in err
 
 
-def test_run_json_report(capsys, tmp_path):
+def test_run_json_report(capsys, tmp_path, programs):
     for n, backend, codegen in ((4, "interp", [None, None]), (600, "python", ["fresh", "cached"])):
         path = tmp_path / "v.txt"
         write_dense_text(str(path), [n], [float(k % 4 + 1) for k in range(n)])
         path2 = tmp_path / "w.txt"
         write_dense_text(str(path2), [n], [1.0] * n)
-        PROGRAMS.clear()
-        CODE.clear()
         # the second run reuses the first's program, and its code when generated
         for lowering, code in zip(("fresh", "cached"), codegen):
             rc = run_cli(["run", "--kernel", KERNELS / "dot.cin",
@@ -168,19 +165,20 @@ def test_bench_reports_per_variant_counters(capsys):
         assert report[label]["codegen"] is None
 
 
-def test_bench_reuses_generated_code(capsys, tmp_path):
-    """The first of N trials generates the code, the other N - 1 reuse it."""
+def test_bench_reuses_generated_code(capsys, tmp_path, programs):
+    """The first of N trials generates the code, the other N - 1 reuse it;
+    the code is kept with the program."""
     n = 600
     a = tmp_path / "a.txt"
     write_dense_text(str(a), [n], [1.0] * n)
-    CODE.clear()
     rc = run_cli(["bench", "--kernel", KERNELS / "dot.cin", "--tensor", f"A={a}",
                   "--tensor", f"B={a}", "--trials", "3"])
     report = json.loads(capsys.readouterr().out)["default"]
     assert rc == 0
     assert (report["backend"], report["codegen"], report["loop_iterations"]) == (
         "python", "cached", n)
-    assert len(CODE) == 1
+    (entry,) = programs.entries.values()
+    assert entry.code is not None
 
 
 def test_bench_dense_dot_iterations_equal_length(capsys, tmp_path):
@@ -271,7 +269,7 @@ def test_malformed_matrix_market_entry_exit_2(capsys, tmp_path, entry):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("text", ["dims: 3\n1 inf 2\n", "dims: 2\ntrue 1.5\n",
+@pytest.mark.parametrize("text", ["dims: 3\n1 two 2\n", "dims: 2\ntrue 1.5\n",
                                   "dims: 3x\n1 2 3\n"])
 def test_malformed_dense_text_exit_2(capsys, tmp_path, text):
     path = tmp_path / "v.txt"
@@ -339,3 +337,14 @@ def test_writer_overflow_exit_3(capsys, tmp_path):
     err = capsys.readouterr().err
     assert rc == 3
     assert "integer overflow" in err and "Traceback" not in err
+
+
+def test_run_out_of_non_finite_floats_reads_back(capsys, tmp_path):
+    """An output that holds only inf is written as `inf` and read back as a float."""
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [2], [1e308, 1e308])
+    rc = run_cli(["run", "--kernel", KERNELS / "dot.cin", "--tensor", f"A={a}",
+                  "--tensor", f"B={a}", "--out", tmp_path / "r"])
+    capsys.readouterr()
+    assert rc == 0
+    assert read_dense_text(str(tmp_path / "r.C.txt")) == ([], [float("inf")], "float")

@@ -17,6 +17,7 @@ from coil import codegen
 from coil.api import (
     CODEGEN_MIN_ENTRIES,
     InputSpec,
+    Lowered,
     OutputSpec,
     compile_kernel,
     execute,
@@ -47,17 +48,22 @@ def same(a, b) -> bool:
     return a == b
 
 
+KEPT = Lowered(NOP)  # the entry of the program `cold` ran last, with its code
+
+
 def cold(prog, buffers, params, writers):
-    """Generated code, generated for this run."""
-    codegen.CODE.clear()
-    code, reuse = codegen.generated(prog, buffers, params, writers)
+    """Generated code, generated for this run and kept for `warm`."""
+    global KEPT
+    KEPT = Lowered(prog)
+    code, reuse = codegen.generated(KEPT, buffers, params, writers)
     assert reuse == "fresh"
     return code(buffers, params, writers)
 
 
 def warm(prog, buffers, params, writers):
-    """Generated code reused from an earlier run of `prog` on the same facts."""
-    code, reuse = codegen.generated(prog, buffers, params, writers)
+    """Generated code reused from the `cold` run of `prog` on the same facts."""
+    assert KEPT.program is prog
+    code, reuse = codegen.generated(KEPT, buffers, params, writers)
     assert reuse == "cached"
     return code(buffers, params, writers)
 
@@ -204,7 +210,7 @@ def test_search_matches_interpreter_probes():
                 codegen.run_program(prog, state()[0])
 
 
-def test_execute_picks_backend_by_stored_entries():
+def test_execute_picks_backend_by_stored_entries(programs):
     def spmspv(n):
         rng = random.Random(n)
         a = [rng.random() if rng.random() < 0.5 else 0.0 for _ in range(n * n)]
@@ -217,7 +223,6 @@ def test_execute_picks_backend_by_stored_entries():
     assert sum(len(b) for b in runtime(small)[0].values()) < CODEGEN_MIN_ENTRIES
     assert sum(len(b) for b in runtime(large)[0].values()) >= CODEGEN_MIN_ENTRIES
     assert (execute(small).backend, execute(small).codegen) == ("interp", None)
-    codegen.CODE.clear()
     r = execute(large)
     assert (r.backend, r.codegen) == ("python", "fresh")
     assert execute(large).codegen == "cached"

@@ -13,7 +13,7 @@ import pytest
 
 import coil.api as api
 import coil.rewrite as rw
-from coil.api import InputSpec, ProgramCache, compile_kernel, execute, oracle_outputs
+from coil.api import InputSpec, Lowered, ProgramCache, compile_kernel, execute, oracle_outputs
 from coil.parser import parse
 from coil.rewrite import Ruleset
 from coil.unfurl import CompileError
@@ -22,11 +22,7 @@ DOT = "@V i C[] += A[i] * B[i]"
 ONES = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
-@pytest.fixture(autouse=True)
-def empty_cache():
-    api.PROGRAMS.clear()
-    yield
-    api.PROGRAMS.clear()
+pytestmark = pytest.mark.usefixtures("programs")
 
 
 def dot_inputs(a, fmt="splist", b=None, bfmt="dense", fill=0.0):
@@ -118,8 +114,9 @@ def test_facts_compare_by_type():
             return self.value
 
     cache = ProgramCache(4)
-    cache.put(("kernel", ()), ("A", 1, "pos", 1, 1), "program")
-    assert cache.get(("kernel", ()), {"A": Reads(1)}) == "program"
+    entry = Lowered("program", ("A", 1, "pos", 1, 1))
+    cache.put(("kernel", ()), entry)
+    assert cache.get(("kernel", ()), {"A": Reads(1)}) is entry
     assert cache.get(("kernel", ()), {"A": Reads(True)}) is None
     assert cache.get(("kernel", ()), {"A": Reads(1.0)}) is None
     assert cache.get(("kernel", ()), {"A": Reads(2)}) is None
@@ -224,8 +221,8 @@ def test_cache_holds_no_payload():
     gc.collect()
     assert [r() for r in refs] == [None] * 4
     assert len(api.PROGRAMS) == 1
-    for facts, _ in api.PROGRAMS.entries.values():
-        runs = [iter(facts)] * 5
+    for entry in api.PROGRAMS.entries.values():
+        runs = [iter(entry.facts)] * 5
         for name, depth, field, at, value in zip(*runs):
             assert type(name) is str and type(field) is str
             assert type(depth) is int and type(at) is int and type(value) in (int, bool)

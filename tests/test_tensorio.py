@@ -134,3 +134,31 @@ def test_dense_text_wrong_count(tmp_path):
     p = write(tmp_path, "w.txt", "dims: 4\n1 2 3\n")
     with pytest.raises(TensorIOError):
         read_dense_text(p)
+
+
+def test_header_keywords_are_case_insensitive(tmp_path):
+    path = write(tmp_path, "c.mtx", """%%MatrixMarket Matrix Coordinate Real General
+2 2 1
+2 1 4.5
+""")
+    dims, triples, dtype = read_matrix_market(path)
+    assert (dims, triples, dtype) == ([2, 2], [(2, 1, 4.5)], "float")
+    path = write(tmp_path, "s.mtx", """%%MatrixMarket MATRIX array INTEGER Symmetric
+2 2
+1
+2
+3
+""")
+    assert read_matrix_market(path) == ([2, 2], [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 3)],
+                                        "int")
+
+
+@pytest.mark.parametrize("values", [[float("inf"), float("-inf")], [float("nan")],
+                                    [float("inf"), 2.0, float("nan")]])
+def test_dense_text_non_finite_round_trip(tmp_path, values):
+    p = tmp_path / "n.txt"
+    write_dense_text(str(p), [len(values)], values)
+    dims, data, dtype = read_dense_text(str(p))
+    assert dims == [len(values)] and dtype == "float"
+    assert [type(v) for v in data] == [float] * len(values)
+    assert [repr(v) for v in data] == [repr(v) for v in values]
