@@ -235,9 +235,17 @@ def test_execute_picks_backend_by_stored_entries(programs):
 # -- error parity: whatever the interpreter rejects, the generated code rejects --------
 
 
-def _writer(mode, fill=0.0, dtype="float"):
-    plan = WriterPlan("y", [4], fill, dtype, [mode])
+def _writer(mode, fill=0.0, dtype="float", rows=0):
+    """A writer of output y, a vector of 4 or, with `rows`, a rows x 4
+    matrix whose last mode is `mode`."""
+    plan = WriterPlan("y", [rows, 4] if rows else [4], fill, dtype,
+                      ["dense", mode] if rows else [mode])
     return lambda: plan.writer(plan)
+
+
+def _hooks(*calls):
+    """A block of writer hook calls on y, each (action, literal arguments)."""
+    return Block(tuple(CallStmt(f"y.{fn}", tuple(map(Lit, args))) for fn, args in calls))
 
 
 PARITY = {
@@ -278,6 +286,40 @@ PARITY = {
     "non_boolean_or": (Let("x", Call("or", (Lit(False), Lit(3)))), {}, None),
     "int_while_condition": (While(Lit(1), NOP), {}, None),
     "unbound_writer_hook": (CallStmt("z.init"), {}, None),
+    # writer errors, raised by the one writer implementation both backends call
+    "append_prefix_out_of_bounds": (_hooks(("append_set", (3, 1, 1.0))), {},
+                                    _writer("splist", rows=2)),
+    "run_set_prefix_out_of_bounds": (_hooks(("run_set", (0, 1, 2, 1.0))), {},
+                                     _writer("rle", rows=2)),
+    "append_index_out_of_bounds": (_hooks(("append_set", (5, 1.0))), {}, _writer("splist")),
+    "run_set_out_of_bounds": (_hooks(("run_set", (3, 5, 1.0))), {}, _writer("rle")),
+    "run_set_reversed": (_hooks(("run_set", (3, 2, 1.0))), {}, _writer("rle")),
+    "append_non_ascending_across_fibers": (
+        _hooks(("append_set", (2, 1, 1.0)), ("append_set", (1, 3, 1.0))), {},
+        _writer("splist", rows=2)),
+    "append_non_ascending_within_fiber": (
+        _hooks(("append_set", (1, 3, 1.0)), ("append_add", (1, 2, 1.0))), {},
+        _writer("splist", rows=2)),
+    "run_set_non_ascending_across_fibers": (
+        _hooks(("run_set", (2, 1, 2, 1.0)), ("run_set", (1, 3, 4, 1.0))), {},
+        _writer("rle", rows=2)),
+    "run_set_non_ascending_within_fiber": (
+        _hooks(("run_set", (1, 3, 1.0)), ("run_set", (3, 4, 1.0))), {}, _writer("rle")),
+    "rle_append_non_ascending_within_fiber": (
+        _hooks(("append_set", (3, 1.0)), ("append_set", (2, 1.0))), {}, _writer("rle")),
+    "rle_set_at_last_index": (
+        _hooks(("run_set", (1, 2, 1.0)), ("append_set", (2, 1.0))), {}, _writer("rle")),
+    "missing_append_prefix": (CallStmt("y.append_set", (Var("$m"), Lit(1), Lit(1.0))),
+                              {"$m": MISSING}, _writer("splist", rows=2)),
+    "missing_rle_append": (CallStmt("y.append_add", (Lit(2), Var("$m"))), {"$m": MISSING},
+                           _writer("rle")),
+    "float_into_int_writer": (_hooks(("append_set", (1, 1.5))), {}, _writer("splist", 0, "int")),
+    "int_overflow_append_set": (_hooks(("append_set", (1, 2**63))), {},
+                                _writer("splist", 0, "int")),
+    "int_overflow_append_onto_fill": (_hooks(("append_add", (1, 1))), {},
+                                      _writer("splist", INT_MAX, "int")),
+    "int_overflow_rle_append_onto_fill": (_hooks(("append_add", (2, 1))), {},
+                                          _writer("rle", INT_MAX, "int")),
 }
 
 
@@ -393,6 +435,42 @@ def test_error_parity(name):
             run(prog, buffers, params, writers)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == messages[2]
+
+
+# The message each writer error raises, pinned: every backend calls one writer
+# implementation, which must keep raising them word for word.
+WRITER_ERRORS = {
+    "append_index_out_of_bounds": "write index 5 out of bounds for y",
+    "append_non_ascending_across_fibers": "non-ascending write to append-only output y",
+    "append_non_ascending_within_fiber": "non-ascending write to append-only output y",
+    "append_prefix_out_of_bounds": "write index 3 out of bounds for y",
+    "float_into_int_writer": "cannot store 1.5 in an int tensor",
+    "int_overflow_append": f"integer overflow: {2**63}",
+    "int_overflow_append_onto_fill": f"integer overflow: {2**63}",
+    "int_overflow_append_set": f"integer overflow: {2**63}",
+    "int_overflow_rle_append_onto_fill": f"integer overflow: {2**63}",
+    "int_overflow_run_append": f"integer overflow: {2**63}",
+    "missing_append": "missing value reached a write to y",
+    "missing_append_prefix": "missing value reached a write to y",
+    "missing_rle_append": "missing value reached a write to y",
+    "missing_run_set": "missing value reached a write to y",
+    "rle_append_non_ascending_within_fiber": "non-ascending write to append-only output y",
+    "rle_set_at_last_index": "non-ascending write to append-only output y",
+    "run_set_non_ascending_across_fibers": "non-ascending write to append-only output y",
+    "run_set_non_ascending_within_fiber": "non-ascending write to append-only output y",
+    "run_set_out_of_bounds": "run write 3:5 out of bounds for y",
+    "run_set_prefix_out_of_bounds": "write index 0 out of bounds for y",
+    "run_set_reversed": "run write 3:2 out of bounds for y",
+}
+
+
+def test_writer_error_messages_are_pinned():
+    assert sorted(WRITER_ERRORS) == sorted(n for n, case in PARITY.items() if case[2])
+    for name, want in WRITER_ERRORS.items():
+        prog, params, writer = PARITY[name]
+        w = writer()
+        with pytest.raises(InterpError, match=f"^{re.escape(want)}$"):
+            run_program(prog, {"v": Buf("v", [1, 2]), **w.buffers}, params, {"y": w})
 
 
 def test_unbound_name_off_the_taken_path_is_not_an_error():
