@@ -12,17 +12,18 @@ code calls those functions, so both backends raise the same messages.
 Code is generated once per program and runtime facts, and reused. Generation
 reads the runtime state only through one table (`_Facts`): each buffer's
 dtype, length and value facts (types, and bounds of int values), the buffers
-append writers grow, each writer's class and buffer names, and each
-parameter's facts. A program's `api.Lowered` entry keeps one compiled `_run`,
-with the key of the table it was generated under, and `generated` reuses it
-for a later state whose table is equal in type and value, so a program run
-again on inputs of the same structure skips generation and `compile`. The
-code is replaced when the facts change, and goes with its entry when the
-program cache (`api.PROGRAMS`) replaces or evicts the program. Building the
-table is the guard, and it reads an input buffer's value facts from its
-storage level (`Level.facts`), which records them at assembly or scans the
-array once and keeps the result; only writers' buffers and buffers built
-without a level are scanned on every run.
+append writers grow and the read-only ones, each writer's class and buffer
+names, and each parameter's facts. A program's `api.Lowered` entry keeps one
+compiled `_run`, with the key of the table it was generated under, and
+`generated` reuses it for a later state whose table is equal in type and
+value, so a program run again on inputs of the same structure skips
+generation and `compile`. The code is replaced when the facts change, and
+goes with its entry when the program cache (`api.PROGRAMS`) replaces or
+evicts the program. Building the table is the guard, and it reads an input
+buffer's value facts from its storage level (`Level.facts`), which records
+them at assembly or scans the array once and keeps the result; only
+writers' buffers and buffers built without a level are scanned on every run.
+A write to a read-only buffer compiles to the error the interpreter raises.
 
 - Flat code. The code is three-address: every operand is evaluated, in the
   interpreter's order, into a name, a literal or a temporary on a line of its
@@ -71,9 +72,9 @@ from typing import Dict, Optional
 from .api import Lowered, _same
 from .expr import Call, Lit, Read, Search, Var
 from .interp import (CANNOT_EVAL, CANNOT_EXEC, INTS as _I, NO_WRITER, READ_NOT_LINEAR,
-                     SCALARS as _SCALARS, UNBOUND, UNDECLARED, UNKNOWN_BUFFER, WRITE_NOT_LINEAR,
-                     Buf, ExecCounters, InterpError, _hook, _loop, _lv, _range, _search, _sel,
-                     _stuck, _truth, _write)
+                     READ_ONLY, SCALARS as _SCALARS, UNBOUND, UNDECLARED, UNKNOWN_BUFFER,
+                     WRITE_NOT_LINEAR, Buf, ExecCounters, InterpError, _hook, _loop, _lv,
+                     _range, _search, _sel, _stuck, _truth, _write)
 from .target import AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, Nop, While
 from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op
 
@@ -254,7 +255,8 @@ class _Facts:
     For each buffer: its dtype, its length and the facts of its values (types
     and int interval, or "any" where append writers grow the buffer or it
     holds a non-scalar), as recorded with the buffer or else scanned
-    (`Buf.initial_facts`); the buffers append writers grow; each writer's
+    (`Buf.initial_facts`); the buffers append writers grow; the read-only
+    buffers, which the code must not write; each writer's
     class and buffer names; each parameter's facts. `key` flattens the table,
     with the size of each part first, so two states whose keys are equal
     element by element, in type and value, get the same code."""
@@ -266,11 +268,13 @@ class _Facts:
         self.bufs = {name: (b.dtype, len(b.data),
                             _ANY if name in self.dynamic else b.initial_facts())
                      for name, b in buffers.items()}
+        self.readonly = frozenset(name for name, b in buffers.items() if b.readonly)
         self.writers = {name: tuple(w.buffers) for name, w in writers.items()}
         self.params = {name: _lit_facts(v) for name, v in params.items()}
         self.key = (len(self.bufs), len(writers), len(self.params),
                     *(x for name, (dtype, size, (ts, iv)) in self.bufs.items()
-                      for x in (name, name in self.dynamic, dtype, size, ts, iv)),
+                      for x in (name, name in self.dynamic, name in self.readonly,
+                                dtype, size, ts, iv)),
                     *(x for name, w in writers.items() for x in (name, type(w), self.writers[name])),
                     *(x for name, f in self.params.items() for x in (name, *f)))
 
@@ -669,6 +673,11 @@ class _Gen:
         dtype, size, _ = self.table.bufs[s.buf]
         # the interpreter's order: index, value, coercion, then the bounds check
         i = self.expr(s.idx[0])
+        if s.buf in self.table.readonly:  # raised once the operands are evaluated
+            self.local(i.code)
+            self.local(self.expr(s.value).code)
+            self.emit(self.fail(READ_ONLY.format(s.buf)).code)
+            return
         native = i.ts == _I and s.buf not in self.table.dynamic
         slot = self.slot(i, size) if native else None
         ref = i.code if slot is not None else self.local(i.code)
@@ -825,21 +834,22 @@ class _Gen:
             self.emit(self.fail(NO_WRITER.format(tensor)).code)
             return
         args = self.operands(s.args)
-        w = self.alias(tensor, "w")
         codes = [a.code for a in args]
         if action in ("init", "finalize"):
-            self.emit(f"{w}.{action}()")
+            self.emit(f"{self.alias(tensor, 'w')}.{action}()")
         else:
             if action.startswith("append_") or action == "run_set":
                 self.count("buffer_writes")
-            # native calls where the values the interpreter checks are never missing
+            # native calls of the writer's bound hook where the values the
+            # interpreter checks are never missing
+            native = args and all(a.ts for a in args)
             prefix = ", ".join(codes[:-1 if action != "run_set" else -3])
-            if action.startswith("append_") and args and all(a.ts for a in args):
-                self.emit(f"{w}.append([{prefix}], {action[7:]!r}, {codes[-1]})")
-            elif action == "run_set" and len(args) >= 3 and args[-1].ts:
-                self.emit(f"{w}.run_set([{prefix}], {', '.join(codes[-3:])})")
+            if action.startswith("append_") and native:
+                self.emit(f"{self.alias(tensor, 'a')}([{prefix}], {action[7:]!r}, {codes[-1]})")
+            elif action == "run_set" and len(args) >= 3 and native:
+                self.emit(f"{self.alias(tensor, 'r')}([{prefix}], {', '.join(codes[-3:])})")
             else:
-                self.emit(f"_hook({w}, {s.fn!r}, [{', '.join(codes)}])")
+                self.emit(f"_hook({self.alias(tensor, 'w')}, {s.fn!r}, [{', '.join(codes)}])")
         for name in self.table.writers[tensor]:
             self.written(name)
 
@@ -848,7 +858,8 @@ _Gen.EXPRS = {Lit: _Gen.lit, Var: _Gen.var, Read: _Gen.read, Search: _Gen.search
               Call: _Gen.call}
 _Gen.STMTS = {BufferWrite: _Gen.write, For: _Gen.for_, While: _Gen.while_,
               IfChain: _Gen.ifchain, CallStmt: _Gen.hook}
-_PROLOGUE = {"b": "B[%r]", "d": "B[%r].data", "n": "len(B[%r].data)", "w": "W[%r]"}
+_PROLOGUE = {"b": "B[%r]", "d": "B[%r].data", "n": "len(B[%r].data)", "w": "W[%r]",
+             "a": "W[%r].append", "r": "W[%r].run_set"}
 
 
 def _source(prog, table: _Facts):

@@ -33,7 +33,7 @@ from .target import (
     TargetStmt,
     While,
 )
-from .values import MISSING, EvalError, apply_op, coerce, value_repr
+from .values import MISSING, SELECT_NOT_BOOL, EvalError, apply_op, coerce, value_repr
 
 
 class InterpError(Exception):
@@ -49,6 +49,7 @@ UNDECLARED = "assignment to undeclared variable {!r}"
 CANNOT_EVAL = "cannot evaluate {!r}"
 CANNOT_EXEC = "cannot execute {!r}"
 NO_WRITER = "no writer bound for output {!r}"
+READ_ONLY = "write to read-only input buffer {!r}"
 
 
 @dataclass
@@ -95,15 +96,21 @@ class Buf:
 
     `facts`, when given, is a function of no arguments that returns the facts
     of the values the buffer is built with, as `scan_facts` reads them; the
-    storage level that holds those values records them (`Level.facts`)."""
+    storage level that holds those values records them (`Level.facts`).
 
-    __slots__ = ("name", "data", "dtype", "facts")
+    A buffer holds a copy of `data`, unless it is `readonly`: an input's
+    buffer holds its level's array itself, and a program that writes it
+    raises `READ_ONLY` before anything is written."""
 
-    def __init__(self, name: str, data: List, dtype: Optional[str] = None, facts=None):
+    __slots__ = ("name", "data", "dtype", "facts", "readonly")
+
+    def __init__(self, name: str, data: List, dtype: Optional[str] = None, facts=None,
+                 readonly: bool = False):
         self.name = name
-        self.data = list(data)
+        self.data = data if readonly else list(data)
         self.dtype = dtype
         self.facts = facts
+        self.readonly = readonly
 
     def get(self, i: int):
         if not isinstance(i, int) or isinstance(i, bool) or not (1 <= i <= len(self.data)):
@@ -149,7 +156,7 @@ def _loop(c):
 
 def _sel(c):
     if not isinstance(c, bool):
-        raise InterpError(f"select condition must be boolean, got {value_repr(c)}")
+        raise InterpError(SELECT_NOT_BOOL.format(value_repr(c)))
     return c
 
 
@@ -179,6 +186,8 @@ def _search(buf, lo, hi, key):
 def _write(buf, i, op, v):
     """Write the evaluated value `v` at `i`: set it, or combine it with the
     old value by `op`."""
+    if buf.readonly:
+        raise InterpError(READ_ONLY.format(buf.name))
     if v is MISSING:
         raise InterpError(f"missing value reached a write to {buf.name}")
     try:
@@ -202,15 +211,13 @@ def _hook(writer, fn, args):
         writer.init()
     elif action == "finalize":
         writer.finalize()
-    elif action.startswith("append_"):
+    elif action.startswith("append_") or action == "run_set":
         if any(a is MISSING for a in args):
             raise InterpError(f"missing value reached a write to {tensor}")
-        writer.append(args[:-1], action[len("append_"):], args[-1])
-        return 1
-    elif action == "run_set":
-        if args[-1] is MISSING:
-            raise InterpError(f"missing value reached a write to {tensor}")
-        writer.run_set(args[:-3], args[-3], args[-2], args[-1])
+        if action == "run_set":
+            writer.run_set(args[:-3], args[-3], args[-2], args[-1])
+        else:
+            writer.append(args[:-1], action[len("append_"):], args[-1])
         return 1
     else:
         raise InterpError(f"unknown writer hook {fn!r}")

@@ -10,8 +10,10 @@ owns everything coil knows about that kind:
 - `assemble`, the level built in one pass over its fibers, each the offset
   of its first cell in a row-major payload;
 - `entries`, the stored entries of a fiber as (index, child position) pairs,
-  on which dense expansion and the order checks of validation run, and
-  `check`, which validates the rest of its buffers;
+  on which the order checks of validation run, and `check`, which
+  validates the rest of its buffers;
+- `expand`, the row-major dense values of a range of consecutive fibers,
+  whose children expand in one call;
 - `protocols`, how it unfurls into looplets, one function per access
   protocol;
 - `locate`, random access to one index, shared by the `follow` protocol and
@@ -32,8 +34,8 @@ unfurling, lowering and output binding all look kinds up there.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate, compress, groupby
-from operator import ne
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import ne, sub
 from typing import Dict, List
 
 from .cin import CompileError, Cursor
@@ -220,12 +222,18 @@ class Level:
         """Cells of the dense block one fiber spans."""
         return self.size * self.child.cells()
 
-    def expand(self, p: int, fill) -> list:
-        """Row-major dense values of fiber p; unstored cells carry fill."""
-        ss = self.child.cells()
-        out = [fill] * (self.size * ss)
-        for i, q in self.entries(p):
-            out[(i - 1) * ss:i * ss] = self.child.expand(q, fill)
+    def expand(self, first: int, last: int, fill) -> list:
+        """Row-major dense values of the consecutive fibers first..last-1;
+        unstored cells carry fill. The entries of consecutive fibers have
+        consecutive child positions, so their children expand in one call."""
+        ss, span = self.child.cells(), self.cells()
+        out = [fill] * ((last - first) * span)
+        spots = [((p - first) * span + (i - 1) * ss, q)
+                 for p in range(first, last) for i, q in self.entries(p)]
+        if spots:
+            vals = self.child.expand(spots[0][1], spots[-1][1] + 1, fill)
+            for k, (at, _) in enumerate(spots):
+                out[at:at + ss] = vals[k * ss:(k + 1) * ss]
         return out
 
     @classmethod
@@ -302,6 +310,10 @@ class Dense(Level):
 
     def check(self, nfibers, where) -> int:
         return nfibers * self.size
+
+    def expand(self, first, last, fill):
+        """Every cell is stored, so the children are one range of positions."""
+        return self.child.expand((first - 1) * self.size + 1, (last - 1) * self.size + 1, fill)
 
     @classmethod
     def locate(cls, f, i):
@@ -530,12 +542,17 @@ class RepeatRLE(Level):
     def cells(self) -> int:
         return self.size
 
-    def expand(self, p, fill) -> list:
-        out, prev = [], 0
-        for end, r in self.entries(p):
-            out += [self.val[r - 1]] * (end - prev)
-            prev = end
-        return out
+    def expand(self, first, last, fill) -> list:
+        """Each run's value repeated over its length, which is its end less
+        the end before it in its fiber, for all the fibers in one C-level
+        pass."""
+        lo, hi = self.pos[first - 1] - 1, self.pos[last - 1] - 1
+        ends = self.idx[lo:hi]
+        before = [0, *ends[:-1]]
+        for start in self.pos[first:last - 1]:  # each later fiber's runs start from 0
+            if start - 1 < hi:
+                before[start - 1 - lo] = 0
+        return list(chain.from_iterable(map(repeat, self.val[lo:hi], map(sub, ends, before))))
 
     def check(self, nfibers, where) -> int:
         _check_pos(self.pos, nfibers, where)
@@ -575,8 +592,8 @@ class Element(Level):
     def cells(self) -> int:
         return 1
 
-    def expand(self, p, fill) -> list:
-        return [self.val[p - 1]]
+    def expand(self, first, last, fill) -> list:
+        return self.val[first - 1:last - 1]
 
     def check(self, nfibers, where) -> int:
         if len(self.val) != nfibers:

@@ -26,7 +26,7 @@ from .cin import (
     assign_scopes,
 )
 from .expr import Call, Expr, Lit, Var
-from .values import MISSING, EvalError, apply_op, coerce, value_repr
+from .values import MISSING, SELECT_NOT_BOOL, EvalError, apply_op, coerce, value_repr
 
 
 class OracleError(Exception):
@@ -164,6 +164,8 @@ class _Evaluator:
             c = self.expr(e.args[0], env)
             if c is MISSING:
                 return MISSING
+            if not isinstance(c, bool):
+                raise OracleError(SELECT_NOT_BOOL.format(value_repr(c)))
             return self.expr(e.args[1] if c else e.args[2], env)
         if op in ("and", "or"):
             halt = False if op == "and" else True

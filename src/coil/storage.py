@@ -23,8 +23,10 @@ of the arrays it builds, so no run scans them; the runtime buffers that
 `tensor_buffers` makes carry them. Level arrays are not changed after
 `validate`, so recorded facts stay true for the tensor's life.
 
-`to_dense` and `validate` walk each level's stored entries; `tensor_buffers`
-and `from_buffers` convert between a tensor and its runtime buffers.
+`to_dense` expands the levels top-down, all the fibers of a level in one
+call (`Level.expand`); `validate` walks each level's stored entries;
+`tensor_buffers` and `from_buffers` convert between a tensor and its
+runtime buffers, an input's buffers holding its level arrays read-only.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class _Assembly:
 
 def to_dense(t: Tensor) -> list:
     """Row-major dense expansion; unstored slots carry the fill value."""
-    return t.root.expand(1, t.fill)
+    return t.root.expand(1, 2, t.fill)
 
 
 def validate(t: Tensor):
@@ -193,7 +195,8 @@ def tensor_buffers(t: Tensor) -> Dict[str, Buf]:
         for f in lvl.buffers:
             data = getattr(lvl, f)
             dtype = t.dtype if f == "val" else None
-            out[names[(d, f)]] = Buf(names[(d, f)], data, dtype, partial(lvl.facts, f))
+            out[names[(d, f)]] = Buf(names[(d, f)], data, dtype, partial(lvl.facts, f),
+                                     readonly=True)
     return out
 
 

@@ -17,6 +17,10 @@ class EvalError(Exception):
     """Raised for domain errors during scalar evaluation."""
 
 
+# Raised, with the condition's `value_repr`, by every evaluator of `select`
+SELECT_NOT_BOOL = "select condition must be boolean, got {}"
+
+
 class _Missing:
     _instance = None
 
@@ -71,6 +75,26 @@ def coerce(dtype: str, v):
             return float(v)
         raise EvalError(f"cannot store {v!r} in a float tensor")
     raise EvalError(f"unknown dtype {dtype!r}")
+
+
+_DTYPE_TYPES = {"bool": bool, "int": int, "float": float}
+
+
+def coercer(dtype: str):
+    """`coerce` bound to one dtype, for a writer's per-entry path: a value
+    already of the dtype's type (an int, in range) is returned as it is, and
+    any other goes through `coerce`."""
+    t = _DTYPE_TYPES.get(dtype)
+    if t is int:
+        def coerce_int(v):
+            if type(v) is int and INT_MIN <= v <= INT_MAX:
+                return v
+            return coerce(dtype, v)
+        return coerce_int
+
+    def coerce_to(v):
+        return v if type(v) is t else coerce(dtype, v)
+    return coerce_to
 
 
 def _check_int(v: int) -> int:

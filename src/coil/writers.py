@@ -12,7 +12,7 @@ import math
 from typing import Dict
 
 from .interp import Buf, InterpError
-from .values import EvalError, apply_op, coerce
+from .values import EvalError, apply_op, coercer
 
 
 def _combine(op: str, old, new):
@@ -29,7 +29,14 @@ class Writer:
     Outer modes are dense. An append writer fills the fibers of the last mode
     in ascending order, sealing each with the next entry of its `pos` buffer;
     `cur_fiber` is the fiber being filled and `fiber_base` the number of
-    entries before it."""
+    entries before it.
+
+    The hooks do constant work per entry. The output's constants are bound at
+    construction: the last mode's `size`, a `coerce` for its dtype and the
+    `pos`/`idx`/`val` data lists, which `init` resets in place. `prefix` is
+    the index prefix of the fiber being filled, so a write into that fiber
+    neither linearizes nor bounds-checks its prefix again, and the writer
+    advances only when the fiber changes."""
 
     appends = False  # written through append hooks, in ascending index order
     runs = False     # also takes whole-run writes (`run_set`)
@@ -39,18 +46,25 @@ class Writer:
         field = {f: Buf(name, [], plan.dtype if f == "val" else None)
                  for (_, f), name in plan.buffers.items()}
         self.buffers: Dict[str, Buf] = {b.name: b for b in field.values()}
-        self.posb, self.idxb, self.valb = (field.get(f) for f in ("pos", "idx", "val"))
+        self.pos, self.idx, self.val = (field[f].data if f in field else None
+                                        for f in ("pos", "idx", "val"))
+        self.size = plan.dims[-1] if plan.dims else 1
+        self.nfibers = math.prod(plan.dims[:-1])
+        self.fill = plan.fill
+        self.coerce = coercer(plan.dtype)
         self.init()
 
     def init(self):
-        self.posb.data[:] = [1]
-        self.idxb.data[:] = []
-        self.valb.data[:] = []
+        self.pos[:] = [1]
+        self.idx[:] = []
+        self.val[:] = []
         self.cur_fiber = 1
         self.fiber_base = 0
+        self.prefix = None
 
     def finalize(self):
-        self._advance_to(math.prod(self.plan.dims[:-1]) + 1)
+        self._advance_to(self.nfibers + 1)
+        self.prefix = None
 
     def append(self, idx, op, value):
         raise InterpError(f"output {self.plan.name} does not accept appends")
@@ -71,6 +85,11 @@ class Writer:
             pos = pos * d + (i - 1)
         return pos + 1
 
+    def _enter(self, f: int, prefix):
+        """Fill fiber f, of index prefix `prefix`, from now on."""
+        self._advance_to(f)
+        self.prefix = prefix[:]
+
     def _advance_to(self, f: int):
         if f < self.cur_fiber:
             raise InterpError(
@@ -79,16 +98,16 @@ class Writer:
             self._seal()
 
     def _seal(self):
-        self.posb.data.append(len(self.idxb.data) + 1)
+        self.pos.append(len(self.idx) + 1)
         self.cur_fiber += 1
-        self.fiber_base = len(self.idxb.data)
+        self.fiber_base = len(self.idx)
 
 
 class DenseWriter(Writer):
     """One row-major value buffer, which the program writes directly."""
 
     def init(self):
-        self.valb.data[:] = [self.plan.fill] * math.prod(self.plan.dims)
+        self.val[:] = [self.fill] * math.prod(self.plan.dims)
 
     def finalize(self):
         pass
@@ -102,22 +121,21 @@ class SparseListWriter(Writer):
     def append(self, idx, op, value):
         """EvalError from coercion or combination is raised as InterpError."""
         try:
-            f = self._prefix_pos(idx[:-1])
-            i = idx[-1]
-            size = self.plan.dims[-1]
-            if not (1 <= i <= size):
+            prefix, i = idx[:-1], idx[-1]
+            f = None if prefix == self.prefix else self._prefix_pos(prefix)
+            if not (1 <= i <= self.size):
                 raise InterpError(f"write index {i} out of bounds for {self.plan.name}")
-            self._advance_to(f)
-            value = coerce(self.plan.dtype, value)
-            have = len(self.idxb.data) > self.fiber_base
-            last = self.idxb.data[-1] if have else 0
-            if have and i == last:
-                self.valb.data[-1] = coerce(self.plan.dtype,
-                                            _combine(op, self.valb.data[-1], value))
-            elif i > last:
-                self.idxb.data.append(i)
-                self.valb.data.append(coerce(self.plan.dtype,
-                                             _combine(op, self.plan.fill, value)))
+            if f is not None:
+                self._enter(f, prefix)
+            value = self.coerce(value)
+            ix, val = self.idx, self.val
+            last = ix[-1] if len(ix) > self.fiber_base else 0
+            if i > last:
+                ix.append(i)
+                val.append(value if op == "set"
+                           else self.coerce(_combine(op, self.fill, value)))
+            elif i == last:
+                val[-1] = self.coerce(_combine(op, val[-1], value))
             else:
                 raise InterpError(
                     f"non-ascending write to append-only output {self.plan.name}")
@@ -126,7 +144,8 @@ class SparseListWriter(Writer):
 
 
 class RLEWriter(Writer):
-    """Run-coalescing ascending writer; accepts whole-run writes."""
+    """Run-coalescing ascending writer; accepts whole-run writes. `last_end`
+    is the last index the fiber's runs cover."""
 
     appends = runs = True
 
@@ -135,18 +154,19 @@ class RLEWriter(Writer):
         self.last_end = 0
 
     def _push_run(self, end: int, value):
-        have = len(self.idxb.data) > self.fiber_base
-        if have and self.valb.data[-1] == value and type(self.valb.data[-1]) is type(value):
-            self.idxb.data[-1] = end
+        """Cover the fiber up to `end` with `value`: extend the last run when
+        it holds the same value of the same type, else start a run."""
+        val = self.val
+        if len(val) > self.fiber_base and val[-1] == value and type(val[-1]) is type(value):
+            self.idx[-1] = end
         else:
-            self.idxb.data.append(end)
-            self.valb.data.append(value)
+            self.idx.append(end)
+            val.append(value)
         self.last_end = end
 
     def _seal(self):
-        size = self.plan.dims[-1]
-        if self.last_end < size:
-            self._push_run(size, self.plan.fill)
+        if self.last_end < self.size:
+            self._push_run(self.size, self.fill)
         super()._seal()
         self.last_end = 0
 
@@ -156,32 +176,31 @@ class RLEWriter(Writer):
     def run_set(self, prefix, lo: int, hi: int, value, op: str = "set"):
         """EvalError from coercion or combination is raised as InterpError."""
         try:
-            f = self._prefix_pos(prefix)
-            size = self.plan.dims[-1]
-            if not (1 <= lo <= hi <= size):
+            f = None if prefix == self.prefix else self._prefix_pos(prefix)
+            if not (1 <= lo <= hi <= self.size):
                 raise InterpError(
                     f"run write {lo}:{hi} out of bounds for {self.plan.name}")
-            self._advance_to(f)
-            value = coerce(self.plan.dtype, value)
+            if f is not None:
+                self._enter(f, prefix)
+            value = self.coerce(value)
             if lo <= self.last_end:
                 if op == "set" or lo != self.last_end or lo != hi:
                     raise InterpError(
                         f"non-ascending write to append-only output {self.plan.name}")
                 # combining update at the most recent index: split the run if needed
-                prev = self.valb.data[-1]
-                prev_end = (self.idxb.data[-2]
-                            if len(self.idxb.data) > self.fiber_base + 1 else 0)
-                if self.idxb.data[-1] - prev_end == 1:
-                    self.valb.data[-1] = coerce(self.plan.dtype, _combine(op, prev, value))
+                ix, val = self.idx, self.val
+                v = self.coerce(_combine(op, val[-1], value))
+                prev_end = ix[-2] if len(ix) > self.fiber_base + 1 else 0
+                if ix[-1] - prev_end == 1:
+                    val[-1] = v
                 else:
-                    self.idxb.data[-1] = lo - 1
-                    self.idxb.data.append(lo)
-                    self.valb.data.append(coerce(self.plan.dtype, _combine(op, prev, value)))
+                    ix[-1] = lo - 1
+                    ix.append(lo)
+                    val.append(v)
                 return
             if lo > self.last_end + 1:
-                self._push_run(lo - 1, self.plan.fill)
-            v = value if op == "set" else coerce(self.plan.dtype,
-                                                 _combine(op, self.plan.fill, value))
-            self._push_run(hi, v)
+                self._push_run(lo - 1, self.fill)
+            self._push_run(hi, value if op == "set"
+                           else self.coerce(_combine(op, self.fill, value)))
         except EvalError as ex:
             raise InterpError(str(ex)) from None

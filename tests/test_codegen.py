@@ -313,6 +313,10 @@ PARITY = {
                               {"$m": MISSING}, _writer("splist", rows=2)),
     "missing_rle_append": (CallStmt("y.append_add", (Lit(2), Var("$m"))), {"$m": MISSING},
                            _writer("rle")),
+    "missing_run_set_prefix": (CallStmt("y.run_set", (Var("$m"), Lit(1), Lit(2), Lit(1.0))),
+                               {"$m": MISSING}, _writer("rle", rows=2)),
+    "missing_run_set_bound": (CallStmt("y.run_set", (Lit(1), Var("$m"), Lit(1.0))),
+                              {"$m": MISSING}, _writer("rle")),
     "float_into_int_writer": (_hooks(("append_set", (1, 1.5))), {}, _writer("splist", 0, "int")),
     "int_overflow_append_set": (_hooks(("append_set", (1, 2**63))), {},
                                 _writer("splist", 0, "int")),
@@ -454,6 +458,8 @@ WRITER_ERRORS = {
     "missing_append_prefix": "missing value reached a write to y",
     "missing_rle_append": "missing value reached a write to y",
     "missing_run_set": "missing value reached a write to y",
+    "missing_run_set_prefix": "missing value reached a write to y",
+    "missing_run_set_bound": "missing value reached a write to y",
     "rle_append_non_ascending_within_fiber": "non-ascending write to append-only output y",
     "rle_set_at_last_index": "non-ascending write to append-only output y",
     "run_set_non_ascending_across_fibers": "non-ascending write to append-only output y",
@@ -471,6 +477,41 @@ def test_writer_error_messages_are_pinned():
         w = writer()
         with pytest.raises(InterpError, match=f"^{re.escape(want)}$"):
             run_program(prog, {"v": Buf("v", [1, 2]), **w.buffers}, params, {"y": w})
+
+
+@pytest.mark.parametrize("backend", ["interp", "python"])
+def test_writing_an_input_buffer_raises_and_changes_nothing(backend):
+    """Input buffers hold their levels' arrays, not copies. A program that
+    writes one raises the one read-only error, after evaluating its operands
+    as the interpreter does, and leaves the tensor and its facts as they
+    were."""
+    runs = BACKENDS[:1] if backend == "interp" else BACKENDS[1:]
+    compiled = compile_kernel(parse("@V i y[i] += A[i]"),
+                              {"A": InputSpec([4], [1.5, 0.0, 2.5, 0.0], format=["splist"])})
+    levels = compiled.tensors["A"].tensor.levels()
+
+    def state():
+        return [({f: list(getattr(lvl, f)) for f in lvl.buffers},
+                 {f: lvl.facts(f) for f in lvl.buffers}) for lvl in levels]
+
+    before = state()
+    read_only = "write to read-only input buffer {!r}".format
+    writes = [(BufferWrite("A_val", (Lit(1),), "set", Lit(5.0)), read_only("A_val")),
+              (BufferWrite("A_idx", (Lit(2),), "add", Lit(1)), read_only("A_idx")),
+              (For("i", Lit(1), Lit(2), BufferWrite("A_pos", (Var("i"),), "set", Var("i"))),
+               read_only("A_pos")),
+              (Block((Let("x", Read("A_idx", (Lit(1),))), BufferWrite(
+                  "A_val", (Var("x"),), "set", Call("sqrt", (Lit(-1.0),))))),
+               "sqrt of negative value -1.0")]
+    for prog, want in writes:
+        for run in runs:
+            buffers, writers = runtime(compiled)
+            assert buffers["A_val"].data is levels[1].val
+            with pytest.raises(InterpError) as err:
+                run(prog, buffers, {}, writers)
+            assert str(err.value) == want
+    assert state() == before
+    assert execute(compiled).dense["y"] == [1.5, 0.0, 2.5, 0.0]
 
 
 def test_unbound_name_off_the_taken_path_is_not_an_error():

@@ -130,7 +130,8 @@ def _sources(compiled, params):
     for scanned in (False, True):
         buffers, writers = runtime(compiled)
         if scanned:
-            buffers = {k: Buf(k, b.data, b.dtype) for k, b in buffers.items()}
+            buffers = {k: Buf(k, b.data, b.dtype, readonly=b.readonly)
+                       for k, b in buffers.items()}
         mparams = {f"${k}": v for k, v in (params or {}).items()}
         table = codegen._Facts(buffers, writers, mparams)
         out.append((table.key, codegen._source(compiled.program, table)[0]))

@@ -452,3 +452,21 @@ def test_oracle_reads_inputs_without_assembly(monkeypatch):
     for bad in (InputSpec([3], [1.0, 2.0]), InputSpec([0], [])):
         with pytest.raises(FormatError):
             oracle_outputs(kernel, {**ins, "x": bad})
+
+
+def test_oracle_rejects_a_non_boolean_select_condition_as_the_backends_do():
+    """The oracle does not read a number as a truth value: it raises the
+    backends' wording, which both backends raise for the same kernel."""
+    from coil.interp import InterpError
+    from coil.oracle import OracleError
+
+    text = "@V i C[i] = select(A[i], 1.0, 2.0)"
+    want = "select condition must be boolean, got 0.0"
+    for n in (4, 1024):  # interpreted, and generated code
+        ins = {"A": InputSpec([n], [0.0, 1.0, 0.7, 0.2] * (n // 4))}
+        with pytest.raises(InterpError, match=f"^{want}$"):
+            run_kernel(text, ins)
+        with pytest.raises(OracleError, match=f"^{want}$"):
+            oracle_outputs(text, ins)
+    ins = {"A": InputSpec([2], [True, False], dtype="bool", fill=False)}
+    assert oracle_outputs(text, ins)["C"] == run_kernel(text, ins).dense["C"] == [1.0, 2.0]
