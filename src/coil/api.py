@@ -108,8 +108,7 @@ def _format(fmt: List[str], rank: int) -> List[str]:
     return ["dense"] * rank if fmt == ["dense"] else fmt
 
 
-def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec],
-         params: Optional[Dict[str, Value]] = None):
+def bind(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, OutputSpec]):
     """Build the compile-time tensor table: inputs get static storage, outputs
     get writer plans; rank-0 intermediates are bound automatically."""
     tensors: Dict[str, BoundTensor] = {}
@@ -225,8 +224,9 @@ def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
                    stages: bool = False) -> Compiled:
     """Bind the tensors and lower the kernel, or reuse the program lowered for
     an earlier binding of the same signature and facts (`PROGRAMS`). Collecting
-    the lowering stages bypasses the cache; failures are never cached."""
-    tensors, writers = bind(stmt, inputs, outputs or {}, params)
+    the lowering stages bypasses the cache; failures are never cached.
+    `params` is not read: parameters stay runtime values, bound by `execute`."""
+    tensors, writers = bind(stmt, inputs, outputs or {})
     ruleset = ruleset or Ruleset()
     if stages:
         ctx = LowerCtx(tensors, writers, ruleset=ruleset, collect_stages=True)

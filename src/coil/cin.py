@@ -467,7 +467,7 @@ def _fresh_index(used: set) -> str:
     raise AssertionError
 
 
-def normalize_scatter(s: Stmt, dims: Optional[dict] = None) -> Stmt:
+def normalize_scatter(s: Stmt) -> Stmt:
     """Rewrite opaque read indices into fresh sieved loops:
 
         @V i A[i] = B[f(i)]   ->   @V i j @sieve j == f(i) (A[i] = B[j])

@@ -404,16 +404,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
         p.add_argument("--protocol", action="append", metavar="TENSOR.MODE=NAME")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out")
 
     p = sub.add_parser("compile", help="lower a kernel and print the target IR")
     common(p)
+    p.add_argument("--out", help="write the IR to this file instead of stdout")
     p.add_argument("--dump-stages", action="store_true")
     p.add_argument("--dump-simplified", action="store_true")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("run", help="compile and interpret once")
     common(p)
+    p.add_argument("--out", metavar="PREFIX", help="also write each output to PREFIX.NAME.txt")
     p.add_argument("--dump-ir", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
@@ -431,7 +432,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "(large inputs) is generated by the first run and reused by the "
                         "other N-1, so with N > 1 it times a reused run")
     p.add_argument("--variant", action="append", metavar="LABEL:PROTOSPEC[;...]")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
 
     args = ap.parse_args(argv)

@@ -71,10 +71,10 @@ from typing import Dict, Optional
 
 from .api import Lowered, _same
 from .expr import Call, Lit, Read, Search, Var
-from .interp import (CANNOT_EVAL, CANNOT_EXEC, INTS as _I, NO_WRITER, READ_NOT_LINEAR,
-                     READ_ONLY, SCALARS as _SCALARS, UNBOUND, UNDECLARED, UNKNOWN_BUFFER,
-                     WRITE_NOT_LINEAR, Buf, ExecCounters, InterpError, _hook, _loop, _lv,
-                     _range, _search, _sel, _stuck, _truth, _write)
+from .interp import (CANNOT_EVAL, CANNOT_EXEC, INTS as _I, NO_WRITER, OP_COUNTERS,
+                     READ_NOT_LINEAR, READ_ONLY, SCALARS as _SCALARS, UNBOUND, UNDECLARED,
+                     UNKNOWN_BUFFER, WRITE_NOT_LINEAR, Buf, ExecCounters, InterpError, _hook,
+                     _loop, _lv, _range, _search, _sel, _stuck, _truth, _write)
 from .target import AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, Nop, While
 from .values import INT_MAX, INT_MIN, MISSING, EvalError, apply_op
 
@@ -209,20 +209,6 @@ def _interval(op, ivs):
         return (lo, hi)
     pick = min if op == "min" else max
     return (pick(iv[0] for iv in ivs), pick(iv[1] for iv in ivs))
-
-
-def _counts(op, n):
-    if op == "mul":
-        return "multiplies", n - 1
-    if op == "add":
-        return "adds", n - 1
-    if op == "sub":
-        return "adds", 1
-    if op in ("min", "max"):
-        return "compares", max(n - 1, 1)
-    if op in _CMP:
-        return "compares", 1
-    return None, 0
 
 
 def _literal(v, consts) -> str:
@@ -521,9 +507,9 @@ class _Gen:
         if op in ("and", "or"):
             return self.logic(op, e.args)
         args = self.operands(e.args)
-        key, k = _counts(op, n)
-        if key:
-            self.count(key, k)
+        counted = OP_COUNTERS.get(op)
+        if counted is not None:
+            self.count(counted[0], max(n - 1, counted[1]))
         tss = [a.ts for a in args]
         ts = _result_types(op, tss)
         num = n >= 1 and all(t in (_I, _F) for t in tss)

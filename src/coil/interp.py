@@ -224,7 +224,11 @@ def _hook(writer, fn, args):
     return 0
 
 
-_CMP = {"eq", "ne", "lt", "le", "gt", "ge", "min", "max"}
+# The counter each counted op adds to, and the least it adds: an op over n
+# operands adds max(n - 1, least). Both backends count by this table.
+OP_COUNTERS = {"mul": ("multiplies", 0), "add": ("adds", 0), "sub": ("adds", 1),
+               **dict.fromkeys(("eq", "ne", "lt", "le", "gt", "ge", "min", "max"),
+                               ("compares", 1))}
 
 
 class Scope:
@@ -258,12 +262,11 @@ class Scope:
 
 class Machine:
     def __init__(self, buffers: Dict[str, Buf], params: Optional[dict] = None,
-                 writers: Optional[dict] = None, trace: bool = False):
+                 writers: Optional[dict] = None):
         self.buffers = buffers
         self.vars = Scope(params)
         self.writers = writers or {}
         self.counters = ExecCounters()
-        self.trace: Optional[List] = [] if trace else None
 
     # -- expressions ------------------------------------------------------
 
@@ -313,17 +316,10 @@ class Machine:
             v = apply_op(op, args)
         except EvalError as ex:
             raise InterpError(str(ex)) from None
-        n = len(args)
-        if op == "mul":
-            self.counters.multiplies += n - 1
-        elif op == "add":
-            self.counters.adds += n - 1
-        elif op == "sub":
-            self.counters.adds += 1
-        elif op in _CMP:
-            self.counters.compares += max(n - 1, 1) if op in ("min", "max") else 1
-        if self.trace is not None:
-            self.trace.append((op, n))
+        counted = OP_COUNTERS.get(op)
+        if counted is not None:
+            key, least = counted
+            setattr(self.counters, key, getattr(self.counters, key) + max(len(args) - 1, least))
         return v
 
     # -- statements -------------------------------------------------------
@@ -399,7 +395,7 @@ class Machine:
 
 
 def run_program(prog: TargetStmt, buffers: Dict[str, Buf], params: Optional[dict] = None,
-                writers: Optional[dict] = None, trace: bool = False) -> Machine:
-    m = Machine(buffers, params=params, writers=writers, trace=trace)
+                writers: Optional[dict] = None) -> Machine:
+    m = Machine(buffers, params=params, writers=writers)
     m.exec(prog)
     return m

@@ -30,9 +30,23 @@ from .interp import InterpError, Machine
 from .target import Template, print_stmt
 
 
+class Style(enum.IntEnum):
+    """Lowering styles, totally ordered by priority (highest lowers first)."""
+
+    TERMINAL = 0
+    LOOKUP = 1
+    STEPPER = 2
+    JUMPER = 3
+    PIPELINE = 4
+    SPIKE = 5
+    RUN = 6
+    SWITCH = 7
+
+
 class Looplet:
     """Looplet node; same traversal protocol as `Expr`, with `fe` mapping
-    scalar fields and `fs` bodies and templates."""
+    scalar fields and `fs` bodies and templates. Each kind's `style` picks
+    the lowering pass that consumes it."""
 
     __slots__ = ()
 
@@ -50,6 +64,8 @@ Body = Union[Looplet, Expr]
 class Run(Looplet):
     """The same value over the whole target region."""
 
+    style = Style.RUN
+
     body: Expr
 
     def children(self):
@@ -62,6 +78,8 @@ class Run(Looplet):
 @dataclass(frozen=True, slots=True)
 class Spike(Looplet):
     """body everywhere except a single tail value at the region's last index."""
+
+    style = Style.SPIKE
 
     body: Expr
     tail: Expr
@@ -80,6 +98,8 @@ class Lookup(Looplet):
     binds are per-index let-bindings (e.g. a search position) the body may use.
     """
 
+    style = Style.LOOKUP
+
     index_sym: str
     body: Body
     binds: Tuple[Tuple[str, Expr], ...] = ()
@@ -95,6 +115,8 @@ class Lookup(Looplet):
 @dataclass(frozen=True, slots=True)
 class Switch(Looplet):
     """First-match choice between looplets under runtime conditions."""
+
+    style = Style.SWITCH
 
     cases: Tuple[Tuple[Expr, Body], ...]
 
@@ -116,6 +138,8 @@ class Phase:
 
 @dataclass(frozen=True, slots=True)
 class Pipeline(Looplet):
+    style = Style.PIPELINE
+
     phases: Tuple[Phase, ...]
 
     def children(self):
@@ -147,6 +171,8 @@ class Stepper(_Steps):
     runtime state at a target start; next advances to the following child.
     """
 
+    style = Style.STEPPER
+
     stop: Expr
     body: Body
     next: Template
@@ -157,70 +183,12 @@ class Stepper(_Steps):
 class Jumper(_Steps):
     """Like Stepper, but lowered with the largest declared extent (leader)."""
 
+    style = Style.JUMPER
+
     stop: Expr
     body: Body
     next: Template
     seek: Optional[Template] = None
-
-
-@dataclass(frozen=True, slots=True)
-class Shift(Looplet):
-    """body indexed at i - delta."""
-
-    delta: Expr
-    body: Body
-
-    def children(self):
-        return (self.delta, self.body)
-
-    def map(self, fe, fs):
-        return Shift(fe(self.delta), fs(self.body))
-
-
-@dataclass(frozen=True, slots=True)
-class SimplifyMark(Looplet):
-    """No-op marker that requests an early simplification pass."""
-
-    body: Body
-
-    def children(self):
-        return (self.body,)
-
-    def map(self, fe, fs):
-        return SimplifyMark(fs(self.body))
-
-
-class Style(enum.IntEnum):
-    """Lowering styles, totally ordered by priority (highest lowers first)."""
-
-    TERMINAL = 0
-    LOOKUP = 1
-    STEPPER = 2
-    JUMPER = 3
-    PIPELINE = 4
-    SPIKE = 5
-    RUN = 6
-    SWITCH = 7
-
-
-def style_of(l: Body) -> Style:
-    if isinstance(l, (Shift, SimplifyMark)):
-        return style_of(l.body)
-    if isinstance(l, Run):
-        return Style.RUN
-    if isinstance(l, Spike):
-        return Style.SPIKE
-    if isinstance(l, Lookup):
-        return Style.LOOKUP
-    if isinstance(l, Switch):
-        return Style.SWITCH
-    if isinstance(l, Pipeline):
-        return Style.PIPELINE
-    if isinstance(l, Stepper):
-        return Style.STEPPER
-    if isinstance(l, Jumper):
-        return Style.JUMPER
-    return Style.TERMINAL
 
 
 def resolve_style(a: Style, b: Style) -> Style:
@@ -229,7 +197,7 @@ def resolve_style(a: Style, b: Style) -> Style:
 
 def truncate(l: Body, target: Extent, new: Extent) -> Body:
     """Restrict a looplet from its target extent to a subrange of it."""
-    if isinstance(l, Run) or isinstance(l, Expr):
+    if isinstance(l, (Expr, Run, Lookup, Stepper, Jumper)):
         return l
     if isinstance(l, Spike):
         d = const_diff(new.stop, target.stop)
@@ -238,9 +206,7 @@ def truncate(l: Body, target: Extent, new: Extent) -> Body:
         if d is not None:
             return Run(l.body)
         return Switch(((eq(new.stop, target.stop), l), (TRUE, Run(l.body))))
-    if isinstance(l, Lookup):
-        return l
-    if isinstance(l, (Switch, SimplifyMark)):
+    if isinstance(l, Switch):
         return l.map(keep, lambda b: truncate(b, target, new))
     if isinstance(l, Pipeline):
         new_start = new.const_bounds()[0] if new.const_bounds() else None
@@ -260,24 +226,18 @@ def truncate(l: Body, target: Extent, new: Extent) -> Body:
         if kept == list(l.phases):
             return l
         return Pipeline(tuple(kept))
-    if isinstance(l, (Stepper, Jumper)):
-        return l
-    if isinstance(l, Shift):
-        t2 = Extent(isub(target.start, l.delta), isub(target.stop, l.delta))
-        n2 = Extent(isub(new.start, l.delta), isub(new.stop, l.delta))
-        return Shift(l.delta, truncate(l.body, t2, n2))
     raise TypeError(f"cannot truncate {l!r}")
 
 
 def push_shift(delta: Expr, l: Body) -> Body:
-    """Eliminate a Shift wrapper by displacing the body's coordinates."""
+    """`l` indexed at i - delta: the body's coordinates displaced by delta."""
     if const_diff(delta, Lit(0)) == 0:
         return l
     if isinstance(l, (Run, Spike)) or isinstance(l, Expr):
         return l
     if isinstance(l, Lookup):
         return subst(l, {l.index_sym: isub(Var(l.index_sym), delta)})
-    if isinstance(l, (Switch, SimplifyMark)):
+    if isinstance(l, Switch):
         return l.map(keep, lambda b: push_shift(delta, b))
     if isinstance(l, Pipeline):
         return l.map(lambda stop: iadd(stop, delta), lambda b: push_shift(delta, b))
@@ -287,8 +247,6 @@ def push_shift(delta: Expr, l: Body) -> Body:
             seek = subst(seek, {seek.param: isub(Var(seek.param), delta)})
         cls = type(l)
         return cls(iadd(l.stop, delta), push_shift(delta, l.body), l.next, seek)
-    if isinstance(l, Shift):
-        return push_shift(iadd(delta, l.delta), l.body)
     raise TypeError(f"cannot shift {l!r}")
 
 
@@ -373,11 +331,6 @@ def _mat(l: Body, a: int, b: int, m: Machine) -> list:
                 m.exec(stmt)
             cur = s + 1
         return out
-    if isinstance(l, Shift):
-        d = m.eval(l.delta)
-        return _mat(l.body, a - d, b - d, m)
-    if isinstance(l, SimplifyMark):
-        return _mat(l.body, a, b, m)
     raise TypeError(f"cannot materialize {l!r}")
 
 
@@ -419,10 +372,6 @@ def render(l: Body, indent: int = 0) -> str:
         lines = [f"{pad}{name}(stop={print_expr(l.stop)}, seek={seek}, next={nxt},"]
         lines.append(render(l.body, indent + 1) + ")")
         return "\n".join(lines)
-    if isinstance(l, Shift):
-        return f"{pad}Shift(delta={print_expr(l.delta)},\n{render(l.body, indent + 1)})"
-    if isinstance(l, SimplifyMark):
-        return f"{pad}Simplify(\n{render(l.body, indent + 1)})"
     raise TypeError(f"cannot render {l!r}")
 
 

@@ -56,15 +56,16 @@ from .expr import (
 )
 from .levels import Fiber
 from .looplets import (
+    Jumper,
     Lookup,
     Looplet,
+    Pipeline,
     Run,
-    SimplifyMark,
     Spike,
     Stepper,
     Style,
+    Switch,
     resolve_style,
-    style_of,
     truncate,
 )
 from .rewrite import Ruleset, simplify
@@ -120,17 +121,6 @@ class LowerCtx:
 # -- furl bookkeeping ----------------------------------------------------------
 
 
-def _map_furls(s: Stmt, fn) -> Stmt:
-    """Rebuild `s` with `fn` applied to every Furl."""
-
-    def go(n):
-        if isinstance(n, Furl):
-            return fn(n)
-        return n if isinstance(n, TARGET_TERMS) else n.map(go, go)
-
-    return go(s)
-
-
 def collect_furls(s: Stmt) -> List[Furl]:
     found: Dict[int, Furl] = {}
     for n in walk(s):
@@ -142,27 +132,15 @@ def collect_furls(s: Stmt) -> List[Furl]:
 def replace_furls(s: Stmt, mapping: Dict[int, object]) -> Stmt:
     """Map furl tags to a Looplet (kept furled) or an Expr (unwrapped)."""
 
-    def repl(f: Furl):
-        if f.tag not in mapping:
-            return f
-        v = mapping[f.tag]
-        if isinstance(v, Looplet):
-            return Furl(v, f.index, f.tag)
-        return v
+    def go(n):
+        if not isinstance(n, Furl):
+            return n if isinstance(n, TARGET_TERMS) else n.map(go, go)
+        if n.tag not in mapping:
+            return n
+        v = mapping[n.tag]
+        return Furl(v, n.index, n.tag) if isinstance(v, Looplet) else v
 
-    return _map_furls(s, repl)
-
-
-def _strip_marks(l):
-    from .looplets import Shift, push_shift
-
-    while True:
-        if isinstance(l, SimplifyMark):
-            l = l.body
-        elif isinstance(l, Shift):
-            l = push_shift(l.delta, l.body)
-        else:
-            return l
+    return go(s)
 
 
 # -- access unfurling at a forall ------------------------------------------------
@@ -414,8 +392,6 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     d = const_diff(ext.stop, ext.start)
     if d is not None and d < 0:
         return NOP
-    # consume simplification markers, then simplify the whole loop nest
-    body = _map_furls(body, lambda f: Furl(_strip_marks(f.looplet), f.index, f.tag))
     node = simplify(Forall(idx, ext, body), ctx.ruleset)
     if not isinstance(node, Forall):
         return lower_stmt(ctx, node)
@@ -425,9 +401,10 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     if not furls:
         return _terminal(ctx, idx, ext, body)
 
-    style = Style.TERMINAL
+    style = Style.TERMINAL  # the style of a furled bare scalar
     for f in furls:
-        style = resolve_style(style, style_of(f.looplet))
+        if isinstance(f.looplet, Looplet):
+            style = resolve_style(style, f.looplet.style)
     lower_pass = _PASSES[style]
     ctx.stage(lower_pass.__name__, idx, ext, body)
     return lower_pass(ctx, idx, ext, body, furls)
@@ -474,10 +451,6 @@ def _try_run_set(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> Optional[T
 # -- the per-style passes --------------------------------------------------------------
 
 
-def _style_is(f: Furl, style: Style) -> bool:
-    return style_of(f.looplet) == style
-
-
 def _restrict(body: Stmt, furls, ext: Extent, region: Extent, mapping) -> Stmt:
     """`body` over `region` of `ext`: each furl in `mapping` (by tag) gets its
     new looplet, every other furl is truncated to the region."""
@@ -510,7 +483,7 @@ def pass_spike(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targe
 
 
 def pass_switch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
-    switches = [f for f in furls if _style_is(f, Style.SWITCH)]
+    switches = [f for f in furls if isinstance(f.looplet, Switch)]
     ncombos = 1
     for s in switches:
         ncombos *= len(s.looplet.cases)
@@ -542,7 +515,7 @@ def pass_switch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
 
 
 def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
-    pipes = [f for f in furls if _style_is(f, Style.PIPELINE)]
+    pipes = [f for f in furls if isinstance(f.looplet, Pipeline)]
     out: List[TargetStmt] = []
 
     def phase_body(combo, region: Extent) -> Stmt:
@@ -611,7 +584,7 @@ def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
 
 
 def pass_stepper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
-    steppers = [f for f in furls if _style_is(f, Style.STEPPER)]
+    steppers = [f for f in furls if isinstance(f.looplet, Stepper)]
 
     def step_body(region: Extent) -> List[TargetStmt]:
         mapping = {f.tag: truncate(f.looplet.body, Extent(region.start, f.looplet.stop), region)
@@ -628,7 +601,7 @@ def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
     """A stepping loop whose stride is the largest declared stop: each member
     jumper (whose stop is the stride) is lowered over its whole child and
     advances; the others follow as steppers."""
-    jumpers = [f for f in furls if _style_is(f, Style.JUMPER)]
+    jumpers = [f for f in furls if isinstance(f.looplet, Jumper)]
 
     def step_body(region: Extent) -> List[TargetStmt]:
         branches: List[Tuple[Expr, TargetStmt]] = []
@@ -659,7 +632,7 @@ def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
 
 
 def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
-    lookups = [f for f in furls if _style_is(f, Style.LOOKUP)]
+    lookups = [f for f in furls if isinstance(f.looplet, Lookup)]
 
     def instantiate(at: Expr) -> Tuple[List[TargetStmt], Stmt]:
         pre: List[TargetStmt] = []

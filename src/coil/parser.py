@@ -25,7 +25,8 @@ from .cin import (
     Where,
 )
 from .expr import Call, Expr, Extent, Lit, Var
-from .values import MISSING
+from .levels import KINDS
+from .values import MISSING, OP_ARITY
 
 _TOKEN_RE = re.compile(
     r"""
@@ -48,7 +49,7 @@ _TOKEN_RE = re.compile(
 MAX_DEPTH = 64
 
 MODIFIERS = {"window": 2, "offset": 1, "permit": 0}
-PROTOCOLS = {"walk", "gallop", "follow", "followzero"}
+PROTOCOLS = frozenset(p for cls in KINDS.values() for p in cls.protocols)
 _UPDATE = {token: op for op, token in UPDATE_TOKEN.items()}
 
 
@@ -347,6 +348,12 @@ class Parser:
                 while self.accept(","):
                     args.append(self.parse_expr())
             self.expect(")")
+            if name in OP_ARITY:
+                lo, hi = OP_ARITY[name]
+                if len(args) < lo or hi is not None and len(args) > hi:
+                    raise CinError(f"line {t.line} col {t.col}: {name} takes "
+                                   f"{lo if hi == lo else f'at least {lo}'} operand(s), "
+                                   f"got {len(args)}")
             return Call(name, tuple(args))
         if self.peek().text == "[":
             self.next()

@@ -30,7 +30,7 @@ from .cin import (
     results,
     uses_index,
 )
-from .expr import Call, Expr, Lit, le, walk
+from .expr import Call, Expr, Lit, const_diff, le, walk
 from .values import (
     MISSING,
     EvalError,
@@ -52,7 +52,8 @@ class RewriteError(Exception):
 
 def _on(cls):
     """Mark a rule as one that can fire only on `cls` nodes: `simplify` offers
-    it no other node. An unmarked rule is offered every node."""
+    it no other node, so the rule need not test the class. An unmarked rule
+    is offered every node."""
     def mark(fn):
         fn.on = cls
         return fn
@@ -87,7 +88,7 @@ def _one_like(e) -> bool:
 
 @_on(Call)
 def r_constant_fold(n):
-    if isinstance(n, Call) and n.op in PURE_OPS and n.op not in ("coalesce", "select"):
+    if n.op in PURE_OPS and n.op not in ("coalesce", "select"):
         if n.args and all(isinstance(a, Lit) for a in n.args):
             try:
                 return Lit(apply_op(n.op, [a.value for a in n.args]))
@@ -98,7 +99,7 @@ def r_constant_fold(n):
 
 @_on(Call)
 def r_select_const(n):
-    if isinstance(n, Call) and n.op == "select":
+    if n.op == "select":
         c = n.args[0]
         if _lit_missing(c):
             return Lit(MISSING)
@@ -109,21 +110,21 @@ def r_select_const(n):
 
 @_on(Forall)
 def r_loop_over_pass(n):
-    if isinstance(n, Forall) and isinstance(n.body, PassStmt):
+    if isinstance(n.body, PassStmt):
         return n.body
     return None
 
 
 @_on(Where)
 def r_where_empty_pass(n):
-    if isinstance(n, Where) and isinstance(n.prod, PassStmt) and not n.prod.tensors:
+    if isinstance(n.prod, PassStmt) and not n.prod.tensors:
         return n.cons
     return None
 
 
 @_on(Sieve)
 def r_sieve_resolve(n):
-    if isinstance(n, Sieve) and isinstance(n.cond, Lit):
+    if isinstance(n.cond, Lit):
         if n.cond.value is True:
             return n.body
         if n.cond.value is False:
@@ -131,68 +132,92 @@ def r_sieve_resolve(n):
     return None
 
 
-@_on(Call)
-def r_add_flatten(n):
-    if isinstance(n, Call) and n.op == "add":
-        if any(isinstance(a, Call) and a.op == "add" for a in n.args):
+def _flatten(op: str):
+    """The rule that splices `op` calls nested in an `op` call into it."""
+
+    @_on(Call)
+    def rule(n):
+        if n.op == op and any(isinstance(a, Call) and a.op == op for a in n.args):
             flat = []
             for a in n.args:
-                if isinstance(a, Call) and a.op == "add":
+                if isinstance(a, Call) and a.op == op:
                     flat.extend(a.args)
                 else:
                     flat.append(a)
-            return Call("add", tuple(flat))
-    return None
+            return Call(op, tuple(flat))
+        return None
+
+    return rule
 
 
-@_on(Call)
-def r_add_identity(n):
-    if isinstance(n, Call) and n.op == "add":
-        kept = tuple(a for a in n.args if not _zero_like(a))
-        if len(kept) != len(n.args):
+def _identity(op: str, is_unit, unit):
+    """The rule that drops the operands of an `op` call for which `is_unit`
+    holds (`unit` when none is left) and unwraps a call of one operand."""
+
+    @_on(Call)
+    def rule(n):
+        if n.op == op:
+            kept = tuple(a for a in n.args if not is_unit(a))
+            if len(kept) != len(n.args):
+                if not kept:
+                    return Lit(unit)
+                if len(kept) == 1:
+                    return kept[0]
+                return Call(op, kept)
+            if len(n.args) == 1:
+                return n.args[0]
+        return None
+
+    return rule
+
+
+def _logic(op: str, halt: bool):
+    """The rule that folds the literal operands of `and` (halting on false)
+    or `or` (halting on true)."""
+
+    @_on(Call)
+    def rule(n):
+        if n.op == op:
+            if any(_is_lit(a, halt) for a in n.args):
+                return Lit(halt)
+            kept = tuple(a for a in n.args if not _is_lit(a, not halt))
             if not kept:
-                return Lit(0)
+                return Lit(not halt)
             if len(kept) == 1:
                 return kept[0]
-            return Call("add", kept)
-        if len(n.args) == 1:
-            return n.args[0]
-    return None
+            if len(kept) != len(n.args):
+                return Call(op, kept)
+        return None
+
+    return rule
+
+
+r_add_flatten = _flatten("add")
+r_add_identity = _identity("add", _zero_like, 0)
 
 
 @_on(Call)
 def r_sub_normalize(n):
-    if isinstance(n, Call) and n.op == "sub":
+    if n.op == "sub":
         return Call("add", (n.args[0], Call("neg", (n.args[1],))))
     return None
 
 
 @_on(Call)
 def r_neg_neg(n):
-    if isinstance(n, Call) and n.op == "neg":
+    if n.op == "neg":
         a = n.args[0]
         if isinstance(a, Call) and a.op == "neg":
             return a.args[0]
     return None
 
 
-@_on(Call)
-def r_mul_flatten(n):
-    if isinstance(n, Call) and n.op == "mul":
-        if any(isinstance(a, Call) and a.op == "mul" for a in n.args):
-            flat = []
-            for a in n.args:
-                if isinstance(a, Call) and a.op == "mul":
-                    flat.extend(a.args)
-                else:
-                    flat.append(a)
-            return Call("mul", tuple(flat))
-    return None
+r_mul_flatten = _flatten("mul")
 
 
 @_on(Call)
 def r_mul_annihilate(n):
-    if isinstance(n, Call) and n.op == "mul":
+    if n.op == "mul":
         for a in n.args:
             if _zero_like(a):
                 v = a.value
@@ -200,24 +225,12 @@ def r_mul_annihilate(n):
     return None
 
 
-@_on(Call)
-def r_mul_identity(n):
-    if isinstance(n, Call) and n.op == "mul":
-        kept = tuple(a for a in n.args if not _one_like(a))
-        if len(kept) != len(n.args):
-            if not kept:
-                return Lit(1)
-            if len(kept) == 1:
-                return kept[0]
-            return Call("mul", kept)
-        if len(n.args) == 1:
-            return n.args[0]
-    return None
+r_mul_identity = _identity("mul", _one_like, 1)
 
 
 @_on(Call)
 def r_mul_neg_hoist(n):
-    if isinstance(n, Call) and n.op == "mul":
+    if n.op == "mul":
         for k, a in enumerate(n.args):
             if isinstance(a, Call) and a.op == "neg":
                 inner = n.args[:k] + (a.args[0],) + n.args[k + 1:]
@@ -225,39 +238,13 @@ def r_mul_neg_hoist(n):
     return None
 
 
-@_on(Call)
-def r_and(n):
-    if isinstance(n, Call) and n.op == "and":
-        if any(_is_lit(a, False) for a in n.args):
-            return Lit(False)
-        kept = tuple(a for a in n.args if not _is_lit(a, True))
-        if not kept:
-            return Lit(True)
-        if len(kept) == 1:
-            return kept[0]
-        if len(kept) != len(n.args):
-            return Call("and", kept)
-    return None
-
-
-@_on(Call)
-def r_or(n):
-    if isinstance(n, Call) and n.op == "or":
-        if any(_is_lit(a, True) for a in n.args):
-            return Lit(True)
-        kept = tuple(a for a in n.args if not _is_lit(a, False))
-        if not kept:
-            return Lit(False)
-        if len(kept) == 1:
-            return kept[0]
-        if len(kept) != len(n.args):
-            return Call("or", kept)
-    return None
+r_and = _logic("and", False)
+r_or = _logic("or", True)
 
 
 @_on(Call)
 def r_missing_propagate(n):
-    if isinstance(n, Call) and n.op not in ("coalesce", "select"):
+    if n.op not in ("coalesce", "select"):
         if any(_lit_missing(a) for a in n.args):
             return Lit(MISSING)
     return None
@@ -265,7 +252,7 @@ def r_missing_propagate(n):
 
 @_on(Call)
 def r_coalesce(n):
-    if isinstance(n, Call) and n.op == "coalesce":
+    if n.op == "coalesce":
         kept = tuple(a for a in n.args if not _lit_missing(a))
         if not kept:
             return Lit(MISSING)
@@ -280,7 +267,7 @@ def r_coalesce(n):
 
 @_on(Access)
 def r_access_missing_index(n):
-    if isinstance(n, Access) and any(_lit_missing(i) for i in n.idx):
+    if any(_lit_missing(i) for i in n.idx):
         return Lit(MISSING)
     return None
 
@@ -288,7 +275,7 @@ def r_access_missing_index(n):
 @_on(Access)
 def r_access_const_base(n):
     """An access whose base collapsed to a scalar denotes a constant subtree."""
-    if isinstance(n, Access) and isinstance(n.base, Lit):
+    if isinstance(n.base, Lit):
         return n.base
     return None
 
@@ -296,7 +283,7 @@ def r_access_const_base(n):
 @_on(Access)
 def r_access_collapse_empty(n):
     """A fully-resolved access is just its scalar base."""
-    if isinstance(n, Access) and not n.idx and isinstance(n.base, Expr):
+    if not n.idx and isinstance(n.base, Expr):
         if not isinstance(n.base, (Cursor, Furl)):
             return n.base
     return None
@@ -304,7 +291,7 @@ def r_access_collapse_empty(n):
 
 @_on(Assign)
 def r_assign_identity(n):
-    if isinstance(n, Assign) and isinstance(n.lhs.base, str):
+    if isinstance(n.lhs.base, str):
         if n.op == "add" and isinstance(n.rhs, Lit) and additive_identity(n.rhs.value):
             return PassStmt((n.lhs.base,))
         if n.op == "or" and _is_lit(n.rhs, False):
@@ -318,7 +305,7 @@ def r_assign_identity(n):
 def r_loop_invariant_update(n):
     """A loop repeating an invariant update collapses to a single update;
     repeated adds multiply by the trip count (stop - start + 1)."""
-    if not (isinstance(n, Forall) and n.ext is not None and isinstance(n.body, Assign)):
+    if n.ext is None or not isinstance(n.body, Assign):
         return None
     a = n.body
     if a.op not in ("add", "min", "max", "or"):
@@ -332,8 +319,6 @@ def r_loop_invariant_update(n):
         rhs = Call("mul", (a.rhs, n.ext.length_expr()))
     else:
         rhs = a.rhs
-    from .expr import const_diff
-
     out = Assign(a.lhs, a.op, rhs)
     d = const_diff(n.ext.stop, n.ext.start)
     if d is not None:
@@ -343,16 +328,15 @@ def r_loop_invariant_update(n):
 
 @_on(Multi)
 def r_multi_trivial(n):
-    if isinstance(n, Multi):
-        if len(n.parts) == 1:
-            return n.parts[0]
-        if all(isinstance(p, PassStmt) for p in n.parts):
-            out = []
-            for p in n.parts:
-                for t in p.tensors:
-                    if t not in out:
-                        out.append(t)
-            return PassStmt(tuple(out))
+    if len(n.parts) == 1:
+        return n.parts[0]
+    if all(isinstance(p, PassStmt) for p in n.parts):
+        out = []
+        for p in n.parts:
+            for t in p.tensors:
+                if t not in out:
+                    out.append(t)
+        return PassStmt(tuple(out))
     return None
 
 

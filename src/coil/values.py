@@ -153,8 +153,6 @@ OP_ARITY = {
     "abs": (1, 1),
 }
 
-COMPARE_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge", "min", "max"})
-
 # Ops safe to fold at compile time when all arguments are literal.
 PURE_OPS = frozenset(OP_ARITY)
 

@@ -292,6 +292,32 @@ def test_run_rejects_over_deep_kernel_exit_2(capsys, tmp_path):
     assert f"nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rhs,message", [
+    ("eq(A[i], 1.0, 2.0)", "eq takes 2 operand(s), got 3"),
+    ("eq(1, 2, 3)", "eq takes 2 operand(s), got 3"),  # would fold at compile time
+    ("select(A[i] > 0.5, 1.0)", "select takes 3 operand(s), got 2"),
+    ("sqrt(A[i], A[i])", "sqrt takes 1 operand(s), got 2"),  # would drop its second
+])
+def test_run_rejects_wrong_arity_call_exit_2(capsys, tmp_path, rhs, message):
+    kernel = tmp_path / "k.cin"
+    kernel.write_text(f"@V i C[i] = {rhs}\n")
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [3], [0.25, 0.5, 1.0])
+    rc = run_cli(["run", "--kernel", kernel, "--tensor", f"A={a}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd,option", [("bench", ["--json"]), ("check", ["--out", "x"]),
+                                        ("bench", ["--out", "x"])])
+def test_options_a_command_ignores_are_rejected(capsys, cmd, option):
+    with pytest.raises(SystemExit) as e:
+        run_cli([cmd, "--kernel", KERNELS / "dot.cin", *option])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_output_spec_keys_after_the_head(capsys, tmp_path):
     # the module docstring's example: format and fill follow `out:`
     kernel = tmp_path / "mul.cin"

@@ -51,6 +51,15 @@ def same(a, b) -> bool:
 KEPT = Lowered(NOP)  # the entry of the program `cold` ran last, with its code
 
 
+@pytest.fixture(autouse=True)
+def drop_kept():
+    """Each test's `cold` runs keep their code in `KEPT` for its `warm` runs
+    only: a later test (in any module) that counts live code sees none."""
+    yield
+    global KEPT
+    KEPT = Lowered(NOP)
+
+
 def cold(prog, buffers, params, writers):
     """Generated code, generated for this run and kept for `warm`."""
     global KEPT

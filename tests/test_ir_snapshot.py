@@ -11,10 +11,11 @@ order), so a traversal change that reorders visits shows up here. The
 programs are compared twice: lowered cold, from an emptied program cache,
 and then warm, each served from the cache (`cold_and_warm`).
 
-The same programs also pass a static verifier (`verify`): every variable is
-bound where it is used, every buffer access names a runtime buffer, every
-while loop has a progress cursor, and every writer hook names a runtime
-writer, which is initialized and finalized in pairs, its other hooks between.
+The same programs also pass the static verifier (`ir_verifier.verify`, which
+the level-path programs pass too): every variable is bound where it is used,
+every buffer access names a runtime buffer, every while loop has a progress
+cursor, and every writer hook names a runtime writer, which is initialized
+and finalized in pairs, its other hooks between.
 
     PYTHONPATH=src python tests/test_ir_snapshot.py > tests/goldens/corpus_ir.txt
 
@@ -27,11 +28,11 @@ import random
 
 import coil.api
 from coil.api import compile_kernel, execute, runtime
-from coil.expr import Expr, Lit, Read, Search, Var
+from coil.expr import Lit, Read, Var
 from coil.parser import parse
-from coil.target import (AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, While,
-                         count_loops)
+from coil.target import AssignVar, Block, CallStmt, For, IfChain, Let, While, count_loops
 
+from ir_verifier import verify
 from test_acceptance import corpus_cases
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "corpus_ir.txt"
@@ -96,54 +97,6 @@ def test_corpus_ir_snapshot():
             raise AssertionError(
                 f"{len(bad)} of {len(w)} snapshot cases differ; first, case {first}:\n"
                 f"--- golden\n{w[first]}\n--- got\n{g[first]}")
-
-
-def verify(prog, buffers, params, writers=()) -> list:
-    """Problems in a target program, following the interpreter's scoping: a
-    `Let` binds for the rest of its block, and loop and branch bodies open a
-    new scope (`For` binds its variable there). Kernel parameters are bound
-    throughout as `$name`. Writer hooks (`CallStmt` `<writer>.<hook>`) are
-    checked in program order: each writer is opened by `init` and closed by
-    `finalize` before it is opened again, and its other hooks run while open."""
-    problems = []
-    opened, used = set(), set()
-
-    def hook(fn: str):
-        writer, _, name = fn.partition(".")
-        if writer not in writers:
-            problems.append(f"hook {fn!r} of unknown writer")
-        elif name == "init":
-            if writer in opened:
-                problems.append(f"{fn} while {writer!r} is open")
-            opened.add(writer)
-            used.add(writer)
-        elif writer not in opened:
-            problems.append(f"{fn} while {writer!r} is not open")
-        elif name == "finalize":
-            opened.discard(writer)
-
-    def visit(n, bound: set):
-        if isinstance(n, (Var, AssignVar)) and n.name not in bound:
-            problems.append(f"unbound variable {n.name!r}")
-        if isinstance(n, (Read, Search, BufferWrite)) and n.buf not in buffers:
-            problems.append(f"unknown buffer {n.buf!r}")
-        if isinstance(n, While) and n.cursor not in bound:
-            problems.append(f"while loop with cursor {n.cursor!r}")
-        if isinstance(n, CallStmt):
-            hook(n.fn)
-        scope = bound | {n.var} if isinstance(n, For) else bound
-        for c in n.children():
-            if isinstance(c, Expr) or isinstance(n, Block):
-                visit(c, bound)
-            else:
-                visit(c, set(scope))
-        if isinstance(n, Let):
-            bound.add(n.name)
-
-    visit(prog, {f"${k}" for k in params})
-    problems += [f"writer {w!r} never finalized" for w in sorted(opened)]
-    problems += [f"writer {w!r} never initialized" for w in sorted(set(writers) - used)]
-    return problems
 
 
 def test_verifier_passes_every_snapshot_program():

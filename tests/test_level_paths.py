@@ -27,7 +27,8 @@ from coil.api import InputSpec, compile_kernel, execute, oracle_outputs, runtime
 from coil.parser import parse
 from coil.unfurl import CompileError
 
-from test_ir_snapshot import cold_and_warm, verify
+from ir_verifier import verify
+from test_ir_snapshot import cold_and_warm, render
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "level_paths_ir.txt"
 KINDS = ("rle", "sband", "svbl", "splist", "dense")

@@ -11,16 +11,14 @@ from coil.looplets import (
     Phase,
     Pipeline,
     Run,
-    Shift,
-    SimplifyMark,
     Spike,
     Stepper,
     Style,
     Switch,
     materialize,
     render,
+    push_shift,
     resolve_style,
-    style_of,
     truncate,
 )
 from coil.target import AssignVar, Let, Template
@@ -34,15 +32,14 @@ def mach(buffers=None):
 
 
 def test_style_of_constructors():
-    assert style_of(Run(Lit(0))) == Style.RUN
-    assert style_of(Spike(Lit(0), Lit(1))) == Style.SPIKE
-    assert style_of(Lookup("j", Var("j"))) == Style.LOOKUP
-    assert style_of(Switch(((Lit(True), Run(Lit(0))),))) == Style.SWITCH
-    assert style_of(Pipeline((Phase(Run(Lit(0))),))) == Style.PIPELINE
-    # shift and simplify markers are transparent
-    assert style_of(Shift(Lit(3), Spike(Lit(0), Lit(9)))) == Style.SPIKE
-    assert style_of(SimplifyMark(Run(Lit(0)))) == Style.RUN
-    assert style_of(Lit(5)) == Style.TERMINAL
+    assert Run(Lit(0)).style == Style.RUN
+    assert Spike(Lit(0), Lit(1)).style == Style.SPIKE
+    assert Lookup("j", Var("j")).style == Style.LOOKUP
+    assert Switch(((Lit(True), Run(Lit(0))),)).style == Style.SWITCH
+    assert Pipeline((Phase(Run(Lit(0))),)).style == Style.PIPELINE
+    st, _ = stepper_over_runs()
+    ju, _ = stepper_over_runs(Jumper)
+    assert (st.style, ju.style) == (Style.STEPPER, Style.JUMPER)
 
 
 def test_resolve_style_total_order():
@@ -150,7 +147,7 @@ def test_materialize_pipeline_phases():
 
 def test_materialize_shift():
     lk = Lookup("j", Var("j"))
-    assert materialize(Shift(Lit(3), lk), extent(4, 6), mach()) == [1, 2, 3]
+    assert materialize(push_shift(Lit(3), lk), extent(4, 6), mach()) == [1, 2, 3]
 
 
 def stepper_over_runs(node_cls=Stepper):
@@ -200,7 +197,7 @@ class LoopletGen:
     def gen(self, a: int, b: int, depth: int):
         kinds = ["run", "spike", "lookup"]
         if depth > 0:
-            kinds += ["switch", "pipeline", "shift", "stepper", "jumper", "mark"]
+            kinds += ["switch", "pipeline", "shift", "stepper", "jumper"]
         k = self.rng.choice(kinds)
         if k == "run":
             return Run(Lit(self.value()))
@@ -228,9 +225,7 @@ class LoopletGen:
             return Pipeline(tuple(phases))
         if k == "shift":
             d = self.rng.randint(-3, 3)
-            return Shift(Lit(d), self.gen(a - d, b - d, depth - 1))
-        if k == "mark":
-            return SimplifyMark(self.gen(a, b, depth - 1))
+            return push_shift(Lit(d), self.gen(a - d, b - d, depth - 1))
         # stepper / jumper over contiguous children covering a..>=b
         ends = []
         cur = a - 1
@@ -297,7 +292,7 @@ def test_shift_law_randomized():
         d = rng.randint(-4, 4)
         g = LoopletGen(rng)
         l = g.gen(a - d, b - d, 2)
-        lhs = materialize(Shift(Lit(d), l), extent(a, b), mach(g.buffers))
+        lhs = materialize(push_shift(Lit(d), l), extent(a, b), mach(g.buffers))
         rhs = materialize(l, extent(a - d, b - d), mach(g.buffers))
         assert lhs == rhs
 

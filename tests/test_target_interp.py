@@ -91,12 +91,11 @@ def test_interpreter_determinism():
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_counter_conservation_against_trace():
+def test_counter_conservation():
     prog = For("i", Lit(1), Lit(5), BufferWrite(
         "y", (Lit(1),), "add", Call("mul", (Read("v", (Var("i"),)), Lit(2), Lit(3)))))
-    m = run_program(prog, {"v": Buf("v", [1, 2, 3, 4, 5]), "y": Buf("y", [0])}, trace=True)
-    mults_in_trace = sum(n - 1 for op, n in m.trace if op == "mul")
-    assert m.counters.multiplies == mults_in_trace == 10
+    m = run_program(prog, {"v": Buf("v", [1, 2, 3, 4, 5]), "y": Buf("y", [0])})
+    assert m.counters.multiplies == 10  # two per three-operand product, five times
     assert m.counters.buffer_reads == 5
     assert m.counters.buffer_writes == 5
 
