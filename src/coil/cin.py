@@ -301,28 +301,30 @@ def assign_scopes(s: Stmt):
     Returns (annotated statement, program-start tensors).
     """
     seen: set = set()
-
-    def visit(node: Stmt) -> Stmt:
-        if isinstance(node, Where):
-            owned = tuple(t for t in results(node.prod) if t not in seen)
-            seen.update(owned)
-            prod = visit(node.prod)
-            cons = visit(node.cons)
-            return Where(cons, prod, owned)
-        out = node.map(keep, visit)
-        if isinstance(node, Multi):
-            claimed: dict = {}
-            for p in node.parts:
-                for t in written_tensors(p):
-                    if t in claimed and claimed[t] is not p:
-                        raise CinError(
-                            f"tensor {t!r} written in two parallel branches without a where")
-                    claimed[t] = p
-        return out
-
-    annotated = visit(s)
+    annotated = _own_scopes(s, seen)
     root = tuple(t for t in (results(s) + written_tensors(s)) if t not in seen)
     return annotated, tuple(dict.fromkeys(root))
+
+
+def _own_scopes(node: Stmt, seen: set) -> Stmt:
+    """`node` with each Where's `inits` filled; `seen` collects the owned
+    tensors."""
+    if isinstance(node, Where):
+        owned = tuple(t for t in results(node.prod) if t not in seen)
+        seen.update(owned)
+        prod = _own_scopes(node.prod, seen)
+        cons = _own_scopes(node.cons, seen)
+        return Where(cons, prod, owned)
+    out = node.map(keep, lambda c: _own_scopes(c, seen))
+    if isinstance(node, Multi):
+        claimed: dict = {}
+        for p in node.parts:
+            for t in written_tensors(p):
+                if t in claimed and claimed[t] is not p:
+                    raise CinError(
+                        f"tensor {t!r} written in two parallel branches without a where")
+                claimed[t] = p
+    return out
 
 
 def result_scopes(s: Stmt) -> dict:
@@ -391,29 +393,30 @@ def annotate_extents(s: Stmt, dims: dict, strict: bool = True) -> Stmt:
     """
     constraints: dict = {}
     _gather_constraints(s, dims, constraints, strict)
+    return _fill_extents(s, constraints, strict)
 
-    def pick(idx: str) -> Optional[Extent]:
-        cands = constraints.get(idx, [])
-        for tier in (True, False):
-            tiered = [e for e, strong in cands if strong == tier]
-            pref = [e for e in tiered if _param_only(e)] or tiered
-            if pref:
-                first = pref[0]
-                for other in pref[1:]:
-                    if other != first:
-                        raise CinError(
-                            f"index {idx!r} has conflicting extents {first} and {other}")
-                return first
-        if not strict:
-            return None
-        raise CinError(f"cannot infer an extent for index {idx!r}")
 
-    def visit(node: Stmt) -> Stmt:
-        if isinstance(node, Forall) and node.ext is None:
-            node = Forall(node.idx, pick(node.idx), node.body)
-        return node.map(keep, visit)
+def _fill_extents(node: Stmt, constraints: dict, strict: bool) -> Stmt:
+    if isinstance(node, Forall) and node.ext is None:
+        node = Forall(node.idx, _pick_extent(node.idx, constraints, strict), node.body)
+    return node.map(keep, lambda c: _fill_extents(c, constraints, strict))
 
-    return visit(s)
+
+def _pick_extent(idx: str, constraints: dict, strict: bool) -> Optional[Extent]:
+    cands = constraints.get(idx, [])
+    for tier in (True, False):
+        tiered = [e for e, strong in cands if strong == tier]
+        pref = [e for e in tiered if _param_only(e)] or tiered
+        if pref:
+            first = pref[0]
+            for other in pref[1:]:
+                if other != first:
+                    raise CinError(
+                        f"index {idx!r} has conflicting extents {first} and {other}")
+            return first
+    if not strict:
+        return None
+    raise CinError(f"cannot infer an extent for index {idx!r}")
 
 
 # -- binder audit ---------------------------------------------------------------

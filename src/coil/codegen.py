@@ -534,7 +534,10 @@ class _Gen:
         if op == "not" and n == 1 and tss[0] == _B:
             return _E(f"not {codes[0]}", _B, ())
         if op == "round" and n == 1 and tss[0] in (_I, _F):
-            return args[0] if tss[0] == _I else _E(f"float(round({codes[0]}))", _F, ())
+            if tss[0] == _I:
+                return args[0]
+            c = codes[0]  # inf and nan have no nearest integer: `_op` raises
+            return _E(f"float(round({c})) if {c} - {c} == 0.0 else _op('round', {c})", _F, ())
         if op == "coalesce" and n >= 1:
             return self.coalesce(args)
         return _E(f"_op({op!r}, {', '.join(codes)})", ts, None)

@@ -33,7 +33,6 @@ from .target import Template, print_stmt
 class Style(enum.IntEnum):
     """Lowering styles, totally ordered by priority (highest lowers first)."""
 
-    TERMINAL = 0
     LOOKUP = 1
     STEPPER = 2
     JUMPER = 3

@@ -143,6 +143,14 @@ def replace_furls(s: Stmt, mapping: Dict[int, object]) -> Stmt:
     return go(s)
 
 
+def _furl(l: Looplet, index: str, tag: int) -> Furl:
+    """A furl of `l` over `index`. A furl holds a looplet, never a bare Expr,
+    so each furl has a style and a pass that consumes it."""
+    if not isinstance(l, Looplet):
+        raise TypeError(f"a furl holds a looplet, not {l!r}")
+    return Furl(l, index, tag)
+
+
 # -- access unfurling at a forall ------------------------------------------------
 
 
@@ -192,7 +200,7 @@ def unfurl_at(ctx: LowerCtx, s: Stmt, idx: str, ext: Extent,
                     loop = unfurl_modified(bt, e.base, proto, ctx.names, mods2)
                 else:
                     loop = unfurl(bt, e.base, proto, ctx.names)
-                return Access(Furl(loop, idx, ctx.next_tag()), e.idx[1:])
+                return Access(_furl(loop, idx, ctx.next_tag()), e.idx[1:])
         return e
 
     def fix_stmt(node: Stmt) -> Stmt:
@@ -217,7 +225,7 @@ def _try_mask(ctx: LowerCtx, cond: Expr, idx: str, preamble) -> Optional[Expr]:
     if not (isinstance(a, Var) and a.name == idx) or uses_index(b, idx):
         return None
     target = _scalarized(ctx, b, preamble)
-    return Furl(mask_looplet(target), idx, ctx.next_tag())
+    return _furl(mask_looplet(target), idx, ctx.next_tag())
 
 
 def _scalarized(ctx: LowerCtx, e: Expr, preamble: List[TargetStmt]) -> Expr:
@@ -401,10 +409,9 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     if not furls:
         return _terminal(ctx, idx, ext, body)
 
-    style = Style.TERMINAL  # the style of a furled bare scalar
-    for f in furls:
-        if isinstance(f.looplet, Looplet):
-            style = resolve_style(style, f.looplet.style)
+    style = furls[0].looplet.style
+    for f in furls[1:]:
+        style = resolve_style(style, f.looplet.style)
     lower_pass = _PASSES[style]
     ctx.stage(lower_pass.__name__, idx, ext, body)
     return lower_pass(ctx, idx, ext, body, furls)
@@ -459,13 +466,7 @@ def _restrict(body: Stmt, furls, ext: Extent, region: Extent, mapping) -> Stmt:
 
 
 def pass_run(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
-    mapping = {}
-    for f in furls:
-        l = f.looplet
-        if isinstance(l, Run):
-            mapping[f.tag] = l.body
-        elif isinstance(l, Expr):
-            mapping[f.tag] = l
+    mapping = {f.tag: f.looplet.body for f in furls if isinstance(f.looplet, Run)}
     return _dispatch(ctx, idx, ext, replace_furls(body, mapping))
 
 
@@ -663,7 +664,6 @@ _PASSES = {
     Style.JUMPER: pass_jumper,
     Style.STEPPER: pass_stepper,
     Style.LOOKUP: pass_lookup,
-    Style.TERMINAL: pass_run,  # bare scalars unfurl like runs
 }
 
 

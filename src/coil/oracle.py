@@ -1,14 +1,26 @@
-"""Brute-force dense oracle: interprets CIN directly over dense arrays.
+"""Brute-force dense oracle: evaluates CIN directly over dense arrays.
 
-This is an independent code path from the compiler: no looplets, no rewrite
-rules, just nested loops and direct index arithmetic with the shared
-missing/coalesce value semantics. Used by `check` and by every randomized
+The oracle is independent of the compiler. It imports only the CIN syntax
+(`cin`, `expr`) and the scalar domain (`values`): no looplet, rewrite rule,
+lowering pass or backend stands between a kernel and its reference result,
+just nested loops and direct index arithmetic with the shared
+missing/coalesce value semantics.
+
+`evaluate` compiles the annotated kernel once, walking it a single time into
+nested Python closures, and then runs them over the dense store. A `Forall`
+binds its index in one environment shared by the whole run; each access has
+its tensor's data and dims bound, each call its `values.OPS` function. The
+closures raise only when they run, with the `OracleError` message of the
+node that failed, so an error in code that never runs (a zero-trip loop, an
+untaken branch) is never raised. Used by `check` and by every randomized
 equivalence test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .cin import (
@@ -25,8 +37,8 @@ from .cin import (
     annotate_extents,
     assign_scopes,
 )
-from .expr import Call, Expr, Lit, Var
-from .values import MISSING, SELECT_NOT_BOOL, EvalError, apply_op, coerce, value_repr
+from .expr import Call, Expr, Lit, Var, walk
+from .values import MISSING, OPS, SELECT_NOT_BOOL, EvalError, apply_op, coercer, value_repr
 
 
 class OracleError(Exception):
@@ -52,176 +64,333 @@ class DenseData:
 def evaluate(stmt: Stmt, bindings: Dict[str, DenseData], params: Optional[dict] = None) -> Dict[str, list]:
     """Run a kernel over dense data; returns the final arrays of every tensor
     initialized by the program (outputs and intermediates)."""
-    params = params or {}
     dims = {name: dd.dims for name, dd in bindings.items()}
     stmt = annotate_extents(stmt, dims)
     stmt, root_inits = assign_scopes(stmt)
-    store = {name: list(dd.data) for name, dd in bindings.items()}
-    ev = _Evaluator(bindings, store, params)
-    for t in root_inits:
-        ev.init(t)
-    ev.stmt(stmt, {})
-    return {t: store[t] for t in ev.initialized}
+    # a tensor the program initializes gets its own array, reset in place by
+    # each init; the inputs it only reads are used as given
+    owned = set(root_inits).union(*(n.inits for n in walk(stmt) if isinstance(n, Where)))
+    store = {name: list(dd.data) if name in owned else dd.data
+             for name, dd in bindings.items()}
+    initialized: Dict[str, None] = {}
+    compiler = _Compiler(bindings, store, params or {}, initialized)
+    inits = [compiler.init(t) for t in root_inits]
+    run = compiler.stmt(stmt, frozenset())
+    for init in inits:
+        init()
+    run({})
+    return {t: store[t] for t in initialized}
 
 
-class _Evaluator:
-    def __init__(self, bindings, store, params):
+def _raises(message: str):
+    """A closure that raises `OracleError(message)` when it runs."""
+    def fail(*_):
+        raise OracleError(message)
+    return fail
+
+
+class _Compiler:
+    """Turns annotated CIN into closures over one dense store. Statement
+    closures take the index environment and return nothing; expression
+    closures take it and return a value. `scope` is the set of indices the
+    enclosing foralls bind, so an index use is resolved once, here."""
+
+    def __init__(self, bindings, store, params, initialized):
         self.bindings = bindings
         self.store = store
         self.params = params
-        self.initialized: list = []
+        self.initialized = initialized
 
     def init(self, t: str):
-        if t not in self.bindings:
-            raise OracleError(f"tensor {t!r} is written but not bound")
-        dd = self.bindings[t]
-        self.store[t] = [dd.fill] * dd.size()
-        if t not in self.initialized:
-            self.initialized.append(t)
+        dd = self.bindings.get(t)
+        if dd is None:
+            return _raises(f"tensor {t!r} is written but not bound")
+        arr, fill, size, initialized = self.store[t], dd.fill, dd.size(), self.initialized
+
+        def init():
+            arr[:] = [fill] * size
+            initialized[t] = None
+        return init
 
     # -- statements ---------------------------------------------------------
 
-    def stmt(self, s: Stmt, env: dict):
+    def stmt(self, s: Stmt, scope: frozenset):
         if isinstance(s, Assign):
-            self.assign(s, env)
-            return
+            return self.assign(s, scope)
         if isinstance(s, Forall):
-            lo = self.expr(s.ext.start, env)
-            hi = self.expr(s.ext.stop, env)
-            for i in range(lo, hi + 1):
-                env2 = dict(env)
-                env2[s.idx] = i
-                self.stmt(s.body, env2)
-            return
+            return self.forall(s, scope)
         if isinstance(s, Where):
-            for t in s.inits:
-                self.init(t)
-            self.stmt(s.prod, env)
-            self.stmt(s.cons, env)
-            return
-        if isinstance(s, Multi):
-            for p in s.parts:
-                self.stmt(p, env)
-            return
-        if isinstance(s, Sieve):
-            c = self.expr(s.cond, env)
-            if c is MISSING:
-                raise OracleError("missing value in a sieve condition")
-            if not isinstance(c, bool):
-                raise OracleError("sieve condition must be boolean")
-            if c:
-                self.stmt(s.body, env)
-            return
-        if isinstance(s, PassStmt):
-            return
-        raise OracleError(f"cannot evaluate {s!r}")
+            inits = [self.init(t) for t in s.inits]
+            prod, cons = self.stmt(s.prod, scope), self.stmt(s.cons, scope)
 
-    def assign(self, s: Assign, env: dict):
-        v = self.expr(s.rhs, env)
-        if v is MISSING:
-            raise OracleError(f"missing value written to {s.lhs.base}")
+            def where(env):
+                for init in inits:
+                    init()
+                prod(env)
+                cons(env)
+            return where
+        if isinstance(s, Multi):
+            parts = [self.stmt(p, scope) for p in s.parts]
+
+            def multi(env):
+                for part in parts:
+                    part(env)
+            return multi
+        if isinstance(s, Sieve):
+            return self.sieve(s, scope)
+        if isinstance(s, PassStmt):
+            return _skip
+        return _raises(f"cannot evaluate {s!r}")
+
+    def forall(self, s: Forall, scope: frozenset):
+        idx = s.idx
+        start, stop = self.expr(s.ext.start, scope), self.expr(s.ext.stop, scope)
+        body = self.stmt(s.body, scope | {idx})
+
+        def forall(env):
+            # restore what the loop shadows; a name no outer loop binds is
+            # left bound, since only closures in this loop's scope read it
+            outer = env.get(idx)
+            for i in range(start(env), stop(env) + 1):
+                env[idx] = i
+                body(env)
+            env[idx] = outer
+        return forall
+
+    def sieve(self, s: Sieve, scope: frozenset):
+        cond, body = self.expr(s.cond, scope), self.stmt(s.body, scope)
+
+        def sieve(env):
+            c = cond(env)
+            if c is True:
+                body(env)
+            elif c is MISSING:
+                raise OracleError("missing value in a sieve condition")
+            elif c is not False:
+                raise OracleError("sieve condition must be boolean")
+        return sieve
+
+    def assign(self, s: Assign, scope: frozenset):
+        rhs = self.expr(s.rhs, scope)
         name = s.lhs.base
         dd = self.bindings[name]
-        pos = 0
-        for k, use in enumerate(s.lhs.idx):
-            i = self._index(use, env, dd.dims[k])
-            if i is MISSING:
-                raise OracleError("missing index in an assignment target")
-            if not (1 <= i <= dd.dims[k]):
-                raise OracleError(f"write index {i} out of bounds for {name}")
-            pos = pos * dd.dims[k] + (i - 1)
-        arr = self.store[name]
-        v = coerce(dd.dtype, v)
+        arr, coerce = self.store[name], coercer(dd.dtype)
+        pos = self.position(name, s.lhs.idx, dd.dims, scope, write=True)
         if s.op == "set":
-            arr[pos] = v
-        else:
-            arr[pos] = coerce(dd.dtype, apply_op(s.op, [arr[pos], v]))
+            def assign(env):
+                v = rhs(env)
+                if v is MISSING:
+                    raise OracleError(f"missing value written to {name}")
+                i = pos(env)
+                arr[i] = coerce(v)
+            return assign
+        combine = OPS.get(s.op) or partial(apply_op, s.op)
+
+        def update(env):
+            v = rhs(env)
+            if v is MISSING:
+                raise OracleError(f"missing value written to {name}")
+            i = pos(env)
+            arr[i] = coerce(combine([arr[i], coerce(v)]))
+        return update
 
     # -- expressions ----------------------------------------------------------
 
-    def expr(self, e: Expr, env: dict):
+    def expr(self, e: Expr, scope: frozenset):
         if isinstance(e, Lit):
-            return e.value
+            v = e.value
+            return lambda env: v
         if isinstance(e, Var):
-            if e.name.startswith("$"):
-                if e.name[1:] not in self.params:
-                    raise OracleError(f"unbound parameter {e.name}")
-                return self.params[e.name[1:]]
-            if e.name not in env:
-                raise OracleError(f"unbound index {e.name!r}")
-            return env[e.name]
+            name = e.name
+            if name.startswith("$"):
+                if name[1:] not in self.params:
+                    return _raises(f"unbound parameter {name}")
+                v = self.params[name[1:]]
+                return lambda env: v
+            if name not in scope:
+                return _raises(f"unbound index {name!r}")
+            return itemgetter(name)
         if isinstance(e, Access):
-            return self.access(e, env)
+            return self.access(e, scope)
         if isinstance(e, Call):
-            return self.call(e, env)
+            return self.call(e, scope)
         if isinstance(e, (Mod, Proto)):
-            raise OracleError("index modifier outside an access")
-        raise OracleError(f"cannot evaluate {e!r}")
+            return _raises("index modifier outside an access")
+        return _raises(f"cannot evaluate {e!r}")
 
-    def call(self, e: Call, env: dict):
+    def call(self, e: Call, scope: frozenset):
         op = e.op
+        args = [self.expr(a, scope) for a in e.args]
         if op == "select":
-            c = self.expr(e.args[0], env)
-            if c is MISSING:
-                return MISSING
-            if not isinstance(c, bool):
-                raise OracleError(SELECT_NOT_BOOL.format(value_repr(c)))
-            return self.expr(e.args[1] if c else e.args[2], env)
+            return _select(*args)
         if op in ("and", "or"):
-            halt = False if op == "and" else True
-            saw_missing = False
-            for a in e.args:
-                v = self.expr(a, env)
-                if v is halt:
-                    return halt
-                if v is MISSING:
-                    saw_missing = True
-                elif not isinstance(v, bool):
-                    raise OracleError(f"{op} over non-boolean {value_repr(v)}")
-            return MISSING if saw_missing else (not halt)
-        args = [self.expr(a, env) for a in e.args]
-        try:
-            return apply_op(op, args)
-        except EvalError as ex:
-            raise OracleError(str(ex)) from None
+            return _logic(op, args)
+        fn = OPS.get(op) or partial(apply_op, op)
+        if len(args) == 1:
+            (a,) = args
 
-    def access(self, e: Access, env: dict):
+            def call1(env):
+                vs = [a(env)]
+                try:
+                    return fn(vs)
+                except EvalError as ex:
+                    raise OracleError(str(ex)) from None
+            return call1
+        if len(args) == 2:
+            a, b = args
+
+            def call2(env):
+                vs = [a(env), b(env)]
+                try:
+                    return fn(vs)
+                except EvalError as ex:
+                    raise OracleError(str(ex)) from None
+            return call2
+
+        def call(env):
+            vs = [a(env) for a in args]
+            try:
+                return fn(vs)
+            except EvalError as ex:
+                raise OracleError(str(ex)) from None
+        return call
+
+    def access(self, e: Access, scope: frozenset):
         name = e.base
         if not isinstance(name, str):
-            raise OracleError("oracle accesses must name tensors directly")
-        dd = self.bindings[name]
-        pos = 0
-        for k, use in enumerate(e.idx):
-            i = self._index(use, env, dd.dims[k])
-            if i is MISSING:
-                return MISSING
-            if not (1 <= i <= dd.dims[k]):
-                raise OracleError(f"read index {i} out of bounds for {name} mode {k + 1}")
-            pos = pos * dd.dims[k] + (i - 1)
-        return self.store[name][pos]
+            return _raises("oracle accesses must name tensors directly")
+        data = self.store[name]
+        pos = self.position(name, e.idx, self.bindings[name].dims, scope, write=False)
 
-    def _index(self, use: Expr, env: dict, size: int):
-        """Evaluate one index use, applying modifiers innermost-first."""
+        def read(env):
+            i = pos(env)
+            return MISSING if i is MISSING else data[i]
+        return read
+
+    def position(self, name: str, uses, dims, scope: frozenset, write: bool):
+        """A closure computing the row-major position that the index `uses`
+        address in a tensor of `dims`. An out-of-bounds index raises; a
+        missing one makes a read missing and a write raise."""
+        def out_of_bounds(k, i):
+            if write:
+                return OracleError(f"write index {i} out of bounds for {name}")
+            return OracleError(f"read index {i} out of bounds for {name} mode {k + 1}")
+
+        if all(isinstance(u, Var) and u.name in scope for u in uses):
+            # forall indices: always bound ints, never missing
+            if len(uses) == 1:
+                (a,), (d,) = [u.name for u in uses], dims
+
+                def pos1(env):
+                    i = env[a]
+                    if 1 <= i <= d:
+                        return i - 1
+                    raise out_of_bounds(0, i)
+                return pos1
+            if len(uses) == 2:
+                (a, b), (d0, d1) = [u.name for u in uses], dims
+
+                def pos2(env):
+                    i, j = env[a], env[b]
+                    if 1 <= i <= d0 and 1 <= j <= d1:
+                        return (i - 1) * d1 + j - 1
+                    raise out_of_bounds(0, i) if not 1 <= i <= d0 else out_of_bounds(1, j)
+                return pos2
+        modes = [(self.index(u, d, scope), d) for u, d in zip(uses, dims)]
+
+        def pos(env):
+            p = 0
+            for k, (index, d) in enumerate(modes):
+                i = index(env)
+                if i is MISSING:
+                    if write:
+                        raise OracleError("missing index in an assignment target")
+                    return MISSING
+                if not 1 <= i <= d:
+                    raise out_of_bounds(k, i)
+                p = p * d + (i - 1)
+            return p
+        return pos
+
+    def index(self, use: Expr, size: int, scope: frozenset):
+        """One index use, its modifiers applied innermost-first: the index,
+        or missing."""
         if isinstance(use, Proto):
-            return self._index(use.inner, env, size)
+            return self.index(use.inner, size, scope)
         if isinstance(use, Mod):
-            inner = self._index(use.inner, env, size)
-            if inner is MISSING:
-                return MISSING
-            if use.kind == "window":
-                lo = self.expr(use.params[0], env)
-                return lo + inner - 1
-            if use.kind == "offset":
-                return inner - self.expr(use.params[0], env)
-            if use.kind == "permit":
-                return inner if 1 <= inner <= size else MISSING
-            raise OracleError(f"unknown modifier {use.kind!r}")
-        v = self.expr(use, env)
-        if v is MISSING:
-            return MISSING
-        if isinstance(v, bool) or not isinstance(v, int):
+            inner = self.index(use.inner, size, scope)
+            kind = use.kind
+            if kind == "window":
+                lo = self.expr(use.params[0], scope)
+
+                def window(env):
+                    i = inner(env)
+                    return MISSING if i is MISSING else lo(env) + i - 1
+                return window
+            if kind == "offset":
+                delta = self.expr(use.params[0], scope)
+
+                def offset(env):
+                    i = inner(env)
+                    return MISSING if i is MISSING else i - delta(env)
+                return offset
+            if kind == "permit":
+                def permit(env):
+                    i = inner(env)
+                    return i if i is not MISSING and 1 <= i <= size else MISSING
+                return permit
+
+            def unknown(env):
+                if inner(env) is MISSING:
+                    return MISSING
+                raise OracleError(f"unknown modifier {kind!r}")
+            return unknown
+        if isinstance(use, Var) and use.name in scope:
+            return itemgetter(use.name)
+        value = self.expr(use, scope)
+
+        def index(env):
+            v = value(env)
+            if v is MISSING or type(v) is int:
+                return v
             raise OracleError(f"index evaluated to non-integer {value_repr(v)}")
-        return v
+        return index
+
+
+def _skip(env):
+    pass
+
+
+def _select(cond, then, other):
+    def select(env):
+        c = cond(env)
+        if c is True:
+            return then(env)
+        if c is False:
+            return other(env)
+        if c is MISSING:
+            return MISSING
+        raise OracleError(SELECT_NOT_BOOL.format(value_repr(c)))
+    return select
+
+
+def _logic(op: str, args):
+    """Short-circuit `and`/`or`: the first operand equal to `halt` decides;
+    missing makes the result missing unless a later operand halts."""
+    halt = op == "or"
+
+    def logic(env):
+        saw_missing = False
+        for a in args:
+            v = a(env)
+            if v is halt:
+                return halt
+            if v is MISSING:
+                saw_missing = True
+            elif v is not (not halt):
+                raise OracleError(f"{op} over non-boolean {value_repr(v)}")
+        return MISSING if saw_missing else (not halt)
+    return logic
 
 
 def max_rel_error(a: list, b: list) -> float:
@@ -241,4 +410,3 @@ def max_rel_error(a: list, b: list) -> float:
             continue
         worst = max(worst, d / max(abs(x), abs(y), 1.0))
     return worst
-

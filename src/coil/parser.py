@@ -377,26 +377,22 @@ def _height(root) -> int:
     return deepest
 
 
-def _validate_protocols(s: Stmt):
+def _validate_protocols(n, at_index: bool = False):
     """Protocol annotations may only wrap index positions of an access."""
-
-    def scan(n, at_index: bool):
-        if isinstance(n, Proto):
-            if not at_index:
-                raise CinError("protocol annotation on a non-index expression")
-            scan(n.inner, True)
-        elif isinstance(n, Mod):
-            for p in n.params:
-                scan(p, False)
-            scan(n.inner, at_index)
-        elif isinstance(n, Access):
-            for i in n.idx:
-                scan(i, True)
-        else:
-            for c in n.children():
-                scan(c, False)
-
-    scan(s, False)
+    if isinstance(n, Proto):
+        if not at_index:
+            raise CinError("protocol annotation on a non-index expression")
+        _validate_protocols(n.inner, True)
+    elif isinstance(n, Mod):
+        for p in n.params:
+            _validate_protocols(p, False)
+        _validate_protocols(n.inner, at_index)
+    elif isinstance(n, Access):
+        for i in n.idx:
+            _validate_protocols(i, True)
+    else:
+        for c in n.children():
+            _validate_protocols(c, False)
 
 
 def parse(text: str) -> Stmt:

@@ -3,11 +3,24 @@
 `missing` propagates through every operation except `coalesce`, which returns
 its first non-missing argument. Absorbing elements beat missing: 0 absorbs in
 `mul`, false in `and`, true in `or`. Integer overflow is an error, not a wrap.
+
+`OPS` maps each op name to one function of its operand list, and
+`apply_op(op, args)` is `OPS[op](args)`: the interpreter, the output writers,
+generated code's fallback, constant folding and the oracle all apply ops
+through it. Each function tests its operands' exact types first, so ints and
+floats skip the general path that bools and `missing` take.
+
+Domain errors are `EvalError`s, never Python exceptions or values outside the
+domain: `mod` by zero, `sqrt` of a negative, `round` of inf or nan, and a
+`pow` that raises zero to a negative power, leaves the float range or has no
+real value. An int `pow` whose result must leave the int64 range is refused
+before it is computed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -156,84 +169,265 @@ OP_ARITY = {
 # Ops safe to fold at compile time when all arguments are literal.
 PURE_OPS = frozenset(OP_ARITY)
 
+# -- the op table ------------------------------------------------------------------
+#
+# Each op is one function of its operand list. Operands that are all exactly
+# int or float, in the op's usual count, take the fast path; any other list
+# (bools, `missing`, another count) takes the general path, which applies the
+# absorbing elements and missing propagation before the op itself. Both paths
+# give the same result and raise the same error.
 
-def apply_op(op: str, args: list) -> Value:
-    """Apply a scalar operation with missing-propagation semantics."""
-    if op == "coalesce":
-        for a in args:
-            if a is not MISSING:
-                return a
-        return MISSING
-    if op == "select":
-        c, a, b = args
-        if c is MISSING:
-            return MISSING
-        return a if _bool(c) else b
-    # Absorbing elements take precedence over missing.
-    if op == "mul" and any(_is_zero(a) for a in args):
-        ty = "float" if any(isinstance(a, float) for a in args if a is not MISSING) else "int"
-        return 0.0 if ty == "float" else 0
-    if op == "and" and any(a is False for a in args):
-        return False
-    if op == "or" and any(a is True for a in args):
-        return True
-    if any(a is MISSING for a in args):
-        return MISSING
-    return _apply_strict(op, args)
+_NUMS = frozenset({int, float})
 
 
-def _apply_strict(op: str, args: list) -> Value:
-    if op == "add":
-        acc = _num(args[0])
-        for a in args[1:]:
-            acc = acc + _num(a)
-        return _wrap(acc)
-    if op == "sub":
-        return _wrap(_num(args[0]) - _num(args[1]))
-    if op == "neg":
-        return _wrap(-_num(args[0]))
-    if op == "mul":
-        acc = _num(args[0])
-        for a in args[1:]:
-            acc = acc * _num(a)
-        return _wrap(acc)
-    if op == "min":
-        return min(_num(a) for a in args)
-    if op == "max":
-        return max(_num(a) for a in args)
-    if op == "and":
-        return all(_bool(a) for a in args)
-    if op == "or":
-        return any(_bool(a) for a in args)
-    if op == "not":
-        return not _bool(args[0])
-    if op in ("eq", "ne"):
+def _fit(v):
+    """An int result checked against the int64 range; floats pass."""
+    return v if type(v) is float or INT_MIN <= v <= INT_MAX else _check_int(v)
+
+
+def _add(args):
+    if len(args) == 2:
         a, b = args
+        if type(a) in _NUMS and type(b) in _NUMS:
+            return _fit(a + b)
+    if MISSING in args:
+        return MISSING
+    acc = _num(args[0])
+    for a in args[1:]:
+        acc = acc + _num(a)
+    return _wrap(acc)
+
+
+def _sub(args):
+    if len(args) == 2:
+        a, b = args
+        if type(a) in _NUMS and type(b) in _NUMS:
+            return _fit(a - b)
+    if MISSING in args:
+        return MISSING
+    return _wrap(_num(args[0]) - _num(args[1]))
+
+
+def _neg(args):
+    if len(args) == 1 and type(args[0]) in _NUMS:
+        return _fit(-args[0])
+    if MISSING in args:
+        return MISSING
+    return _wrap(-_num(args[0]))
+
+
+def _mul(args):
+    if len(args) == 2:
+        a, b = args
+        if type(a) in _NUMS and type(b) in _NUMS:
+            if a and b:
+                return _fit(a * b)
+            return 0.0 if type(a) is float or type(b) is float else 0
+    # an absorbing zero beats missing
+    if any(_is_zero(a) for a in args):
+        return 0.0 if any(isinstance(a, float) for a in args if a is not MISSING) else 0
+    if MISSING in args:
+        return MISSING
+    acc = _num(args[0])
+    for a in args[1:]:
+        acc = acc * _num(a)
+    return _wrap(acc)
+
+
+def _min(args):
+    if len(args) == 2:
+        a, b = args
+        if type(a) in _NUMS and type(b) in _NUMS:
+            return b if b < a else a  # the first of equal extremes, as min() keeps
+    if MISSING in args:
+        return MISSING
+    return min(_num(a) for a in args)
+
+
+def _max(args):
+    if len(args) == 2:
+        a, b = args
+        if type(a) in _NUMS and type(b) in _NUMS:
+            return b if b > a else a
+    if MISSING in args:
+        return MISSING
+    return max(_num(a) for a in args)
+
+
+def _and(args):
+    if any(a is False for a in args):  # false beats missing
+        return False
+    if MISSING in args:
+        return MISSING
+    return all(_bool(a) for a in args)
+
+
+def _or(args):
+    if any(a is True for a in args):  # true beats missing
+        return True
+    if MISSING in args:
+        return MISSING
+    return any(_bool(a) for a in args)
+
+
+def _not(args):
+    if MISSING in args:
+        return MISSING
+    return not _bool(args[0])
+
+
+def _equal(args) -> bool:
+    a, b = args
+    if type(a) not in _NUMS or type(b) not in _NUMS:
         if is_bool(a) != is_bool(b):
             a, b = _num(a), _num(b)
-        same = a == b
-        return same if op == "eq" else not same
-    if op in ("lt", "le", "gt", "ge"):
-        a, b = _num(args[0]), _num(args[1])
-        return {"lt": a < b, "le": a <= b, "gt": a > b, "ge": a >= b}[op]
-    if op == "mod":
-        a, b = _num(args[0]), _num(args[1])
-        if b == 0:
-            raise EvalError("mod by zero")
-        return _wrap(a % b)
-    if op == "pow":
-        return _wrap(_num(args[0]) ** _num(args[1]))
-    if op == "sqrt":
+    return a == b
+
+
+def _eq(args):
+    if MISSING in args:
+        return MISSING
+    return _equal(args)
+
+
+def _ne(args):
+    if MISSING in args:
+        return MISSING
+    return not _equal(args)
+
+
+def _comparison(test):
+    def compare(args):
+        if len(args) == 2:
+            a, b = args
+            if type(a) in _NUMS and type(b) in _NUMS:
+                return test(a, b)
+        if MISSING in args:
+            return MISSING
+        return test(_num(args[0]), _num(args[1]))
+    return compare
+
+
+def _mod(args):
+    if len(args) == 2:
+        a, b = args
+        if type(a) in _NUMS and type(b) in _NUMS and b:
+            return _fit(a % b)
+    if MISSING in args:
+        return MISSING
+    a, b = _num(args[0]), _num(args[1])
+    if b == 0:
+        raise EvalError("mod by zero")
+    return _wrap(a % b)
+
+
+def _pow(args):
+    """An int power whose result must leave the int64 range is refused before
+    it is computed; a float power that divides by zero, overflows or has no
+    real value raises instead of leaking a Python error or a complex."""
+    if MISSING in args:
+        return MISSING
+    a, b = _num(args[0]), _num(args[1])
+    if type(a) is int and type(b) is int and b >= 0:
+        if b >= 64 and abs(a) >= 2:  # |a| ** b >= 2 ** 64
+            raise EvalError(f"integer overflow: {a} ** {b}")
+        return _check_int(a ** b)
+    where = f"pow({value_repr(a)}, {value_repr(b)})"
+    try:
+        v = a ** b
+    except ZeroDivisionError:
+        raise EvalError(f"{where}: zero to a negative power") from None
+    except OverflowError:
+        raise EvalError(f"{where}: out of the float range") from None
+    if type(v) is complex:
+        raise EvalError(f"{where}: negative base to a fractional power")
+    return v
+
+
+def _sqrt(args):
+    if len(args) == 1 and type(args[0]) in _NUMS:
+        a = args[0]
+    else:
+        if MISSING in args:
+            return MISSING
         a = _num(args[0])
-        if a < 0:
-            raise EvalError(f"sqrt of negative value {a}")
-        return math.sqrt(a)
-    if op == "round":
+    if a < 0:
+        raise EvalError(f"sqrt of negative value {a}")
+    return math.sqrt(a)
+
+
+def _round(args):
+    """Round half to even; a float stays a float. inf and nan have no nearest
+    integer and raise."""
+    if len(args) == 1 and type(args[0]) is float:
+        a = args[0]
+    else:
+        if MISSING in args:
+            return MISSING
         a = _num(args[0])
-        r = round(a)
-        return float(r) if isinstance(a, float) else r
-    if op == "abs":
-        return _wrap(abs(_num(args[0])))
+        if type(a) is int:
+            return a
+    if a - a == 0.0:  # finite
+        return float(round(a))
+    raise EvalError(f"round of non-finite value {value_repr(a)}")
+
+
+def _abs(args):
+    if len(args) == 1 and type(args[0]) in _NUMS:
+        return _fit(abs(args[0]))
+    if MISSING in args:
+        return MISSING
+    return _wrap(abs(_num(args[0])))
+
+
+def _coalesce(args):
+    for a in args:
+        if a is not MISSING:
+            return a
+    return MISSING
+
+
+def _select(args):
+    c, a, b = args
+    if c is MISSING:
+        return MISSING
+    return a if _bool(c) else b
+
+
+OPS = {
+    "add": _add,
+    "sub": _sub,
+    "neg": _neg,
+    "mul": _mul,
+    "min": _min,
+    "max": _max,
+    "and": _and,
+    "or": _or,
+    "not": _not,
+    "eq": _eq,
+    "ne": _ne,
+    "lt": _comparison(operator.lt),
+    "le": _comparison(operator.le),
+    "gt": _comparison(operator.gt),
+    "ge": _comparison(operator.ge),
+    "coalesce": _coalesce,
+    "select": _select,
+    "mod": _mod,
+    "pow": _pow,
+    "sqrt": _sqrt,
+    "round": _round,
+    "abs": _abs,
+}
+
+
+def apply_op(op: str, args: list) -> Value:
+    """Apply a scalar operation with missing-propagation semantics:
+    `OPS[op](args)`. An unknown op propagates missing and otherwise raises."""
+    fn = OPS.get(op)
+    if fn is not None:
+        return fn(args)
+    if MISSING in args:
+        return MISSING
     raise EvalError(f"unknown operation {op!r}")
 
 

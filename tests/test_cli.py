@@ -309,6 +309,36 @@ def test_run_rejects_wrong_arity_call_exit_2(capsys, tmp_path, rhs, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+# pow and round over A = 0.0 1.0 2.0 (and an int A = 2 3 4): each used to end
+# in a Python traceback, or let a complex reach the writer
+DOMAIN_ERRORS = [
+    ("pow(A[i], -1)", "float", "pow(0.0, -1): zero to a negative power"),
+    # a literal call that raises is left unfolded, for run time
+    ("A[i] + pow(0.0, -1)", "float", "pow(0.0, -1): zero to a negative power"),
+    ("round(A[i] * 1e308 * 10.0)", "float", "round of non-finite value inf"),
+    ("round(A[i] * 1e308 * 10.0 - A[i] * 1e308 * 20.0)", "float",
+     "round of non-finite value nan"),
+    ("pow(A[i] + 9.0, 400)", "float", "pow(9.0, 400): out of the float range"),
+    ("pow(A[i] - 1.0, 0.5)", "float", "pow(-1.0, 0.5): negative base to a fractional power"),
+    # refused before the power is computed
+    ("pow(A[i], 64)", "int", "integer overflow: 2 ** 64"),
+]
+
+
+@pytest.mark.parametrize("cmd", ["run", "check"])
+@pytest.mark.parametrize("rhs,dtype,message", DOMAIN_ERRORS)
+def test_pow_and_round_domain_errors_exit_3(capsys, tmp_path, cmd, rhs, dtype, message):
+    kernel = tmp_path / "k.cin"
+    kernel.write_text(f"@V i C[i] = {rhs}\n")
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [3], [0.0, 1.0, 2.0] if dtype == "float" else [2, 3, 4])
+    rc = run_cli([cmd, "--kernel", kernel, "--tensor", f"A={a}"]
+                 + (["--trials", "1"] if cmd == "check" else []))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"runtime error: {message}\n"
+
+
 @pytest.mark.parametrize("cmd,option", [("bench", ["--json"]), ("check", ["--out", "x"]),
                                         ("bench", ["--out", "x"])])
 def test_options_a_command_ignores_are_rejected(capsys, cmd, option):

@@ -28,6 +28,7 @@ from coil.api import (
 from coil.cin import CinError
 from coil.expr import Call, Lit, Read, Search, Var, iadd, le
 from coil.interp import Buf, InterpError, run_program
+from coil.oracle import OracleError
 from coil.parser import MAX_DEPTH, _height, parse
 from coil.storage import to_dense
 from coil.target import NOP, AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, While
@@ -486,6 +487,38 @@ def test_writer_error_messages_are_pinned():
         w = writer()
         with pytest.raises(InterpError, match=f"^{re.escape(want)}$"):
             run_program(prog, {"v": Buf("v", [1, 2]), **w.buffers}, params, {"y": w})
+
+
+# A pow or round with no value in the domain, over A = 0, 1, 2, ... of
+# CODEGEN_MIN_ENTRIES entries, so that `execute` picks generated code
+DOMAIN_ERRORS = {
+    "pow(A[i], -1)": (float, "pow(0.0, -1): zero to a negative power"),
+    "round(A[i] * 1e308 * 10.0)": (float, "round of non-finite value inf"),
+    "round(A[i] * 1e308 * 10.0 - A[i] * 1e308 * 20.0)": (float, "round of non-finite value nan"),
+    "pow(A[i] + 9.0, 400)": (float, "pow(9.0, 400): out of the float range"),
+    "pow(A[i] - 1.0, 0.5)": (float, "pow(-1.0, 0.5): negative base to a fractional power"),
+    "pow(A[i] + 2, 64)": (int, "integer overflow: 2 ** 64"),
+}
+
+
+@pytest.mark.parametrize("rhs", sorted(DOMAIN_ERRORS))
+def test_domain_errors_agree_with_the_oracle(rhs):
+    """The interpreter, cold and warm generated code, `execute` and the oracle
+    raise one message."""
+    kind, want = DOMAIN_ERRORS[rhs]
+    text = f"@V i C[i] = {rhs}"
+    n = CODEGEN_MIN_ENTRIES
+    ins = {"A": InputSpec([n], [kind(k % 3) for k in range(n)], format=["dense"])}
+    compiled = compile_kernel(parse(text), ins)
+    exact = f"^{re.escape(want)}$"
+    for run in BACKENDS:
+        buffers, writers = runtime(compiled)
+        with pytest.raises(InterpError, match=exact):
+            run(compiled.program, buffers, {}, writers)
+    with pytest.raises(InterpError, match=exact):
+        execute(compiled)
+    with pytest.raises(OracleError, match=exact):
+        oracle_outputs(text, ins)
 
 
 @pytest.mark.parametrize("backend", ["interp", "python"])

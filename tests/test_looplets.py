@@ -44,7 +44,7 @@ def test_style_of_constructors():
 
 def test_resolve_style_total_order():
     order = [Style.SWITCH, Style.RUN, Style.SPIKE, Style.PIPELINE,
-             Style.JUMPER, Style.STEPPER, Style.LOOKUP, Style.TERMINAL]
+             Style.JUMPER, Style.STEPPER, Style.LOOKUP]
     for hi, lo in itertools.combinations(order, 2):
         assert resolve_style(hi, lo) == hi
         assert resolve_style(lo, hi) == hi
