@@ -226,26 +226,6 @@ class _Compiler:
         if op in ("and", "or"):
             return _logic(op, args)
         fn = OPS.get(op) or partial(apply_op, op)
-        if len(args) == 1:
-            (a,) = args
-
-            def call1(env):
-                vs = [a(env)]
-                try:
-                    return fn(vs)
-                except EvalError as ex:
-                    raise OracleError(str(ex)) from None
-            return call1
-        if len(args) == 2:
-            a, b = args
-
-            def call2(env):
-                vs = [a(env), b(env)]
-                try:
-                    return fn(vs)
-                except EvalError as ex:
-                    raise OracleError(str(ex)) from None
-            return call2
 
         def call(env):
             vs = [a(env) for a in args]
@@ -276,26 +256,6 @@ class _Compiler:
                 return OracleError(f"write index {i} out of bounds for {name}")
             return OracleError(f"read index {i} out of bounds for {name} mode {k + 1}")
 
-        if all(isinstance(u, Var) and u.name in scope for u in uses):
-            # forall indices: always bound ints, never missing
-            if len(uses) == 1:
-                (a,), (d,) = [u.name for u in uses], dims
-
-                def pos1(env):
-                    i = env[a]
-                    if 1 <= i <= d:
-                        return i - 1
-                    raise out_of_bounds(0, i)
-                return pos1
-            if len(uses) == 2:
-                (a, b), (d0, d1) = [u.name for u in uses], dims
-
-                def pos2(env):
-                    i, j = env[a], env[b]
-                    if 1 <= i <= d0 and 1 <= j <= d1:
-                        return (i - 1) * d1 + j - 1
-                    raise out_of_bounds(0, i) if not 1 <= i <= d0 else out_of_bounds(1, j)
-                return pos2
         modes = [(self.index(u, d, scope), d) for u, d in zip(uses, dims)]
 
         def pos(env):

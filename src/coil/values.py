@@ -7,8 +7,8 @@ its first non-missing argument. Absorbing elements beat missing: 0 absorbs in
 `OPS` maps each op name to one function of its operand list, and
 `apply_op(op, args)` is `OPS[op](args)`: the interpreter, the output writers,
 generated code's fallback, constant folding and the oracle all apply ops
-through it. Each function tests its operands' exact types first, so ints and
-floats skip the general path that bools and `missing` take.
+through it. `add` and `mul` first test for two operands that are exactly int
+or float, which skip the checks for bools and `missing`.
 
 Domain errors are `EvalError`s, never Python exceptions or values outside the
 domain: `mod` by zero, `sqrt` of a negative, `round` of inf or nan, and a
@@ -119,7 +119,7 @@ def _check_int(v: int) -> int:
 def _num(v):
     if isinstance(v, bool):
         return int(v)
-    if is_number(v):
+    if isinstance(v, (int, float)):
         return v
     raise EvalError(f"expected a number, got {v!r}")
 
@@ -134,10 +134,6 @@ def _wrap(v):
     if isinstance(v, int) and not isinstance(v, bool):
         return _check_int(v)
     return v
-
-
-def _is_zero(v) -> bool:
-    return (is_number(v) or is_bool(v)) and _num(v) == 0
 
 
 # Operation table: name -> (min arity, max arity or None for n-ary).
@@ -171,25 +167,20 @@ PURE_OPS = frozenset(OP_ARITY)
 
 # -- the op table ------------------------------------------------------------------
 #
-# Each op is one function of its operand list. Operands that are all exactly
-# int or float, in the op's usual count, take the fast path; any other list
-# (bools, `missing`, another count) takes the general path, which applies the
-# absorbing elements and missing propagation before the op itself. Both paths
-# give the same result and raise the same error.
+# Each op is one function of its operand list. It applies the absorbing
+# elements and missing propagation before the op itself. `add` and `mul`, the
+# arithmetic of the dense blends the oracle checks, first test for two
+# operands that are exactly int or float, which cannot be missing, bools or
+# absorbing zeros of another type, and give such a pair the same result.
 
 _NUMS = frozenset({int, float})
-
-
-def _fit(v):
-    """An int result checked against the int64 range; floats pass."""
-    return v if type(v) is float or INT_MIN <= v <= INT_MAX else _check_int(v)
 
 
 def _add(args):
     if len(args) == 2:
         a, b = args
         if type(a) in _NUMS and type(b) in _NUMS:
-            return _fit(a + b)
+            return _wrap(a + b)
     if MISSING in args:
         return MISSING
     acc = _num(args[0])
@@ -199,18 +190,12 @@ def _add(args):
 
 
 def _sub(args):
-    if len(args) == 2:
-        a, b = args
-        if type(a) in _NUMS and type(b) in _NUMS:
-            return _fit(a - b)
     if MISSING in args:
         return MISSING
     return _wrap(_num(args[0]) - _num(args[1]))
 
 
 def _neg(args):
-    if len(args) == 1 and type(args[0]) in _NUMS:
-        return _fit(-args[0])
     if MISSING in args:
         return MISSING
     return _wrap(-_num(args[0]))
@@ -221,11 +206,10 @@ def _mul(args):
         a, b = args
         if type(a) in _NUMS and type(b) in _NUMS:
             if a and b:
-                return _fit(a * b)
+                return _wrap(a * b)
             return 0.0 if type(a) is float or type(b) is float else 0
-    # an absorbing zero beats missing
-    if any(_is_zero(a) for a in args):
-        return 0.0 if any(isinstance(a, float) for a in args if a is not MISSING) else 0
+    if 0 in args:  # an absorbing zero (0, 0.0, -0.0 or false) beats missing
+        return 0.0 if any(isinstance(a, float) for a in args) else 0
     if MISSING in args:
         return MISSING
     acc = _num(args[0])
@@ -235,20 +219,12 @@ def _mul(args):
 
 
 def _min(args):
-    if len(args) == 2:
-        a, b = args
-        if type(a) in _NUMS and type(b) in _NUMS:
-            return b if b < a else a  # the first of equal extremes, as min() keeps
     if MISSING in args:
         return MISSING
     return min(_num(a) for a in args)
 
 
 def _max(args):
-    if len(args) == 2:
-        a, b = args
-        if type(a) in _NUMS and type(b) in _NUMS:
-            return b if b > a else a
     if MISSING in args:
         return MISSING
     return max(_num(a) for a in args)
@@ -278,9 +254,8 @@ def _not(args):
 
 def _equal(args) -> bool:
     a, b = args
-    if type(a) not in _NUMS or type(b) not in _NUMS:
-        if is_bool(a) != is_bool(b):
-            a, b = _num(a), _num(b)
+    if is_bool(a) != is_bool(b):
+        a, b = _num(a), _num(b)
     return a == b
 
 
@@ -298,10 +273,6 @@ def _ne(args):
 
 def _comparison(test):
     def compare(args):
-        if len(args) == 2:
-            a, b = args
-            if type(a) in _NUMS and type(b) in _NUMS:
-                return test(a, b)
         if MISSING in args:
             return MISSING
         return test(_num(args[0]), _num(args[1]))
@@ -309,10 +280,6 @@ def _comparison(test):
 
 
 def _mod(args):
-    if len(args) == 2:
-        a, b = args
-        if type(a) in _NUMS and type(b) in _NUMS and b:
-            return _fit(a % b)
     if MISSING in args:
         return MISSING
     a, b = _num(args[0]), _num(args[1])
@@ -332,25 +299,25 @@ def _pow(args):
         if b >= 64 and abs(a) >= 2:  # |a| ** b >= 2 ** 64
             raise EvalError(f"integer overflow: {a} ** {b}")
         return _check_int(a ** b)
-    where = f"pow({value_repr(a)}, {value_repr(b)})"
     try:
         v = a ** b
     except ZeroDivisionError:
-        raise EvalError(f"{where}: zero to a negative power") from None
+        raise _pow_error(a, b, "zero to a negative power") from None
     except OverflowError:
-        raise EvalError(f"{where}: out of the float range") from None
+        raise _pow_error(a, b, "out of the float range") from None
     if type(v) is complex:
-        raise EvalError(f"{where}: negative base to a fractional power")
+        raise _pow_error(a, b, "negative base to a fractional power")
     return v
 
 
+def _pow_error(a, b, reason: str) -> EvalError:
+    return EvalError(f"pow({value_repr(a)}, {value_repr(b)}): {reason}")
+
+
 def _sqrt(args):
-    if len(args) == 1 and type(args[0]) in _NUMS:
-        a = args[0]
-    else:
-        if MISSING in args:
-            return MISSING
-        a = _num(args[0])
+    if MISSING in args:
+        return MISSING
+    a = _num(args[0])
     if a < 0:
         raise EvalError(f"sqrt of negative value {a}")
     return math.sqrt(a)
@@ -359,22 +326,17 @@ def _sqrt(args):
 def _round(args):
     """Round half to even; a float stays a float. inf and nan have no nearest
     integer and raise."""
-    if len(args) == 1 and type(args[0]) is float:
-        a = args[0]
-    else:
-        if MISSING in args:
-            return MISSING
-        a = _num(args[0])
-        if type(a) is int:
-            return a
+    if MISSING in args:
+        return MISSING
+    a = _num(args[0])
+    if type(a) is int:
+        return a
     if a - a == 0.0:  # finite
         return float(round(a))
     raise EvalError(f"round of non-finite value {value_repr(a)}")
 
 
 def _abs(args):
-    if len(args) == 1 and type(args[0]) in _NUMS:
-        return _fit(abs(args[0]))
     if MISSING in args:
         return MISSING
     return _wrap(abs(_num(args[0])))
