@@ -35,7 +35,7 @@ from .api import (
 )
 from .cin import CinError, print_stmt
 from .interp import InterpError
-from .oracle import max_rel_error
+from .oracle import OracleError, max_rel_error
 from .parser import parse
 from .rewrite import simplify
 from .storage import FormatError
@@ -440,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CinError, CompileError, FormatError, TensorIOError, CliError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except InterpError as ex:
+    except (InterpError, OracleError) as ex:
         print(f"runtime error: {ex}", file=sys.stderr)
         return 3
 

@@ -97,8 +97,15 @@ def _const(e: Expr):
 
 
 def iadd(*terms: Expr) -> Expr:
-    """Normalized sum: flattens nested adds, folds the constant part, and
-    cancels x + (-x) pairs."""
+    """Normalized sum of index arithmetic: flattens nested adds, folds the
+    constant part, and cancels x + (-x) pairs."""
+    return _sum(terms, True)
+
+
+def _sum(terms, index: bool) -> Expr:
+    """`iadd`; but unless `index` holds, a pair cancels only if `_is_int`
+    proves its term int: a float x + (-x) is nan, not 0, when x is inf or
+    nan."""
     flat: list[Expr] = []
     const = 0
     stack = list(terms)
@@ -113,7 +120,7 @@ def iadd(*terms: Expr) -> Expr:
     kept: list[Expr] = []
     for t in flat:
         comp = t.args[0] if isinstance(t, Call) and t.op == "neg" else Call("neg", (t,))
-        if comp in kept:
+        if comp in kept and (index or _is_int(t)):
             kept.remove(comp)
         else:
             kept.append(t)
@@ -124,6 +131,18 @@ def iadd(*terms: Expr) -> Expr:
     if len(kept) == 1:
         return kept[0]
     return Call("add", tuple(kept))
+
+
+def _is_int(e: Expr) -> bool:
+    """Whether `e` is int index arithmetic by its shape: int literals,
+    searches and variables other than `$` parameters, under the index ops.
+    (A value temporary is bound once per tensor access, so it never meets
+    its own negation.)"""
+    if isinstance(e, Call):
+        return e.op in ("add", "neg", "mul", "min", "max") and all(map(_is_int, e.args))
+    if isinstance(e, Var):
+        return not e.name.startswith("$")
+    return isinstance(e, Search) or _const(e) is not None
 
 
 def ineg(e: Expr) -> Expr:
@@ -249,9 +268,10 @@ def subst(node, env: dict):
             return env.get(n.name, n)
         if isinstance(n, Call):
             args = tuple(map(go, n.args))
-            # Rebuild through the normalizers so bound constants keep folding.
+            # Rebuild through the normalizers so bound constants keep folding;
+            # a sum may hold values here, so only int terms cancel.
             if n.op == "add":
-                return iadd(*args)
+                return _sum(args, False)
             if n.op == "neg":
                 return ineg(args[0])
             if n.op in ("min", "max"):

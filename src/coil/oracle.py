@@ -354,7 +354,9 @@ def _logic(op: str, args):
 
 
 def max_rel_error(a: list, b: list) -> float:
-    """Largest relative difference between two flat value lists."""
+    """Largest relative difference between two flat value lists: inf where
+    one side is nan, or inf, and the other is not the same; nan agrees with
+    nan."""
     worst = 0.0
     for x, y in zip(a, b):
         if x is MISSING or y is MISSING:
@@ -365,8 +367,10 @@ def max_rel_error(a: list, b: list) -> float:
             if x is not y:
                 return float("inf")
             continue
-        d = abs(x - y)
-        if d == 0:
+        if x == y or x != x and y != y:
             continue
+        d = abs(x - y)
+        if d != d or d == float("inf"):  # one side nan, or an infinity apart
+            return float("inf")
         worst = max(worst, d / max(abs(x), abs(y), 1.0))
     return worst

@@ -2,13 +2,22 @@
 
 Dense text format: first line `dims: d1 d2 ...`, then row-major values.
 MatrixMarket support covers coordinate and array forms, real/integer/pattern
-fields, general/symmetric symmetry; duplicate coordinates are summed.
+fields, general/symmetric symmetry; duplicate coordinates are summed in file
+order.
+
+A coordinate body is read in blocks of about 64 KiB of whole lines, each
+parsed in columns: one tokenization, `int`/`float` mapped over strided
+slices, one `min`/`max` per coordinate column for the bounds, one
+comprehension for the row-major offsets. A block that is short, symmetric or
+fails any check (a comment or blank line, a ragged line, a bad token, an
+out-of-bounds coordinate) is read line by line instead, which raises the
+message naming the offending line. Beyond the entries themselves, a read
+holds one block's tokens at a time.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .values import Value
 
@@ -17,15 +26,30 @@ class TensorIOError(ValueError):
     pass
 
 
-@contextmanager
-def reading(path: str, error=TensorIOError):
-    """`path` opened as UTF-8 text; a file that cannot be opened or decoded
-    raises `error` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except (OSError, UnicodeDecodeError) as ex:
-        raise error(f"cannot read {path}: {getattr(ex, 'strerror', None) or ex}") from None
+class reading:
+    """`path` opened as UTF-8 text, as a context manager; a file that cannot
+    be opened or decoded raises `error` naming it. (A class, not a generator
+    context manager: it is entered once per tensor file read.)"""
+
+    __slots__ = ("path", "error", "fh")
+
+    def __init__(self, path: str, error=TensorIOError):
+        self.path, self.error = path, error
+
+    def __enter__(self):
+        try:
+            self.fh = open(self.path, "r", encoding="utf-8")
+        except OSError as ex:
+            raise self._failed(ex) from None
+        return self.fh
+
+    def __exit__(self, kind, ex, tb):
+        self.fh.close()
+        if isinstance(ex, (OSError, UnicodeDecodeError)):
+            raise self._failed(ex) from None
+
+    def _failed(self, ex):
+        return self.error(f"cannot read {self.path}: {getattr(ex, 'strerror', None) or ex}")
 
 
 def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
@@ -35,13 +59,31 @@ def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
     and triples always (i, j, v), with 1-based coordinates; symmetric inputs
     are expanded to general, pattern entries read as 1.
     """
-    dims, entries, dtype = _read_entries(path)
+    dims, keys, vals, dtype = _read_entries(path)
     ncols = dims[1]
-    return dims, [(k // ncols + 1, k % ncols + 1, v) for k, v in sorted(entries.items())], dtype
+    return dims, [(k // ncols + 1, k % ncols + 1, v) for k, v in sorted(zip(keys, vals))], dtype
 
 
-def _read_entries(path: str) -> Tuple[List[int], Dict[int, Value], str]:
-    """Returns (dims, row-major cell offset -> value, value dtype)."""
+def matrix_market_dense(path: str) -> Tuple[List[int], list, str]:
+    """Scatter a MatrixMarket file into a row-major dense payload."""
+    dims, keys, vals, dtype = _read_entries(path)
+    data = [0.0 if dtype == "float" else 0] * (dims[0] * dims[1])
+    for k, v in zip(keys, vals):
+        data[k] = v
+    return dims, data, dtype
+
+
+# A coordinate body is read in blocks of about this many characters, each cut
+# at its last newline, so a read holds one block's tokens at a time.
+_CHUNK = 1 << 16
+# A block of fewer lines than this is read line by line, which is faster:
+# reading in columns costs a few microseconds more per block.
+_MIN_COLUMN_LINES = 16
+
+
+def _read_entries(path: str) -> Tuple[List[int], List[int], List[Value], str]:
+    """Returns (dims, row-major cell offsets, their values, value dtype); each
+    offset appears once."""
     with reading(path) as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
@@ -70,63 +112,123 @@ def _read_entries(path: str) -> Tuple[List[int], Dict[int, Value], str]:
             nrows, ncols = (int(x) for x in sizes)
             nnz = nrows * ncols
 
-        entries = {}
+        keys: List[int] = []
+        vals: List[Value] = []
         conv = int if field == "integer" else float
         pattern = field == "pattern"
         symmetric = symmetry == "symmetric"
         if layout == "coordinate":
-            get = entries.get  # duplicates are summed in file order
+            shape = (path, nrows, ncols, pattern, conv)
             count = 0
-            for line in fh:
-                toks = line.split()
-                if not toks or toks[0].startswith("%"):
-                    continue
-                count += 1
-                try:
-                    i, j = int(toks[0]), int(toks[1])
-                    v = 1 if pattern else conv(toks[2])
-                except (IndexError, ValueError):
-                    raise TensorIOError(f"{path}: malformed entry {line.strip()!r}") from None
-                if not (1 <= i <= nrows and 1 <= j <= ncols):
-                    raise TensorIOError(f"{path}: coordinate ({i},{j}) out of bounds")
-                key = (i - 1) * ncols + j - 1
-                prev = get(key)
-                entries[key] = v if prev is None else prev + v
-                if symmetric and i != j:
-                    if not (j <= nrows and i <= ncols):
-                        raise TensorIOError(f"{path}: coordinate ({j},{i}) out of bounds")
-                    key = (j - 1) * ncols + i - 1
-                    prev = get(key)
-                    entries[key] = v if prev is None else prev + v
+            for block in _blocks(fh):
+                n = None if symmetric else _columns(block, shape, keys, vals)
+                count += _lines(block, shape, symmetric, keys, vals) if n is None else n
             if count != nnz:
                 raise TensorIOError(f"{path}: expected {nnz} entries, found {count}")
         else:
             try:
-                vals = [1 if pattern else conv(tok) for line in fh for tok in line.split()]
+                body = [1 if pattern else conv(tok) for line in fh for tok in line.split()]
             except ValueError as ex:
                 raise TensorIOError(f"{path}: malformed array value: {ex}") from None
-            if len(vals) != (nrows * (nrows + 1) // 2 if symmetric else nnz):
+            if len(body) != (nrows * (nrows + 1) // 2 if symmetric else nnz):
                 raise TensorIOError(f"{path}: wrong number of array values")
             pos = 0
             for j in range(1, ncols + 1):  # array layout is column-major
                 for i in range(j if symmetric else 1, nrows + 1):
-                    entries[(i - 1) * ncols + j - 1] = vals[pos]
+                    keys.append((i - 1) * ncols + j - 1)
+                    vals.append(body[pos])
                     if symmetric and i != j:
                         if i > ncols:
                             raise TensorIOError(f"{path}: coordinate ({j},{i}) out of bounds")
-                        entries[(j - 1) * ncols + i - 1] = vals[pos]
+                        keys.append((j - 1) * ncols + i - 1)
+                        vals.append(body[pos])
                     pos += 1
 
-        return [nrows, ncols], entries, "float" if field == "real" else "int"
+    if len(set(keys)) != len(keys):  # duplicates are summed in file order
+        folded = {}
+        get = folded.get
+        for k, v in zip(keys, vals):
+            prev = get(k)
+            folded[k] = v if prev is None else prev + v
+        keys, vals = list(folded), list(folded.values())
+    return [nrows, ncols], keys, vals, "float" if field == "real" else "int"
 
 
-def matrix_market_dense(path: str) -> Tuple[List[int], list, str]:
-    """Scatter a MatrixMarket file into a row-major dense payload."""
-    dims, entries, dtype = _read_entries(path)
-    data = [0.0 if dtype == "float" else 0] * (dims[0] * dims[1])
-    for k, v in entries.items():
-        data[k] = v
-    return dims, data, dtype
+def _blocks(fh):
+    """The rest of `fh` in blocks of whole lines of about `_CHUNK` characters;
+    a last line without a newline gets one."""
+    tail = ""
+    while True:
+        block = tail + fh.read(_CHUNK)
+        if len(block) - len(tail) < _CHUNK:  # a short read is the end of the file
+            if block:
+                yield block if block.endswith("\n") else block + "\n"
+            return
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield block[:cut]
+        tail = block[cut:]
+
+
+def _columns(block: str, shape, keys: list, vals: list):
+    """Append a block of general coordinate lines to `keys` and `vals`
+    column by column and return its line count; None, appending nothing,
+    unless every line is one in-bounds entry of exactly the field's token
+    count and there are at least `_MIN_COLUMN_LINES` of them.
+
+    A `;` token replaces each newline. When the block has (width+1) tokens a
+    line and every column but the last converts, no `;` is in those columns,
+    so the `;`s fill the last one: each line holds exactly `width` tokens."""
+    n = block.count("\n")
+    if n < _MIN_COLUMN_LINES:
+        return None
+    _, nrows, ncols, pattern, conv = shape
+    width = 2 if pattern else 3
+    step = width + 1
+    toks = block.replace("\n", " ; ").split()
+    if len(toks) != n * step:
+        return None
+    try:
+        rows = list(map(int, toks[0::step]))
+        cols = list(map(int, toks[1::step]))
+        col_vals = [1] * n if pattern else list(map(conv, toks[2::step]))
+    except ValueError:
+        return None
+    if min(rows) < 1 or max(rows) > nrows or min(cols) < 1 or max(cols) > ncols:
+        return None
+    base = -ncols - 1
+    keys += [i * ncols + j + base for i, j in zip(rows, cols)]
+    vals += col_vals
+    return n
+
+
+def _lines(block: str, shape, symmetric: bool, keys: list, vals: list) -> int:
+    """Append a block of coordinate lines to `keys` and `vals` line by line,
+    a symmetric entry's mirror right after it, and return the number of entry
+    lines; comments and blank lines are skipped, and the first bad line
+    raises."""
+    path, nrows, ncols, pattern, conv = shape
+    count = 0
+    for line in block.split("\n"):
+        toks = line.split()
+        if not toks or toks[0].startswith("%"):
+            continue
+        count += 1
+        try:
+            i, j = int(toks[0]), int(toks[1])
+            v = 1 if pattern else conv(toks[2])
+        except (IndexError, ValueError):
+            raise TensorIOError(f"{path}: malformed entry {line.strip()!r}") from None
+        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            raise TensorIOError(f"{path}: coordinate ({i},{j}) out of bounds")
+        keys.append((i - 1) * ncols + j - 1)
+        vals.append(v)
+        if symmetric and i != j:
+            if not (j <= nrows and i <= ncols):
+                raise TensorIOError(f"{path}: coordinate ({j},{i}) out of bounds")
+            keys.append((j - 1) * ncols + i - 1)
+            vals.append(v)
+    return count
 
 
 # float tokens without a point or an exponent, as `write_dense_text` writes

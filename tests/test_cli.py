@@ -318,6 +318,9 @@ DOMAIN_ERRORS = [
     ("round(A[i] * 1e308 * 10.0)", "float", "round of non-finite value inf"),
     ("round(A[i] * 1e308 * 10.0 - A[i] * 1e308 * 20.0)", "float",
      "round of non-finite value nan"),
+    # x - x is nan where x is inf, in compiled code as in the oracle
+    ("round(A[i] * 1e308 * 10.0 - A[i] * 1e308 * 10.0)", "float",
+     "round of non-finite value nan"),
     ("pow(A[i] + 9.0, 400)", "float", "pow(9.0, 400): out of the float range"),
     ("pow(A[i] - 1.0, 0.5)", "float", "pow(-1.0, 0.5): negative base to a fractional power"),
     # refused before the power is computed
@@ -337,6 +340,30 @@ def test_pow_and_round_domain_errors_exit_3(capsys, tmp_path, cmd, rhs, dtype, m
     err = capsys.readouterr().err
     assert rc == 3
     assert err == f"runtime error: {message}\n"
+
+
+def test_check_oracle_error_exit_3(capsys, tmp_path):
+    """The compiled code visits only A's stored entry, where B is 0; the
+    oracle visits every cell and rounds nan where B is 1 or 2."""
+    kernel = tmp_path / "k.cin"
+    kernel.write_text("@V i C[i] = A[i] * round(B[i] * 1e308 * 10.0 - B[i] * 1e308 * 10.0)\n")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_dense_text(str(a), [3], [1.0, 0.0, 0.0])
+    write_dense_text(str(b), [3], [0.0, 1.0, 2.0])
+    rc = run_cli(["check", "--kernel", kernel, "--tensor", f"A={a},format=splist",
+                  "--tensor", f"B={b}", "--trials", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err == "runtime error: round of non-finite value nan\n"
+
+
+def test_check_agrees_on_nan(capsys, tmp_path):
+    kernel = tmp_path / "k.cin"
+    kernel.write_text("@V i C[i] = A[i] * 1e308 * 10.0 - A[i] * 1e308 * 10.0\n")
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [3], [0.0, 1.0, 2.0])
+    rc = run_cli(["check", "--kernel", kernel, "--tensor", f"A={a}", "--trials", "1"])
+    assert rc == 0
+    assert "all 1 trials agree (worst rel err 0.000e+00)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("cmd,option", [("bench", ["--json"]), ("check", ["--out", "x"]),

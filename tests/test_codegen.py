@@ -521,6 +521,23 @@ def test_domain_errors_agree_with_the_oracle(rhs):
         oracle_outputs(text, ins)
 
 
+@pytest.mark.parametrize("text,params", [
+    ("@V i C[i] = A[i] * 1e308 * 10.0 - A[i] * 1e308 * 10.0", {}),
+    ("@V i C[i] = A[i] * $s - A[i] * $s", {"s": math.inf}),
+])
+def test_float_differences_are_not_cancelled(text, params):
+    """x - x is nan, not 0, where x is inf: the interpreter, cold and warm
+    generated code and the oracle agree on it."""
+    ins = {"A": InputSpec([3], [0.0, 1.0, 2.0], format=["dense"])}
+    compiled = compile_kernel(parse(text), ins, params=params)
+    want = oracle_outputs(text, ins, params=params)["C"]
+    assert [repr(v) for v in want] == ["0.0", "nan", "nan"]
+    for run in BACKENDS:
+        buffers, writers = runtime(compiled)
+        run(compiled.program, buffers, {f"${k}": v for k, v in params.items()}, writers)
+        assert all(same(x, y) for x, y in zip(buffers["C_val"].data, want)), run
+
+
 @pytest.mark.parametrize("backend", ["interp", "python"])
 def test_writing_an_input_buffer_raises_and_changes_nothing(backend):
     """Input buffers hold their levels' arrays, not copies. A program that

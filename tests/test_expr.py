@@ -1,6 +1,7 @@
 from coil.expr import (
     Call,
     Lit,
+    Read,
     Var,
     const_diff,
     extent,
@@ -62,6 +63,18 @@ def test_subst_renormalizes():
     assert subst(e, {"i": Lit(4)}) == Lit(5)
     m = imin(Var("a"), Lit(9))
     assert subst(m, {"a": Lit(3)}) == Lit(3)
+
+
+def test_subst_cancels_only_int_terms():
+    """x + -(x) is 0 only for ints: a float x may be inf or nan."""
+    i = Var("i")
+    value = Call("mul", (Read("A_val", (Var("k"),)), Lit(10.0)))
+    body = Call("add", (value, Call("neg", (value,)), i, Call("neg", (Var("j"),))))
+    assert subst(body, {"k": i, "j": i}) == Call(
+        "add", (subst(value, {"k": i}), Call("neg", (subst(value, {"k": i}),))))
+    param = Call("add", (Var("$s"), Call("neg", (Var("$s"),))))
+    assert subst(param, {}) == param
+    assert subst(Call("add", (Var("p"), Call("neg", (Var("q"),)))), {"q": Var("p")}) == Lit(0)
 
 
 def test_printing():

@@ -11,7 +11,7 @@ import pytest
 from coil.api import InputSpec, compile_kernel, execute, oracle_outputs
 from coil.cin import Access, Assign, Forall, Mod, Multi
 from coil.expr import Call, Extent, Lit, Read, Var
-from coil.oracle import DenseData, OracleError, evaluate
+from coil.oracle import DenseData, OracleError, evaluate, max_rel_error
 from coil.parser import parse
 from coil.values import MISSING
 
@@ -117,3 +117,19 @@ def test_warm_job_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("a,b,err", [
+    ([float("nan")], [float("nan")], 0.0),
+    ([float("nan")], [1.0], float("inf")),
+    ([0.0], [float("nan")], float("inf")),
+    ([float("inf")], [float("inf")], 0.0),
+    ([float("inf")], [1e300], float("inf")),
+    ([float("inf")], [float("-inf")], float("inf")),
+    ([1.0, 2.0], [1.0, 2.5], 0.2),
+    ([3, MISSING], [3, MISSING], 0.0),
+])
+def test_max_rel_error_non_finite(a, b, err):
+    """One-sided nan, or infinity against a different value, disagrees."""
+    assert max_rel_error(a, b) == err
+    assert max_rel_error(b, a) == err
