@@ -26,7 +26,8 @@ from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
 from .parser import parse
 from .rewrite import Ruleset
-from .storage import Tensor, _infer_dtype, check_payload, from_dense, tensor_buffers, to_dense
+from .storage import (Tensor, _infer_dtype, check_payload, from_dense, payload_types,
+                      tensor_buffers, to_dense)
 from .target import TargetStmt, print_ir
 from .unfurl import BoundTensor, CompileError, WriterPlan
 from .values import Value
@@ -338,7 +339,7 @@ def oracle_outputs(text_or_stmt, inputs: Dict[str, InputSpec],
     dd: Dict[str, DenseData] = {}
     for name, spec in inputs.items():
         check_payload(spec.dims, spec.data)
-        dtype = spec.dtype or _infer_dtype(set(map(type, spec.data)), spec.fill)
+        dtype = spec.dtype or _infer_dtype(payload_types(spec.data), spec.fill)
         dd[name] = DenseData(list(spec.dims), spec.data, spec.fill, dtype)
     tensors, writers = _bind_outputs(stmt, inputs, outputs or {})
     for name, bt in tensors.items():

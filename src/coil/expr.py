@@ -103,9 +103,13 @@ def iadd(*terms: Expr) -> Expr:
 
 
 def _sum(terms, index: bool) -> Expr:
-    """`iadd`; but unless `index` holds, a pair cancels only if `_is_int`
-    proves its term int: a float x + (-x) is nan, not 0, when x is inf or
-    nan."""
+    """`iadd`; but unless `index` holds, only a sum that `_is_int` proves
+    index arithmetic is normalized. A value sum keeps the kernel's terms and
+    their order: each `add` call checks int overflow once, on its exact sum,
+    and adds floats left to right, so splicing, folding or cancelling its
+    terms can change the result."""
+    if not index and not all(map(_is_int, terms)):
+        return terms[0] if len(terms) == 1 else Call("add", tuple(terms))
     flat: list[Expr] = []
     const = 0
     stack = list(terms)
@@ -120,7 +124,7 @@ def _sum(terms, index: bool) -> Expr:
     kept: list[Expr] = []
     for t in flat:
         comp = t.args[0] if isinstance(t, Call) and t.op == "neg" else Call("neg", (t,))
-        if comp in kept and (index or _is_int(t)):
+        if comp in kept:
             kept.remove(comp)
         else:
             kept.append(t)
@@ -263,21 +267,26 @@ def subst(node, env: dict):
     """Substitute Var names by expressions anywhere in a node of any IR
     family (capture-free; names are unique)."""
 
-    def go(n):
+    def go(n, index=False):
         if isinstance(n, Var):
             return env.get(n.name, n)
         if isinstance(n, Call):
-            args = tuple(map(go, n.args))
+            args = tuple(go(a, index) for a in n.args)
             # Rebuild through the normalizers so bound constants keep folding;
-            # a sum may hold values here, so only int terms cancel.
+            # outside subscripts a sum may hold values (see `_sum`).
             if n.op == "add":
-                return _sum(args, False)
+                return _sum(args, index)
             if n.op == "neg":
                 return ineg(args[0])
             if n.op in ("min", "max"):
                 return _minmax(n.op, args)
             return Call(n.op, args)
+        if isinstance(n, (Read, Search)):  # subscripts and search bounds are index arithmetic
+            return n.map(go_index)
         return n.map(go, go)
+
+    def go_index(n):
+        return go(n, True)
 
     return go(node)
 

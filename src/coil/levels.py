@@ -10,7 +10,8 @@ owns everything coil knows about that kind:
 - `assemble`, the level built in one pass over its fibers, each the offset
   of its first cell in a row-major payload;
 - `entries`, the stored entries of a fiber as (index, child position) pairs,
-  on which the order checks of validation run, and `check`, which
+  on which the order checks of validation run; `ordered`, the same checks
+  over whole arrays, which tell only whether they pass; and `check`, which
   validates the rest of its buffers;
 - `expand`, the row-major dense values of a range of consecutive fibers,
   whose children expand in one call;
@@ -24,7 +25,8 @@ owns everything coil knows about that kind:
   values) that generated code is guarded by. Assembly records them from
   what it knows of the arrays it builds, in time linear in the fibers:
   `pos` and `ofs` ascend from 1, and `idx` ascends within each fiber, so its
-  bounds are its fibers' first and last entries. Buffers with nothing
+  bounds are its fibers' first and last entries; the scalar leaf's values
+  have the payload's types when its record gives them. Buffers with nothing
   recorded are scanned on first use and the result kept.
 
 `@level` registers a class in `KINDS`; spec parsing, assembly, validation,
@@ -34,8 +36,8 @@ unfurling, lowering and output binding all look kinds up there.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain, compress, groupby, repeat
-from operator import ne, sub
+from itertools import accumulate, chain, groupby, islice, repeat
+from operator import gt, lt, ne, sub
 from typing import Dict, List
 
 from .cin import CompileError, Cursor
@@ -106,9 +108,10 @@ def _check_pos(pos, nfibers, where):
         raise PosRegression(f"{where}: pos has {len(pos)} entries for {nfibers} fibers")
     if pos[0] != 1:
         raise PosRegression(f"{where}: pos must start at 1")
-    for a, b in zip(pos, pos[1:]):
-        if b < a:
-            raise PosRegression(f"{where}: pos regresses from {a} to {b}")
+    if any(map(gt, pos, islice(pos, 1, None))):
+        for a, b in zip(pos, pos[1:]):
+            if b < a:
+                raise PosRegression(f"{where}: pos regresses from {a} to {b}")
 
 
 class Fiber:
@@ -206,6 +209,13 @@ class Level:
         """Iterator of (index, child position) over fiber p's stored entries."""
         raise NotImplementedError
 
+    def ordered(self, nfibers: int) -> bool:
+        """Whether the entries of the nfibers fibers, checked but for their
+        order, ascend strictly within 1..size: the comparisons `entries`
+        would be walked with, made over whole arrays. False when the level
+        cannot tell without the walk."""
+        return False
+
     def check(self, nfibers: int, where: str) -> int:
         """Check the buffers of nfibers fibers but for the order of their
         entries; return the number of child fibers."""
@@ -283,12 +293,26 @@ def _listed_entries(lvl, p: int):
     return zip(lvl.idx[lo - 1:hi - 1], range(lo, hi))
 
 
-def _masked_fibers(a, k: int, fibers: List[int]):
-    """(fiber offset, stored flags of its cells) of each fiber of level k."""
-    mask, ss, size = a.mask(k), a.span[k + 1], a.dims[k]
-    for b in fibers:
-        q = b // ss
-        yield b, mask[q:q + size]
+def _windows(pos, n: int):
+    """(first, one-past-last) entry of each non-empty pos window, or None
+    when there is none or a window runs past the n entries there are."""
+    if not 1 < pos[-1] <= n + 1:
+        return None
+    return [(lo, hi) for lo, hi in zip(pos, islice(pos, 1, None)) if lo < hi]
+
+
+def _listed_ordered(lvl, nfibers: int) -> bool:
+    """Each window's first idx exceeds 0, its last is at most size, and
+    every idx is below the next one but across a window's end."""
+    idx, size = lvl.idx, lvl.size
+    windows = _windows(lvl.pos, len(idx))
+    if windows is None or not all(0 < idx[lo - 1] and idx[hi - 2] <= size for lo, hi in windows):
+        return False
+    n = lvl.pos[-1] - 1
+    ups = bytearray(map(lt, islice(idx, n - 1), islice(idx, 1, n)))
+    for _, hi in windows[:-1]:
+        ups[hi - 2] = 1
+    return 0 not in ups
 
 
 @level
@@ -345,17 +369,16 @@ class SparseList(Level):
 
     @classmethod
     def assemble(cls, a, k, fibers):
-        ss, size = a.span[k + 1], a.dims[k]
         pos, idx, children = [1], [], []
-        for b, stored in _masked_fibers(a, k, fibers):
-            got = list(compress(range(1, size + 1), stored))
+        for got, kids in a.indices(k, fibers):
             idx += got
-            children += [b + (i - 1) * ss for i in got]
+            children += kids
             pos.append(len(idx) + 1)
-        return cls(size, pos, idx, a.level(k + 1, children)).recorded(
+        return cls(a.dims[k], pos, idx, a.level(k + 1, children)).recorded(
             pos=_ascending(pos), idx=_fibered(pos, idx))
 
     entries = _listed_entries
+    ordered = _listed_ordered
 
     def check(self, nfibers, where) -> int:
         _check_pos(self.pos, nfibers, where)
@@ -391,7 +414,9 @@ class SparseBand(Level):
     def assemble(cls, a, k, fibers):
         ss, size = a.span[k + 1], a.dims[k]
         start, stop, ofs, children = [], [], [1], []
-        for b, stored in _masked_fibers(a, k, fibers):
+        mask = a.mask(k)
+        for b in fibers:
+            stored = mask[b // ss:b // ss + size]
             first = stored.find(1)
             lo, hi = (1, 0) if first < 0 else (first + 1, stored.rfind(1) + 1)
             start.append(lo)
@@ -447,23 +472,38 @@ class SparseVBL(Level):
 
     @classmethod
     def assemble(cls, a, k, fibers):
-        ss, size = a.span[k + 1], a.dims[k]
         pos, idx, ofs, children = [1], [], [1], []
-        for b, stored in _masked_fibers(a, k, fibers):
-            got = list(compress(range(1, size + 1), stored))
+        for got, kids in a.indices(k, fibers):
             # a block ends at each stored index whose successor is not stored
             ends = [n for n, i in enumerate(got, 1) if n == len(got) or got[n] != i + 1]
             idx += [got[n - 1] for n in ends]
             ofs += [len(children) + n + 1 for n in ends]
-            children += [b + (i - 1) * ss for i in got]
+            children += kids
             pos.append(len(idx) + 1)
-        return cls(size, pos, idx, ofs, a.level(k + 1, children)).recorded(
+        return cls(a.dims[k], pos, idx, ofs, a.level(k + 1, children)).recorded(
             pos=_ascending(pos), idx=_fibered(pos, idx), ofs=_ascending(ofs))
 
     def entries(self, p):
         for b in range(self.pos[p - 1], self.pos[p]):
             lo, hi, end = self.ofs[b - 1], self.ofs[b], self.idx[b - 1]
             yield from zip(range(end - (hi - lo) + 1, end + 1), range(lo, hi))
+
+    def ordered(self, nfibers):
+        """A fiber's blocks are runs of consecutive indices, so its first
+        block must start above 0, each end below the next one's start, and
+        its last end at most at size."""
+        idx, ofs, size = self.idx, self.ofs, self.size
+        windows = _windows(self.pos, len(idx))
+        if windows is None:
+            return False
+        n = self.pos[-1] - 1
+        firsts = [end - hi + lo + 1 for end, lo, hi in zip(idx[:n], ofs, islice(ofs, 1, None))]
+        if not all(0 < firsts[lo - 1] and idx[hi - 2] <= size for lo, hi in windows):
+            return False
+        ups = bytearray(map(lt, islice(idx, n - 1), islice(firsts, 1, n)))
+        for _, hi in windows[:-1]:
+            ups[hi - 2] = 1
+        return 0 not in ups
 
     def check(self, nfibers, where) -> int:
         _check_pos(self.pos, nfibers, where)
@@ -538,6 +578,7 @@ class RepeatRLE(Level):
         return cls(size, pos, idx, val).recorded(**facts)
 
     entries = _listed_entries
+    ordered = _listed_ordered
 
     def cells(self) -> int:
         return self.size
@@ -587,7 +628,10 @@ class Element(Level):
 
     @classmethod
     def assemble(cls, a, k, fibers):
-        return cls([a.data[b] for b in fibers])
+        val = a.values(fibers)
+        if a.record is None or len(a.types) > 1:  # then the values may have fewer types
+            return cls(val)
+        return cls(val).recorded(val=scan_facts(val, a.types if val else ()))
 
     def cells(self) -> int:
         return 1

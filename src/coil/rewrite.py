@@ -30,7 +30,7 @@ from .cin import (
     results,
     uses_index,
 )
-from .expr import Call, Expr, Lit, const_diff, le, walk
+from .expr import Call, Expr, Lit, _is_int, const_diff, le, walk
 from .values import (
     MISSING,
     EvalError,
@@ -133,11 +133,15 @@ def r_sieve_resolve(n):
 
 
 def _flatten(op: str):
-    """The rule that splices `op` calls nested in an `op` call into it."""
+    """The rule that splices `op` calls nested in an `op` call into it, in
+    index arithmetic only (`_is_int`): each call of a value sum or product
+    checks int overflow on its own exact result, and floats combine left to
+    right, so splicing value calls can change the result."""
 
     @_on(Call)
     def rule(n):
-        if n.op == op and any(isinstance(a, Call) and a.op == op for a in n.args):
+        if (n.op == op and any(isinstance(a, Call) and a.op == op for a in n.args)
+                and _is_int(n)):
             flat = []
             for a in n.args:
                 if isinstance(a, Call) and a.op == op:

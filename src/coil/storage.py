@@ -23,8 +23,22 @@ of the arrays it builds, so no run scans them; the runtime buffers that
 `tensor_buffers` makes carry them. Level arrays are not changed after
 `validate`, so recorded facts stay true for the tensor's life.
 
+A payload that `tensorio.matrix_market_dense` read is a `Scattered` list,
+which records the cells the reader wrote (see there). When its background
+value is not unequal to the fill (so not for a missing, nan or other fill),
+every cell it does not record holds fill, and assembly reads the stored
+cells from the record instead of scanning the payload: the recorded cells
+whose value is `!=` fill, so explicit zeros are left out as a scan leaves
+them out. Sparse levels (`splist`, `svbl`) then assemble from those offsets,
+and stored-flag masks are set from them, in time linear in the stored cells
+and the fibers; dtype inference and run-length assembly read the payload's
+types from the record; and the scalar leaf records its values' facts from
+them. Any other payload is scanned as above.
+
 `to_dense` expands the levels top-down, all the fibers of a level in one
-call (`Level.expand`); `validate` walks each level's stored entries;
+call (`Level.expand`); `validate` checks the order and bounds of each
+level's stored entries, over whole arrays where the level can
+(`Level.ordered`), walking them to name the first bad one;
 `tensor_buffers` and `from_buffers` convert between a tensor and its
 runtime buffers, an input's buffers holding its level arrays read-only.
 """
@@ -32,10 +46,12 @@ runtime buffers, an input's buffers holding its level arrays read-only.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
-from operator import is_not, ne
+from itertools import compress, repeat
+from operator import is_not, ne, sub
 from typing import Dict, List, Optional, Tuple
 
 from .interp import Buf
@@ -74,6 +90,69 @@ class Tensor:
 
     def format_spec(self) -> List[str]:
         return [l.kind for l in self.levels()]
+
+
+class _Payload(list):
+    """A `Scattered` payload while it is written: a list with its slots and
+    no Python method, so that writing a cell runs none."""
+
+    __slots__ = ("offsets", "background", "types")
+
+
+class Scattered(_Payload):
+    """A row-major payload of cells of one background value, some of them
+    written over, that records what was written: `offsets`, the ascending
+    offsets of the written cells, as an `array('q')`; the `background`
+    value; and `types`, the set of the types of all its values. It reads as
+    the list it is. Any list mutation drops the record (`offsets` becomes
+    None), so a payload changed after it was built is scanned like any
+    other."""
+
+    __slots__ = ()
+
+
+def _dropping(mutate):
+    def method(self, *args, **kwargs):
+        self.offsets = None
+        return mutate(self, *args, **kwargs)
+
+    method.__name__ = mutate.__name__
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "reverse", "sort", "clear"):
+    setattr(Scattered, _name, _dropping(getattr(list, _name)))
+
+
+def scattered(size: int, background: Value, cells: List[int], values: list,
+              types) -> Scattered:
+    """`size` cells of `background`, cell cells[n] holding values[n] (each
+    cell written at most once), with its record; `types` are the types of
+    the values and the background. `cells` is left sorted. The list is
+    written in place, before it becomes a `Scattered` and starts dropping
+    its record on writes."""
+    data = _Payload((background,))
+    data *= size
+    for k, v in zip(cells, values):
+        data[k] = v
+    cells.sort()
+    data.offsets = array("q", cells)
+    data.background, data.types = background, frozenset(types)
+    data.__class__ = Scattered
+    return data
+
+
+def _recorded(data) -> Optional[Scattered]:
+    """The payload, if it is a `Scattered` that still holds its record."""
+    return data if isinstance(data, Scattered) and data.offsets is not None else None
+
+
+def payload_types(data) -> set:
+    """The set of the types of a payload's values: recorded, or read from
+    every value."""
+    rec = _recorded(data)
+    return set(map(type, data)) if rec is None else set(rec.types)
 
 
 def _infer_dtype(types, fill) -> str:
@@ -120,6 +199,7 @@ class _Assembly:
         self.kinds, self.dims, self.data, self.fill = kinds, dims, data, fill
         self.span = [math.prod(dims[k:]) for k in range(len(dims) + 1)]
         self.masks: Dict[int, bytearray] = {}
+        self.record = _recorded(data)
 
     def level(self, k: int, fibers: List[int]) -> Level:
         return KINDS[self.kinds[k]].assemble(self, k, fibers)
@@ -127,14 +207,70 @@ class _Assembly:
     @cached_property
     def types(self) -> set:
         """The types of the payload's values."""
-        return set(map(type, self.data))
+        return payload_types(self.data)
+
+    @cached_property
+    def _stored(self) -> Tuple[Optional[List[int]], list]:
+        """(`stored`, the values of those cells)."""
+        rec, fill = self.record, self.fill
+        if rec is None or rec.background != fill:
+            return None, []
+        cells = rec.offsets.tolist()
+        vals = list(map(rec.__getitem__, cells))
+        if fill in vals:  # written cells that hold fill after all
+            keep = list(map(ne, vals, repeat(fill)))
+            cells, vals = list(compress(cells, keep)), list(compress(vals, keep))
+        return cells, vals
+
+    @property
+    def stored(self) -> Optional[List[int]]:
+        """The ascending offsets of the cells that hold a value other than
+        fill, read from the record; None unless the payload has one whose
+        background is not unequal to fill, which makes every cell it does
+        not record a fill cell."""
+        return self._stored[0]
+
+    def values(self, cells: List[int]) -> list:
+        """The values of these cells."""
+        if cells == self.stored:
+            return self._stored[1]
+        return list(map(self.data.__getitem__, cells))
+
+    def indices(self, k: int, fibers: List[int]):
+        """(stored indices, their child fibers' offsets) of each of these
+        fibers of mode level k: the ascending 1-based indices of its
+        blocks of span[k+1] cells that `mask` flags, read from `stored` when
+        it is known."""
+        ss, size, cells = self.span[k + 1], self.dims[k], self.stored
+        if cells is None:
+            mask = self.mask(k)
+            for b in fibers:
+                q = b // ss
+                got = list(compress(range(1, size + 1), mask[q:q + size]))
+                yield got, [b + (i - 1) * ss for i in got]
+            return
+        lo = 0
+        for b in fibers:
+            lo = bisect_left(cells, b, lo)
+            hi = bisect_left(cells, b + size * ss, lo)
+            if ss == 1:
+                yield list(map(sub, cells[lo:hi], repeat(b - 1))), cells[lo:hi]
+            else:  # the blocks of consecutive stored cells repeat
+                got = list(dict.fromkeys([(o - b) // ss + 1 for o in cells[lo:hi]]))
+                yield got, [b + (i - 1) * ss for i in got]
+            lo = hi
 
     def mask(self, k: int) -> bytearray:
         """Stored flags of mode level k: entry j says whether the j-th block of
         span[k+1] cells holds a value other than fill (unless fill is missing,
         missing counts as one)."""
         if k not in self.masks:
-            if k == len(self.dims) - 1:
+            if self.stored is not None:
+                ss = self.span[k + 1]
+                mask = bytearray(self.span[0] // ss)
+                for o in self.stored:
+                    mask[o // ss] = 1
+            elif k == len(self.dims) - 1:
                 if self.fill is MISSING:
                     mask = bytearray(map(is_not, self.data, repeat(MISSING)))
                 else:  # missing compares unequal to every fill, so `!=` flags it stored
@@ -157,7 +293,7 @@ def validate(t: Tensor):
 
 def _validate(level: Level, nfibers: int, where: str):
     nchildren = level.check(nfibers, where)
-    if level.Disorder is not None:
+    if level.Disorder is not None and not level.ordered(nfibers):
         for p in range(1, nfibers + 1):
             prev = 0
             for i, _ in level.entries(p):

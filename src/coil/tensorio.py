@@ -13,12 +13,18 @@ fails any check (a comment or blank line, a ragged line, a bad token, an
 out-of-bounds coordinate) is read line by line instead, which raises the
 message naming the offending line. Beyond the entries themselves, a read
 holds one block's tokens at a time.
+
+`matrix_market_dense` scatters the entries into a `storage.Scattered`
+payload, which records the cells it wrote: binding that payload to a format
+whose fill equals its zero (0, 0.0 or -0.0) assembles the sparse levels from
+those cells alone (see `storage`), and any other fill scans the payload.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
+from .storage import scattered
 from .values import Value
 
 
@@ -65,12 +71,13 @@ def read_matrix_market(path: str) -> Tuple[List[int], List[Tuple], str]:
 
 
 def matrix_market_dense(path: str) -> Tuple[List[int], list, str]:
-    """Scatter a MatrixMarket file into a row-major dense payload."""
+    """Scatter a MatrixMarket file into a row-major dense payload, a
+    `storage.Scattered` list of zeros of the field's type that records the
+    cells the file wrote, so that binding it to a sparse format with a zero
+    fill assembles from those cells and scans no other."""
     dims, keys, vals, dtype = _read_entries(path)
-    data = [0.0 if dtype == "float" else 0] * (dims[0] * dims[1])
-    for k, v in zip(keys, vals):
-        data[k] = v
-    return dims, data, dtype
+    zero = 0.0 if dtype == "float" else 0
+    return dims, scattered(dims[0] * dims[1], zero, keys, vals, {type(zero)}), dtype
 
 
 # A coordinate body is read in blocks of about this many characters, each cut

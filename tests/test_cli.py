@@ -356,6 +356,20 @@ def test_check_oracle_error_exit_3(capsys, tmp_path):
     assert capsys.readouterr().err == "runtime error: round of non-finite value nan\n"
 
 
+@pytest.mark.parametrize("cmd", ["run", "check"])
+def test_value_sum_overflow_exit_3(capsys, tmp_path, cmd):
+    """A + MAX + 1 overflows before MAX is taken off: the kernel's int
+    literals are not folded into A + 1."""
+    kernel = tmp_path / "k.cin"
+    kernel.write_text("@V i C[i] = A[i] + 9223372036854775807 + 1 - 9223372036854775807\n")
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [3], [0, 1, 2])
+    rc = run_cli([cmd, "--kernel", kernel, "--tensor", f"A={a}"]
+                 + (["--trials", "1"] if cmd == "check" else []))
+    assert rc == 3
+    assert capsys.readouterr().err == "runtime error: integer overflow: 9223372036854775808\n"
+
+
 def test_check_agrees_on_nan(capsys, tmp_path):
     kernel = tmp_path / "k.cin"
     kernel.write_text("@V i C[i] = A[i] * 1e308 * 10.0 - A[i] * 1e308 * 10.0\n")

@@ -498,6 +498,9 @@ DOMAIN_ERRORS = {
     "pow(A[i] + 9.0, 400)": (float, "pow(9.0, 400): out of the float range"),
     "pow(A[i] - 1.0, 0.5)": (float, "pow(-1.0, 0.5): negative base to a fractional power"),
     "pow(A[i] + 2, 64)": (int, "integer overflow: 2 ** 64"),
+    # the kernel's first sum overflows; its literals are not folded away
+    "A[i] + 9223372036854775807 + 1 - 9223372036854775807":
+        (int, "integer overflow: 9223372036854775808"),
 }
 
 
@@ -536,6 +539,20 @@ def test_float_differences_are_not_cancelled(text, params):
         buffers, writers = runtime(compiled)
         run(compiled.program, buffers, {f"${k}": v for k, v in params.items()}, writers)
         assert all(same(x, y) for x, y in zip(buffers["C_val"].data, want)), run
+
+
+def test_value_sums_keep_their_order():
+    """Floats add left to right: A + 1 + 2 is not A + 3 at 2**53, in the
+    interpreter, cold and warm generated code and the oracle alike."""
+    text = "@V i C[i] = A[i] + 1 + 2"
+    ins = {"A": InputSpec([3], [2.0 ** 53, 1.0, -(2.0 ** 53)], format=["dense"])}
+    compiled = compile_kernel(parse(text), ins)
+    want = oracle_outputs(text, ins)["C"]
+    assert want == [2.0 ** 53 + 2, 4.0, -(2.0 ** 53) + 3]
+    for run in BACKENDS:
+        buffers, writers = runtime(compiled)
+        run(compiled.program, buffers, {}, writers)
+        assert buffers["C_val"].data == want, run
 
 
 @pytest.mark.parametrize("backend", ["interp", "python"])

@@ -66,12 +66,15 @@ def test_subst_renormalizes():
 
 
 def test_subst_cancels_only_int_terms():
-    """x + -(x) is 0 only for ints: a float x may be inf or nan."""
+    """x + -(x) is 0 only for ints: a float x may be inf or nan. A sum that
+    holds a value keeps all its terms, int ones too: floats add left to
+    right, so cancelling i + -(i) there can change the result."""
     i = Var("i")
     value = Call("mul", (Read("A_val", (Var("k"),)), Lit(10.0)))
     body = Call("add", (value, Call("neg", (value,)), i, Call("neg", (Var("j"),))))
+    read = subst(value, {"k": i})
     assert subst(body, {"k": i, "j": i}) == Call(
-        "add", (subst(value, {"k": i}), Call("neg", (subst(value, {"k": i}),))))
+        "add", (read, Call("neg", (read,)), i, Call("neg", (i,))))
     param = Call("add", (Var("$s"), Call("neg", (Var("$s"),))))
     assert subst(param, {}) == param
     assert subst(Call("add", (Var("p"), Call("neg", (Var("q"),)))), {"q": Var("p")}) == Lit(0)

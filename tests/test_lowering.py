@@ -288,7 +288,7 @@ def test_lookup_pass_worked_example():
     text = print_ir(out)
     assert text == (
         "for i = 1:4\n"
-        "  C_val[1] += i * i * data[i]\n"
+        "  C_val[1] += (i * i) * data[i]\n"
         "end"
     )
 

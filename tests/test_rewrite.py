@@ -28,7 +28,10 @@ def test_where_over_empty_pass_elision():
 
 
 def test_add_identity_and_flattening():
-    assert simp_text("C[] += A[] + (B[] + D[]) + 0") == "C[] += A[] + B[] + D[]"
+    # a value sum keeps its calls: each checks int overflow on its own sum
+    assert simp_text("C[] += A[] + (B[] + D[]) + 0") == "C[] += A[] + (B[] + D[])"
+    # index arithmetic is spliced
+    assert simp_text("@V i j C[i + (j + 1)] = A[i]") == "@V i j (C[i + j + 1] = A[i])"
 
 
 def test_add_zero_assign_becomes_pass():
@@ -43,7 +46,8 @@ def test_sub_normalization_and_double_negation():
 
 
 def test_mul_rules():
-    assert simp_text("C[] = A[] * (B[] * D[])") == "C[] = A[] * B[] * D[]"
+    assert simp_text("C[] = A[] * (B[] * D[])") == "C[] = A[] * (B[] * D[])"
+    assert simp_text("@V i j C[i * (j * 2)] = A[i]") == "@V i j (C[i * j * 2] = A[i])"
     assert simp_text("C[] = A[] * 1") == "C[] = A[]"
     assert simp_text("C[] += A[] * 0 * B[]") == "@pass C"
     assert simp_text("C[] = A[] * -B[]") == "C[] = -(A[] * B[])"

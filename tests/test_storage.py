@@ -326,3 +326,65 @@ def test_assembly_matches_per_cell_builder(rank):
                 assert storage._infer_dtype(set(map(type, data)), fill) == _infer_dtype(data, fill)
                 checked += 1
     assert checked == len(list(_specs(rank))) * len(SHAPES[rank]) * 15
+
+
+def _walked(t):
+    """`validate` as a walk of every fiber's entries: its outcome, the
+    exception's type and message or None."""
+    def go(level, nfibers, where):
+        nchildren = level.check(nfibers, where)
+        if level.Disorder is not None:
+            for p in range(1, nfibers + 1):
+                prev = 0
+                for i, _ in level.entries(p):
+                    if not prev < i <= level.size:
+                        raise level.Disorder(
+                            f"{where}: {level.kind} index {i} out of order or out of bounds "
+                            f"1..{level.size} at fiber {p}")
+                    prev = i
+        if level.nested:
+            go(level.child, nchildren, where)
+
+    return _outcome(lambda: go(t.root, 1, t.name))
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (FormatError, TypeError) as ex:  # an svbl block cannot end at nan
+        return type(ex), str(ex)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["splist", "svbl", "rle", "sband"])
+def test_whole_array_order_checks_match_the_walk(kind):
+    """`Level.ordered` checks order and bounds over whole arrays; `validate`
+    walks only to name the first bad entry. On assembled levels whose index
+    arrays are then corrupted (swapped, repeated, shifted past either bound,
+    made nan), it raises what the walk raises, or nothing when the walk
+    raises nothing."""
+    rng = random.Random(len(kind))
+    corruptions = 0
+    for _ in range(300):
+        dims = [rng.randint(1, 4), rng.randint(1, 6)]
+        data = [rng.choice([0.0, 0.0, 1.0, 2.0, 2.0]) for _ in range(math.prod(dims))]
+        t = from_dense("T", dims, data, ["dense", kind], 0.0)
+        lvl = t.levels()[1]
+        arr = lvl.start if kind == "sband" else lvl.idx
+        if arr and rng.random() < 0.8:
+            j = rng.randrange(len(arr))
+            old = arr[j]
+            arr[j] = rng.choice([old + 1, old - 1, 0, -1, lvl.size + 1, arr[j - 1],
+                                 math.nan, arr[(j + 1) % len(arr)]])
+            if kind == "sband" and arr[j] == arr[j]:  # the band moves, keeping its width
+                lvl.stop[j] += arr[j] - old
+            corruptions += 1
+        want = _walked(t)
+        if _outcome(lambda: lvl.check(dims[0], "T")) is not None:
+            pass  # `ordered` is asked only of a level that passes `check`
+        elif lvl.ordered(dims[0]):
+            assert want is None, lvl
+        elif want is None and kind != "sband":  # ordered but for an empty level
+            assert lvl.pos[-1] == 1, lvl
+        assert _outcome(lambda: validate(t)) == want, (lvl, want)
+    assert corruptions > 200
