@@ -8,11 +8,12 @@ owns everything coil knows about that kind:
 
 - `kind`, its spec name (the lower-cased class name is an alias);
 - `assemble`, the level built in one pass over its fibers, each the offset
-  of its first cell in a row-major payload;
+  of its first cell in a row-major payload, from the offsets of the
+  payload's stored cells (`storage._Assembly`);
 - `entries`, the stored entries of a fiber as (index, child position) pairs,
-  on which the order checks of validation run; `ordered`, the same checks
-  over whole arrays, which tell only whether they pass; and `check`, which
-  validates the rest of its buffers;
+  on which the order checks of validation run, and `check`, which validates
+  the rest of its buffers. Assembly builds levels that pass both, so only
+  levels coil did not assemble are validated;
 - `expand`, the row-major dense values of a range of consecutive fibers,
   whose children expand in one call;
 - `protocols`, how it unfurls into looplets, one function per access
@@ -36,8 +37,8 @@ unfurling, lowering and output binding all look kinds up there.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain, groupby, islice, repeat
-from operator import gt, lt, ne, sub
+from itertools import accumulate, chain, groupby, repeat
+from operator import ne, sub
 from typing import Dict, List
 
 from .cin import CompileError, Cursor
@@ -108,10 +109,9 @@ def _check_pos(pos, nfibers, where):
         raise PosRegression(f"{where}: pos has {len(pos)} entries for {nfibers} fibers")
     if pos[0] != 1:
         raise PosRegression(f"{where}: pos must start at 1")
-    if any(map(gt, pos, islice(pos, 1, None))):
-        for a, b in zip(pos, pos[1:]):
-            if b < a:
-                raise PosRegression(f"{where}: pos regresses from {a} to {b}")
+    for a, b in zip(pos, pos[1:]):
+        if b < a:
+            raise PosRegression(f"{where}: pos regresses from {a} to {b}")
 
 
 class Fiber:
@@ -193,7 +193,7 @@ class Level:
     def facts(self, field: str) -> tuple:
         """Facts of buffer `field`, as `scan_facts` reads them: recorded at
         assembly, or scanned now and kept. The level's arrays are not
-        changed once validated, so what is kept stays true."""
+        changed once built, so what is kept stays true."""
         got = self.known.get(field)
         if got is None:
             got = self.known[field] = scan_facts(getattr(self, field))
@@ -208,13 +208,6 @@ class Level:
     def entries(self, p: int):
         """Iterator of (index, child position) over fiber p's stored entries."""
         raise NotImplementedError
-
-    def ordered(self, nfibers: int) -> bool:
-        """Whether the entries of the nfibers fibers, checked but for their
-        order, ascend strictly within 1..size: the comparisons `entries`
-        would be walked with, made over whole arrays. False when the level
-        cannot tell without the walk."""
-        return False
 
     def check(self, nfibers: int, where: str) -> int:
         """Check the buffers of nfibers fibers but for the order of their
@@ -293,28 +286,6 @@ def _listed_entries(lvl, p: int):
     return zip(lvl.idx[lo - 1:hi - 1], range(lo, hi))
 
 
-def _windows(pos, n: int):
-    """(first, one-past-last) entry of each non-empty pos window, or None
-    when there is none or a window runs past the n entries there are."""
-    if not 1 < pos[-1] <= n + 1:
-        return None
-    return [(lo, hi) for lo, hi in zip(pos, islice(pos, 1, None)) if lo < hi]
-
-
-def _listed_ordered(lvl, nfibers: int) -> bool:
-    """Each window's first idx exceeds 0, its last is at most size, and
-    every idx is below the next one but across a window's end."""
-    idx, size = lvl.idx, lvl.size
-    windows = _windows(lvl.pos, len(idx))
-    if windows is None or not all(0 < idx[lo - 1] and idx[hi - 2] <= size for lo, hi in windows):
-        return False
-    n = lvl.pos[-1] - 1
-    ups = bytearray(map(lt, islice(idx, n - 1), islice(idx, 1, n)))
-    for _, hi in windows[:-1]:
-        ups[hi - 2] = 1
-    return 0 not in ups
-
-
 @level
 class Dense(Level):
     size: int
@@ -378,7 +349,6 @@ class SparseList(Level):
             pos=_ascending(pos), idx=_fibered(pos, idx))
 
     entries = _listed_entries
-    ordered = _listed_ordered
 
     def check(self, nfibers, where) -> int:
         _check_pos(self.pos, nfibers, where)
@@ -412,18 +382,18 @@ class SparseBand(Level):
 
     @classmethod
     def assemble(cls, a, k, fibers):
-        ss, size = a.span[k + 1], a.dims[k]
+        ss, cells = a.span[k + 1], a.stored
         start, stop, ofs, children = [], [], [1], []
-        mask = a.mask(k)
-        for b in fibers:
-            stored = mask[b // ss:b // ss + size]
-            first = stored.find(1)
-            lo, hi = (1, 0) if first < 0 else (first + 1, stored.rfind(1) + 1)
-            start.append(lo)
-            stop.append(hi)
-            children += range(b + (lo - 1) * ss, b + hi * ss, ss)
+        for b, (lo, hi) in zip(fibers, a.windows(k, fibers)):
+            if lo == hi:
+                first, last = 1, 0
+            else:  # from the block of the fiber's first stored cell to that of its last
+                first, last = (cells[lo] - b) // ss + 1, (cells[hi - 1] - b) // ss + 1
+            start.append(first)
+            stop.append(last)
+            children += range(b + (first - 1) * ss, b + last * ss, ss)
             ofs.append(len(children) + 1)
-        return cls(size, start, stop, ofs, a.level(k + 1, children)).recorded(
+        return cls(a.dims[k], start, stop, ofs, a.level(k + 1, children)).recorded(
             start=scan_facts(start), stop=scan_facts(stop), ofs=_ascending(ofs))
 
     def entries(self, p):
@@ -487,23 +457,6 @@ class SparseVBL(Level):
         for b in range(self.pos[p - 1], self.pos[p]):
             lo, hi, end = self.ofs[b - 1], self.ofs[b], self.idx[b - 1]
             yield from zip(range(end - (hi - lo) + 1, end + 1), range(lo, hi))
-
-    def ordered(self, nfibers):
-        """A fiber's blocks are runs of consecutive indices, so its first
-        block must start above 0, each end below the next one's start, and
-        its last end at most at size."""
-        idx, ofs, size = self.idx, self.ofs, self.size
-        windows = _windows(self.pos, len(idx))
-        if windows is None:
-            return False
-        n = self.pos[-1] - 1
-        firsts = [end - hi + lo + 1 for end, lo, hi in zip(idx[:n], ofs, islice(ofs, 1, None))]
-        if not all(0 < firsts[lo - 1] and idx[hi - 2] <= size for lo, hi in windows):
-            return False
-        ups = bytearray(map(lt, islice(idx, n - 1), islice(firsts, 1, n)))
-        for _, hi in windows[:-1]:
-            ups[hi - 2] = 1
-        return 0 not in ups
 
     def check(self, nfibers, where) -> int:
         _check_pos(self.pos, nfibers, where)
@@ -578,7 +531,6 @@ class RepeatRLE(Level):
         return cls(size, pos, idx, val).recorded(**facts)
 
     entries = _listed_entries
-    ordered = _listed_ordered
 
     def cells(self) -> int:
         return self.size

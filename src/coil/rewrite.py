@@ -30,15 +30,8 @@ from .cin import (
     results,
     uses_index,
 )
-from .expr import Call, Expr, Lit, _is_int, const_diff, le, walk
-from .values import (
-    MISSING,
-    EvalError,
-    PURE_OPS,
-    additive_identity,
-    apply_op,
-    multiplicative_identity,
-)
+from .expr import Call, Expr, Lit, ONE, _is_int, const_diff, le, walk
+from .values import MISSING, EvalError, PURE_OPS, apply_op, is_number
 
 Rule = Tuple[str, Callable]
 
@@ -72,18 +65,14 @@ def _lit_missing(e) -> bool:
     return isinstance(e, Lit) and e.value is MISSING
 
 
-def _zero_like(e) -> bool:
-    if not isinstance(e, Lit):
-        return False
-    v = e.value
-    return v is False or (isinstance(v, (int, float)) and not isinstance(v, bool) and v == 0)
+def _unit_test(truth: bool, unit: int):
+    """The test of a literal that is `truth` or a number equal to `unit`."""
+    def test(e) -> bool:
+        return isinstance(e, Lit) and (e.value is truth or (is_number(e.value) and e.value == unit))
+    return test
 
 
-def _one_like(e) -> bool:
-    if not isinstance(e, Lit):
-        return False
-    v = e.value
-    return v is True or (isinstance(v, (int, float)) and not isinstance(v, bool) and v == 1)
+_zero_like, _one_like = _unit_test(False, 0), _unit_test(True, 1)
 
 
 @_on(Call)
@@ -154,22 +143,38 @@ def _flatten(op: str):
     return rule
 
 
+def _is_float(e) -> bool:
+    return isinstance(e, Lit) and type(e.value) is float
+
+
+def _never_bool(e) -> bool:
+    """Whether `e` is an int or float literal, or arithmetic, which gives a
+    number (or missing), never a bool."""
+    if isinstance(e, Lit):
+        return type(e.value) in (int, float)
+    return isinstance(e, Call) and e.op in ("add", "sub", "neg", "mul", "min", "max")
+
+
 def _identity(op: str, is_unit, unit):
     """The rule that drops the operands of an `op` call for which `is_unit`
-    holds (`unit` when none is left) and unwraps a call of one operand."""
+    holds (`unit` when none is left) and unwraps a call of one operand, where
+    that cannot change the call's type. The call's value is a number, a
+    float if an operand is: so a float unit stays but beside a float literal
+    (`A[i] + 0.0` is a float where `A[i]` is an int), and the one operand a
+    call is unwrapped to must be a number (`A[i] * 1` is an int where `A[i]`
+    is a bool)."""
 
     @_on(Call)
     def rule(n):
         if n.op == op:
-            kept = tuple(a for a in n.args if not is_unit(a))
+            floated = any(_is_float(a) and not is_unit(a) for a in n.args)
+            kept = tuple(a for a in n.args if not is_unit(a) or (_is_float(a) and not floated))
+            if not kept:
+                return Lit(unit)
+            if len(kept) == 1:
+                return kept[0] if _never_bool(kept[0]) else None
             if len(kept) != len(n.args):
-                if not kept:
-                    return Lit(unit)
-                if len(kept) == 1:
-                    return kept[0]
                 return Call(op, kept)
-            if len(n.args) == 1:
-                return n.args[0]
         return None
 
     return rule
@@ -219,13 +224,19 @@ def r_neg_neg(n):
 r_mul_flatten = _flatten("mul")
 
 
+def _annihilated(e) -> bool:
+    """Whether `e` is a product with a zero operand: 0.0 when another operand
+    is a float, else 0 (a zero beats missing)."""
+    return isinstance(e, Call) and e.op == "mul" and any(map(_zero_like, e.args))
+
+
 @_on(Call)
 def r_mul_annihilate(n):
-    if n.op == "mul":
-        for a in n.args:
-            if _zero_like(a):
-                v = a.value
-                return Lit(0.0 if isinstance(v, float) else 0)
+    """A product with a float literal operand and a zero is 0.0. Beside
+    operands of unknown type an int zero is kept, since the product is 0.0
+    where one of them is a float."""
+    if _annihilated(n) and any(map(_is_float, n.args)):
+        return Lit(0.0)
     return None
 
 
@@ -296,11 +307,12 @@ def r_access_collapse_empty(n):
 @_on(Assign)
 def r_assign_identity(n):
     if isinstance(n.lhs.base, str):
-        if n.op == "add" and isinstance(n.rhs, Lit) and additive_identity(n.rhs.value):
+        # an added zero, or a product with a zero (0 or 0.0), leaves the output as it is
+        if n.op == "add" and (_zero_like(n.rhs) or _annihilated(n.rhs)):
             return PassStmt((n.lhs.base,))
         if n.op == "or" and _is_lit(n.rhs, False):
             return PassStmt((n.lhs.base,))
-        if n.op == "mul" and isinstance(n.rhs, Lit) and multiplicative_identity(n.rhs.value):
+        if n.op == "mul" and _one_like(n.rhs):
             return PassStmt((n.lhs.base,))
     return None
 
@@ -319,8 +331,9 @@ def r_loop_invariant_update(n):
     i = n.idx
     if uses_index(a.rhs, i) or any(uses_index(x, i) for x in a.lhs.idx):
         return None
-    if a.op == "add":
-        rhs = Call("mul", (a.rhs, n.ext.length_expr()))
+    trips = n.ext.length_expr()
+    if a.op == "add" and trips != ONE:  # a single trip adds the value as it is
+        rhs = Call("mul", (a.rhs, trips))
     else:
         rhs = a.rhs
     out = Assign(a.lhs, a.op, rhs)

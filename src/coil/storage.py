@@ -9,38 +9,30 @@ interpreter's buffers.
 `from_dense` assembles the levels top-down from the caller's flat row-major
 payload without copying it: a fiber of mode level k is the offset of its
 first cell, and it spans the product of dims[k:] cells, and each level's
-class builds it in one pass over its fibers' offsets. Whether a child block
-holds anything other than fill is read from a stored-flag mask of the level,
-built on first use: the last mode's from the values, each coarser one as
-`any` over groups of the finer one. The set of value types is scanned at
-most once per payload and shared by dtype inference and run-length
-assembly; a payload that needs neither (a given dtype, no rle level) is not
-scanned.
+class builds it in one pass over its fibers' offsets. Every sparse level
+assembles from `stored`, the ascending offsets of the payload's cells whose
+value is not fill, each fiber from its window of them. `stored` is read
+from one C-level scan of the payload, or from the record of a `Scattered`
+payload (what `tensorio.matrix_market_dense` returns; see there) whose
+background is not unequal to the fill, which makes every cell it does not
+record a fill cell. Such a payload is never iterated: the leaf keeps the
+values of the recorded cells it reads, and dtype inference and run-length
+assembly take its types from the record. Any other payload's types are
+scanned at most once, if a dtype is to be inferred or a level is rle.
 
 Assembly also records the facts of each level array that generated code is
 guarded by (`Level.facts`: value types and int bounds), from what it knows
 of the arrays it builds, so no run scans them; the runtime buffers that
 `tensor_buffers` makes carry them. Level arrays are not changed after
-`validate`, so recorded facts stay true for the tensor's life.
-
-A payload that `tensorio.matrix_market_dense` read is a `Scattered` list,
-which records the cells the reader wrote (see there). When its background
-value is not unequal to the fill (so not for a missing, nan or other fill),
-every cell it does not record holds fill, and assembly reads the stored
-cells from the record instead of scanning the payload: the recorded cells
-whose value is `!=` fill, so explicit zeros are left out as a scan leaves
-them out. Sparse levels (`splist`, `svbl`) then assemble from those offsets,
-and stored-flag masks are set from them, in time linear in the stored cells
-and the fibers; dtype inference and run-length assembly read the payload's
-types from the record; and the scalar leaf records its values' facts from
-them. Any other payload is scanned as above.
+assembly, so recorded facts stay true for the tensor's life.
 
 `to_dense` expands the levels top-down, all the fibers of a level in one
-call (`Level.expand`); `validate` checks the order and bounds of each
-level's stored entries, over whole arrays where the level can
-(`Level.ordered`), walking them to name the first bad one;
-`tensor_buffers` and `from_buffers` convert between a tensor and its
-runtime buffers, an input's buffers holding its level arrays read-only.
+call (`Level.expand`). `validate` walks each level's stored entries and
+names the first one out of order or out of bounds; it checks levels that
+coil did not assemble (built by hand, in tests), since assembly builds
+them in order. `tensor_buffers` and `from_buffers` convert between a tensor
+and its runtime buffers, an input's buffers holding its level arrays
+read-only.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, repeat
-from operator import is_not, ne, sub
+from operator import floordiv, is_not, mul, ne, sub
 from typing import Dict, List, Optional, Tuple
 
 from .interp import Buf
@@ -186,9 +178,7 @@ def from_dense(name: str, dims: List[int], data: List[Value], spec: List[str],
     asm = _Assembly(normalize_spec(spec, len(dims)), dims, data, fill)
     if dtype is None:
         dtype = _infer_dtype(asm.types, fill)
-    t = Tensor(name, list(dims), asm.level(0, [0]), fill, dtype)
-    validate(t)
-    return t
+    return Tensor(name, list(dims), asm.level(0, [0]), fill, dtype)
 
 
 class _Assembly:
@@ -198,7 +188,6 @@ class _Assembly:
     def __init__(self, kinds: List[str], dims: List[int], data, fill):
         self.kinds, self.dims, self.data, self.fill = kinds, dims, data, fill
         self.span = [math.prod(dims[k:]) for k in range(len(dims) + 1)]
-        self.masks: Dict[int, bytearray] = {}
         self.record = _recorded(data)
 
     def level(self, k: int, fibers: List[int]) -> Level:
@@ -210,11 +199,13 @@ class _Assembly:
         return payload_types(self.data)
 
     @cached_property
-    def _stored(self) -> Tuple[Optional[List[int]], list]:
-        """(`stored`, the values of those cells)."""
+    def _kept(self) -> Optional[Tuple[List[int], list]]:
+        """(`stored`, the values of those cells) read from the record, when
+        the payload has one whose background is not unequal to fill, which
+        makes every cell it does not record a fill cell; else None."""
         rec, fill = self.record, self.fill
         if rec is None or rec.background != fill:
-            return None, []
+            return None
         cells = rec.offsets.tolist()
         vals = list(map(rec.__getitem__, cells))
         if fill in vals:  # written cells that hold fill after all
@@ -222,64 +213,46 @@ class _Assembly:
             cells, vals = list(compress(cells, keep)), list(compress(vals, keep))
         return cells, vals
 
-    @property
-    def stored(self) -> Optional[List[int]]:
+    @cached_property
+    def stored(self) -> List[int]:
         """The ascending offsets of the cells that hold a value other than
-        fill, read from the record; None unless the payload has one whose
-        background is not unequal to fill, which makes every cell it does
-        not record a fill cell."""
-        return self._stored[0]
+        fill (unless fill is missing, missing counts as one): read from the
+        record where it may be, else from one scan of the payload."""
+        if self._kept is not None:
+            return self._kept[0]
+        # missing compares unequal to every fill, so `!=` flags it stored
+        test = is_not if self.fill is MISSING else ne
+        return list(compress(range(len(self.data)), map(test, self.data, repeat(self.fill))))
 
     def values(self, cells: List[int]) -> list:
         """The values of these cells."""
-        if cells == self.stored:
-            return self._stored[1]
+        if self._kept is not None and cells == self._kept[0]:
+            return self._kept[1]
         return list(map(self.data.__getitem__, cells))
 
-    def indices(self, k: int, fibers: List[int]):
-        """(stored indices, their child fibers' offsets) of each of these
-        fibers of mode level k: the ascending 1-based indices of its
-        blocks of span[k+1] cells that `mask` flags, read from `stored` when
-        it is known."""
-        ss, size, cells = self.span[k + 1], self.dims[k], self.stored
-        if cells is None:
-            mask = self.mask(k)
-            for b in fibers:
-                q = b // ss
-                got = list(compress(range(1, size + 1), mask[q:q + size]))
-                yield got, [b + (i - 1) * ss for i in got]
-            return
+    def windows(self, k: int, fibers: List[int]):
+        """[lo, hi) of each of these fibers of mode level k: stored[lo:hi]
+        are the stored cells it spans."""
+        span, cells = self.span[k], self.stored
         lo = 0
         for b in fibers:
             lo = bisect_left(cells, b, lo)
-            hi = bisect_left(cells, b + size * ss, lo)
-            if ss == 1:
-                yield list(map(sub, cells[lo:hi], repeat(b - 1))), cells[lo:hi]
-            else:  # the blocks of consecutive stored cells repeat
-                got = list(dict.fromkeys([(o - b) // ss + 1 for o in cells[lo:hi]]))
-                yield got, [b + (i - 1) * ss for i in got]
+            hi = bisect_left(cells, b + span, lo)
+            yield lo, hi
             lo = hi
 
-    def mask(self, k: int) -> bytearray:
-        """Stored flags of mode level k: entry j says whether the j-th block of
-        span[k+1] cells holds a value other than fill (unless fill is missing,
-        missing counts as one)."""
-        if k not in self.masks:
-            if self.stored is not None:
-                ss = self.span[k + 1]
-                mask = bytearray(self.span[0] // ss)
-                for o in self.stored:
-                    mask[o // ss] = 1
-            elif k == len(self.dims) - 1:
-                if self.fill is MISSING:
-                    mask = bytearray(map(is_not, self.data, repeat(MISSING)))
-                else:  # missing compares unequal to every fill, so `!=` flags it stored
-                    mask = bytearray(map(ne, self.data, repeat(self.fill)))
-            else:
-                finer, m = self.mask(k + 1), self.dims[k + 1]
-                mask = bytearray(any(finer[j:j + m]) for j in range(0, len(finer), m))
-            self.masks[k] = mask
-        return self.masks[k]
+    def indices(self, k: int, fibers: List[int]):
+        """(stored indices, their child fibers' offsets) of each of these
+        fibers of mode level k: the ascending 1-based indices of its blocks
+        of span[k+1] cells that hold a stored cell."""
+        ss, cells = self.span[k + 1], self.stored
+        for b, (lo, hi) in zip(fibers, self.windows(k, fibers)):
+            got = cells[lo:hi]
+            if ss == 1:
+                yield list(map(sub, got, repeat(b - 1))), got
+            else:  # the ids of the blocks that hold them, each once; block j is at offset j * ss
+                ids = list(dict.fromkeys(map(floordiv, got, repeat(ss))))
+                yield list(map(sub, ids, repeat(b // ss - 1))), list(map(mul, ids, repeat(ss)))
 
 
 def to_dense(t: Tensor) -> list:
@@ -293,7 +266,7 @@ def validate(t: Tensor):
 
 def _validate(level: Level, nfibers: int, where: str):
     nchildren = level.check(nfibers, where)
-    if level.Disorder is not None and not level.ordered(nfibers):
+    if level.Disorder is not None:
         for p in range(1, nfibers + 1):
             prev = 0
             for i, _ in level.entries(p):

@@ -15,9 +15,10 @@ message naming the offending line. Beyond the entries themselves, a read
 holds one block's tokens at a time.
 
 `matrix_market_dense` scatters the entries into a `storage.Scattered`
-payload, which records the cells it wrote: binding that payload to a format
-whose fill equals its zero (0, 0.0 or -0.0) assembles the sparse levels from
-those cells alone (see `storage`), and any other fill scans the payload.
+payload, which records the cells it wrote. Assembly builds every sparse
+level from the payload's stored cells (see `storage`): under a fill equal
+to the payload's zero (0, 0.0 or -0.0) they are read from that record and
+the payload is never iterated; any other fill scans the payload once.
 """
 
 from __future__ import annotations

@@ -393,15 +393,6 @@ def apply_op(op: str, args: list) -> Value:
     raise EvalError(f"unknown operation {op!r}")
 
 
-def additive_identity(v) -> bool:
-    """True for 0, 0.0 and false (the values a += write can drop)."""
-    return v is False or (is_number(v) and v == 0)
-
-
-def multiplicative_identity(v) -> bool:
-    return v is True or (is_number(v) and v == 1)
-
-
 def value_repr(v) -> str:
     if v is MISSING:
         return "missing"

@@ -370,6 +370,25 @@ def test_value_sum_overflow_exit_3(capsys, tmp_path, cmd):
     assert capsys.readouterr().err == "runtime error: integer overflow: 9223372036854775808\n"
 
 
+@pytest.mark.parametrize("cmd", ["run", "check"])
+@pytest.mark.parametrize("rhs,data", [("pow(A[i] + 0.0, 64)", [2, 3, 4]),
+                                      ("pow(A[i] * 1.0, 64)", [2, 3, 4]),
+                                      ("A[i] * 0 + 9223372036854775807 + 1", [0.0, 1.0, 2.0])])
+def test_identity_rules_keep_the_value_type_exit_0(capsys, tmp_path, cmd, rhs, data):
+    """A float unit beside an int, or an int zero beside a float, leaves the
+    kernel's float value: no integer overflow."""
+    kernel = tmp_path / "k.cin"
+    kernel.write_text(f"@V i C[i] = {rhs}\n")
+    a = tmp_path / "a.txt"
+    write_dense_text(str(a), [3], data)
+    rc = run_cli([cmd, "--kernel", kernel, "--tensor", f"A={a}"]
+                 + (["--trials", "1"] if cmd == "check" else []))
+    out = capsys.readouterr()
+    assert rc == 0 and out.err == "", out
+    if cmd == "check":
+        assert "all 1 trials agree" in out.out
+
+
 def test_check_agrees_on_nan(capsys, tmp_path):
     kernel = tmp_path / "k.cin"
     kernel.write_text("@V i C[i] = A[i] * 1e308 * 10.0 - A[i] * 1e308 * 10.0\n")

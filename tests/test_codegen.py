@@ -489,8 +489,8 @@ def test_writer_error_messages_are_pinned():
             run_program(prog, {"v": Buf("v", [1, 2]), **w.buffers}, params, {"y": w})
 
 
-# A pow or round with no value in the domain, over A = 0, 1, 2, ... of
-# CODEGEN_MIN_ENTRIES entries, so that `execute` picks generated code
+# An op with no value in its domain, over A = kind(0), kind(1), kind(2), ...
+# of CODEGEN_MIN_ENTRIES entries, so that `execute` picks generated code
 DOMAIN_ERRORS = {
     "pow(A[i], -1)": (float, "pow(0.0, -1): zero to a negative power"),
     "round(A[i] * 1e308 * 10.0)": (float, "round of non-finite value inf"),
@@ -501,6 +501,8 @@ DOMAIN_ERRORS = {
     # the kernel's first sum overflows; its literals are not folded away
     "A[i] + 9223372036854775807 + 1 - 9223372036854775807":
         (int, "integer overflow: 9223372036854775808"),
+    # the int unit is kept: a bool times 1 is an int, which `not` rejects
+    "not(A[i] * 1)": (bool, "expected a boolean, got 0"),
 }
 
 
@@ -549,6 +551,32 @@ def test_value_sums_keep_their_order():
     compiled = compile_kernel(parse(text), ins)
     want = oracle_outputs(text, ins)["C"]
     assert want == [2.0 ** 53 + 2, 4.0, -(2.0 ** 53) + 3]
+    for run in BACKENDS:
+        buffers, writers = runtime(compiled)
+        run(compiled.program, buffers, {}, writers)
+        assert buffers["C_val"].data == want, run
+
+
+# A float unit or an int zero meets an operand of the other type: the call
+# gives the value its type, so the unit is not dropped and the zero not folded
+UNIT_TYPES = {
+    "pow(A[i] + 0.0, 64)": ([2, 3, 4], [2.0 ** 64, 3.0 ** 64, 4.0 ** 64]),
+    "pow(A[i] * 1.0, 64)": ([2, 3, 4], [2.0 ** 64, 3.0 ** 64, 4.0 ** 64]),
+    "A[i] * 0 + 9223372036854775807 + 1": ([0.0, 1.0, 2.0], [2.0 ** 63] * 3),
+}
+
+
+@pytest.mark.parametrize("fmt", ["dense", "splist"])
+@pytest.mark.parametrize("rhs", sorted(UNIT_TYPES))
+def test_identity_rules_keep_the_value_type(rhs, fmt):
+    """The interpreter, cold and warm generated code, `execute` and the
+    oracle compute the kernel's float, not an int overflow."""
+    data, want = UNIT_TYPES[rhs]
+    text = f"@V i C[i] = {rhs}"
+    ins = {"A": InputSpec([3], data, format=[fmt])}
+    compiled = compile_kernel(parse(text), ins)
+    assert oracle_outputs(text, ins)["C"] == want
+    assert execute(compiled).dense["C"] == want
     for run in BACKENDS:
         buffers, writers = runtime(compiled)
         run(compiled.program, buffers, {}, writers)

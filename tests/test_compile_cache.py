@@ -150,7 +150,7 @@ def test_monkeypatched_default_rules_miss(monkeypatch):
     ins = lambda: dot_inputs([0.0] * 6)
     annihilated = compile_checked(DOT, ins())
     monkeypatch.setattr(rw, "DEFAULT_RULES",
-                        [r for r in rw.DEFAULT_RULES if r[0] != "mul_annihilate"])
+                        [r for r in rw.DEFAULT_RULES if r[0] != "assign_identity"])
     patched = compile_checked(DOT, ins())
     assert patched.lowering == "fresh" and patched.ir_text() != annihilated.ir_text()
 

@@ -1,7 +1,7 @@
 import random
 
 from coil.cin import print_stmt
-from coil.expr import Call, Lit
+from coil.expr import Call, Lit, Var
 from coil.oracle import DenseData, evaluate
 from coil.parser import parse
 from coil.rewrite import Ruleset, simplify
@@ -32,6 +32,11 @@ def test_add_identity_and_flattening():
     assert simp_text("C[] += A[] + (B[] + D[]) + 0") == "C[] += A[] + (B[] + D[])"
     # index arithmetic is spliced
     assert simp_text("@V i j C[i + (j + 1)] = A[i]") == "@V i j (C[i + j + 1] = A[i])"
+    # a float zero makes an int sum a float: it goes only beside a float literal
+    assert simp_text("C[] = A[] + 0.0") == "C[] = A[] + 0.0"
+    x = Var("x")
+    assert simplify(Call("add", (x, Lit(2.5), Lit(0.0)))) == Call("add", (x, Lit(2.5)))
+    assert simplify(Call("add", (Lit(0), x, Lit(0.0)))) == Call("add", (x, Lit(0.0)))
 
 
 def test_add_zero_assign_becomes_pass():
@@ -48,8 +53,15 @@ def test_sub_normalization_and_double_negation():
 def test_mul_rules():
     assert simp_text("C[] = A[] * (B[] * D[])") == "C[] = A[] * (B[] * D[])"
     assert simp_text("@V i j C[i * (j * 2)] = A[i]") == "@V i j (C[i * j * 2] = A[i])"
-    assert simp_text("C[] = A[] * 1") == "C[] = A[]"
+    assert simp_text("C[] = (A[] + B[]) * 1") == "C[] = A[] + B[]"
+    # but not to a lone operand of unknown type: a bool times 1 is an int
+    assert simp_text("C[] = A[] * 1") == "C[] = A[] * 1"
     assert simp_text("C[] += A[] * 0 * B[]") == "@pass C"
+    # an int zero's product is 0.0 where an operand is a float, so it folds
+    # only beside a float literal; added to an output it is dropped either way
+    assert simp_text("C[] = A[] * 0") == "C[] = A[] * 0"
+    assert simp_text("C[] = A[] * 0 * 2.5") == "C[] = 0.0"
+    assert simp_text("C[] = A[] * 1.0") == "C[] = A[] * 1.0"
     assert simp_text("C[] = A[] * -B[]") == "C[] = -(A[] * B[])"
     assert simp_text("C[] *= 1") == "@pass C"
 

@@ -79,15 +79,62 @@ def test_recorded_payloads_assemble_as_scanned(spec):
             assert payload.offsets is not None  # binding reads the record, never changes it
 
 
+class Counted(Scattered):
+    """A recorded payload that counts how often it is iterated."""
+
+    __slots__ = ()
+    iterations = 0
+
+    def __iter__(self):
+        Counted.iterations += 1
+        return list.__iter__(self)
+
+
+class CountedList(list):
+    """A plain payload that counts how often it is iterated."""
+
+    __iter__ = Counted.__iter__
+
+
+def iterations(payload, *args) -> int:
+    """How often binding `payload` iterates it."""
+    Counted.iterations = 0
+    from_dense("A", *args[:1], payload, *args[1:])
+    return Counted.iterations
+
+
 @pytest.mark.parametrize("fill", FILLS, ids=repr)
 def test_record_is_read_only_where_the_scan_agrees(fill):
     payload = scattered(6, 0.0, [4, 1], [2.5, 0.0], {float})
     assert list(payload.offsets) == [1, 4]
-    asm = storage._Assembly(["dense", "splist", "elem"], [2, 3], payload, fill)
-    if type(fill) in (int, float) and fill == 0:  # the background equals the fill
-        assert asm.stored == [4]  # the explicit zero at cell 1 is not stored
-    else:
-        assert asm.stored is None
+    payload.__class__ = Counted
+    background = type(fill) in (int, float) and fill == 0  # the background equals the fill
+    assert iterations(payload, [2, 3], ["dense", "splist"], fill) == (0 if background else 1)
+    if background:  # the explicit zero at cell 1 is not stored
+        assert from_dense("A", [2, 3], payload, ["dense", "splist"], fill).levels()[1].idx == [2]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_a_bind_iterates_a_plain_payload_at_most_once(rank):
+    """However many sparse levels a spec has, binding a plain payload
+    iterates it at most once for its stored cells, if a level is sparse, and
+    once for its types, if the dtype is inferred or a level is run-length; a
+    recorded payload whose background is the fill is never iterated."""
+    rng = random.Random(rank)
+    modes = ("dense", "splist", "sband", "svbl")
+    dims = [2, 3, 4][:rank]
+    for body in itertools.product(modes, repeat=rank - 1):
+        for last in modes + ("rle",):
+            spec = [*body, last]
+            payload = random_payload(rng, dims, float)
+            for dtype in (None, "float"):
+                plain = CountedList(payload)
+                sparse = any(k in ("splist", "sband", "svbl") for k in spec)
+                typed = dtype is None or last == "rle"
+                assert iterations(plain, dims, spec, 0.0, dtype) <= sparse + typed, (spec, dtype)
+                payload.__class__ = Counted
+                assert iterations(payload, dims, spec, 0.0, dtype) == 0, (spec, dtype)
+                payload.__class__ = Scattered
 
 
 def test_rank_three_and_every_mode_kind():
@@ -227,9 +274,15 @@ def test_check_reads_the_record_only_where_it_may(capsys, tmp_path, monkeypatch,
 
     class Spy(storage._Assembly):
         def level(self, k, fibers):
-            if k == 0 and self.record is not None:
-                paths.append(self.stored is not None)
-            return super().level(k, fibers)
+            if k > 0 or type(self.data) is not Scattered:
+                return super().level(k, fibers)
+            self.data.__class__ = Counted
+            Counted.iterations = 0
+            try:
+                return super().level(k, fibers)
+            finally:
+                self.data.__class__ = Scattered
+                paths.append(Counted.iterations == 0)  # read from the record, not scanned
 
     monkeypatch.setattr(storage, "_Assembly", Spy)
     mtx, n = _spmspv(tmp_path)

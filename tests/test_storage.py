@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from typing import List
 
 import pytest
@@ -323,29 +324,33 @@ def test_assembly_matches_per_cell_builder(rank):
                 got = from_dense("T", dims, data, spec, fill)
                 # repr also tells -0.0 from 0.0, 0 from 0.0 and True from 1
                 assert got == want and repr(got) == repr(want), (spec, dims, label, data)
+                validate(got)  # assembly builds only levels that validate
                 assert storage._infer_dtype(set(map(type, data)), fill) == _infer_dtype(data, fill)
                 checked += 1
     assert checked == len(list(_specs(rank))) * len(SHAPES[rank]) * 15
 
 
-def _walked(t):
-    """`validate` as a walk of every fiber's entries: its outcome, the
-    exception's type and message or None."""
-    def go(level, nfibers, where):
-        nchildren = level.check(nfibers, where)
-        if level.Disorder is not None:
-            for p in range(1, nfibers + 1):
-                prev = 0
-                for i, _ in level.entries(p):
-                    if not prev < i <= level.size:
-                        raise level.Disorder(
-                            f"{where}: {level.kind} index {i} out of order or out of bounds "
-                            f"1..{level.size} at fiber {p}")
-                    prev = i
-        if level.nested:
-            go(level.child, nchildren, where)
+def _intervals(lvl, kind: str, p: int) -> list:
+    """The stored index ranges of fiber p, (first, last) pairs read straight
+    from the level's arrays."""
+    if kind == "sband":
+        a, b = lvl.start[p - 1], lvl.stop[p - 1]
+        return [] if a > b else [(a, b)]
+    window = range(lvl.pos[p - 1] - 1, lvl.pos[p] - 1)
+    if kind == "svbl":  # block b holds the ofs[b+1] - ofs[b] indices ending at idx[b]
+        return [(lvl.idx[b] - lvl.ofs[b + 1] + lvl.ofs[b] + 1, lvl.idx[b]) for b in window]
+    return [(lvl.idx[b], lvl.idx[b]) for b in window]
 
-    return _outcome(lambda: go(t.root, 1, t.name))
+
+def _keeps_order(lvl, kind: str, p: int) -> bool:
+    """Whether fiber p's ranges ascend strictly within 1..size (nan fails
+    every comparison)."""
+    prev = 0
+    for first, last in _intervals(lvl, kind, p):
+        if not prev < first <= last:
+            return False
+        prev = last
+    return prev <= lvl.size
 
 
 def _outcome(fn):
@@ -357,34 +362,39 @@ def _outcome(fn):
 
 
 @pytest.mark.parametrize("kind", ["splist", "svbl", "rle", "sband"])
-def test_whole_array_order_checks_match_the_walk(kind):
-    """`Level.ordered` checks order and bounds over whole arrays; `validate`
-    walks only to name the first bad entry. On assembled levels whose index
-    arrays are then corrupted (swapped, repeated, shifted past either bound,
-    made nan), it raises what the walk raises, or nothing when the walk
-    raises nothing."""
+def test_validate_names_the_corrupted_fiber(kind):
+    """On assembled levels whose index arrays are then corrupted (swapped,
+    repeated, shifted past either bound, made nan), `validate` raises the
+    level's typed error naming the corrupted fiber, or nothing when the
+    corruption keeps that fiber's indices ascending within 1..size."""
     rng = random.Random(len(kind))
-    corruptions = 0
+    disordered = 0
     for _ in range(300):
         dims = [rng.randint(1, 4), rng.randint(1, 6)]
         data = [rng.choice([0.0, 0.0, 1.0, 2.0, 2.0]) for _ in range(math.prod(dims))]
         t = from_dense("T", dims, data, ["dense", kind], 0.0)
         lvl = t.levels()[1]
         arr = lvl.start if kind == "sband" else lvl.idx
-        if arr and rng.random() < 0.8:
-            j = rng.randrange(len(arr))
-            old = arr[j]
-            arr[j] = rng.choice([old + 1, old - 1, 0, -1, lvl.size + 1, arr[j - 1],
-                                 math.nan, arr[(j + 1) % len(arr)]])
-            if kind == "sband" and arr[j] == arr[j]:  # the band moves, keeping its width
-                lvl.stop[j] += arr[j] - old
-            corruptions += 1
-        want = _walked(t)
-        if _outcome(lambda: lvl.check(dims[0], "T")) is not None:
-            pass  # `ordered` is asked only of a level that passes `check`
-        elif lvl.ordered(dims[0]):
-            assert want is None, lvl
-        elif want is None and kind != "sband":  # ordered but for an empty level
-            assert lvl.pos[-1] == 1, lvl
-        assert _outcome(lambda: validate(t)) == want, (lvl, want)
-    assert corruptions > 200
+        if not arr:
+            continue
+        j = rng.randrange(len(arr))
+        old = arr[j]
+        arr[j] = rng.choice([old + 1, old - 1, 0, -1, lvl.size + 1, arr[j - 1],
+                             math.nan, arr[(j + 1) % len(arr)]])
+        if kind == "sband" and arr[j] == arr[j]:  # the band moves, keeping its width
+            lvl.stop[j] += arr[j] - old
+        p = j + 1 if kind == "sband" else bisect_right(lvl.pos, j + 1)
+        got = _outcome(lambda: validate(t))
+        runs_short = kind == "rle" and lvl.idx[lvl.pos[p] - 2] != lvl.size
+        if _keeps_order(lvl, kind, p) and not runs_short:
+            assert got is None, (lvl, got)
+            continue
+        disordered += 1
+        want = RunCoverage if runs_short else lvl.Disorder
+        assert got is not None, lvl
+        if got[0] is TypeError:  # a nan index cannot be walked as a range
+            assert kind in ("svbl", "sband") and arr[j] != arr[j], (lvl, got)
+        else:
+            assert got[0] is want, (lvl, got)
+            assert f"fiber {p} " in got[1] + " ", (lvl, got)
+    assert disordered > 100
