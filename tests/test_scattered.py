@@ -96,10 +96,10 @@ class CountedList(list):
     __iter__ = Counted.__iter__
 
 
-def iterations(payload, *args) -> int:
+def iterations(payload, dims, *spec_fill_dtype) -> int:
     """How often binding `payload` iterates it."""
     Counted.iterations = 0
-    from_dense("A", *args[:1], payload, *args[1:])
+    from_dense("A", dims, payload, *spec_fill_dtype)
     return Counted.iterations
 
 
