@@ -19,7 +19,13 @@ and finalized in pairs, its other hooks between.
 
     PYTHONPATH=src python tests/test_ir_snapshot.py > tests/goldens/corpus_ir.txt
 
-writes the snapshot of the current tree.
+writes the snapshot of the current tree, and
+
+    PYTHONPATH=src python tests/test_ir_snapshot.py --compare OLD_GOLDEN
+
+prints, for each program whose snapshot differs from OLD_GOLDEN's, its change
+in IR lines and in every counter (`exec_ops` is the sum of the scalar
+counters, as the benchmark adds them), then the totals over all programs.
 """
 
 import json
@@ -99,6 +105,24 @@ def test_corpus_ir_snapshot():
                 f"--- golden\n{w[first]}\n--- got\n{g[first]}")
 
 
+def test_compare_lists_each_changed_program():
+    def case(n, reads, ir):
+        counters = json.dumps({"adds": 1, "buffer_reads": reads,
+                               "reads_by_buffer": {"A_idx": reads}})
+        return f"### case {n}: K | A=splist\nloops 1\ncounters {counters}\n{ir}\n"
+
+    old = case(1, 4, "nop") + case(2, 6, "let x = 1\nnop")
+    new = case(1, 4, "nop") + case(2, 3, "nop")
+    assert compare(old, new) == (
+        "case 2: K | A=splist\n"
+        "  ir_lines 2 -> 1 (-1), exec_ops 7 -> 4 (-3), buffer_reads 6 -> 3 (-3), "
+        "reads_by_buffer.A_idx 6 -> 3 (-3)\n"
+        "1 of 2 programs changed; totals:\n"
+        "  ir_lines 3 -> 2 (-1), exec_ops 12 -> 9 (-3), buffer_reads 10 -> 7 (-3), "
+        "reads_by_buffer.A_idx 10 -> 7 (-3)\n")
+    assert compare(old, old).endswith("0 of 2 programs changed; totals:\n  equal\n")
+
+
 def test_verifier_passes_every_snapshot_program():
     nprog = 0
     for header, compiled, params in snapshot_programs():
@@ -136,7 +160,55 @@ def test_verifier_rejects_broken_programs():
         assert verify(prog, bufs, {}, {"C": None}) == want, prog
 
 
+def _measures(chunk: str) -> dict:
+    """IR lines and every counter of one snapshot case, flat."""
+    lines = chunk.splitlines()
+    counters = json.loads(lines[2][len("counters "):])
+    out = {"ir_lines": len(lines) - 3,
+           "exec_ops": sum(v for v in counters.values() if isinstance(v, int))}
+    for k, v in counters.items():
+        if isinstance(v, dict):
+            out.update({f"{k}.{b}": n for b, n in v.items()})
+        else:
+            out[k] = v
+    return out
+
+
+def compare(old: str, new: str) -> str:
+    """The per-program and total change from snapshot text `old` to `new`."""
+    before, after = _cases(old), _cases(new)
+    assert list(before) == list(after), "snapshot case list changed"
+    total_old, total_new, lines = {}, {}, []
+    for k, chunk in after.items():
+        a, b = _measures(before[k]), _measures(chunk)
+        for m, t in ((a, total_old), (b, total_new)):
+            for name, v in m.items():
+                t[name] = t.get(name, 0) + v
+        if before[k] != chunk:
+            lines.append(f"case {k}: {chunk.splitlines()[0].split(': ', 1)[1]}\n"
+                         f"  {_deltas(a, b) or 'printed IR changed, counts equal'}")
+    lines.append(f"{len(lines)} of {len(after)} programs changed; totals:\n"
+                 f"  {_deltas(total_old, total_new) or 'equal'}")
+    return "\n".join(lines) + "\n"
+
+
+def _deltas(a: dict, b: dict) -> str:
+    return ", ".join(f"{name} {a.get(name, 0)} -> {b.get(name, 0)} "
+                     f"({b.get(name, 0) - a.get(name, 0):+d})"
+                     for name in sorted(set(a) | set(b), key=_order)
+                     if a.get(name, 0) != b.get(name, 0))
+
+
+def _order(name: str):
+    """IR lines, then exec_ops, then the counters by name."""
+    return ({"ir_lines": 0, "exec_ops": 1}.get(name, 2), name)
+
+
 if __name__ == "__main__":
     import sys
 
-    sys.stdout.write(render_snapshot())
+    if sys.argv[1:2] == ["--compare"]:
+        old_text = pathlib.Path(sys.argv[2]).read_text(encoding="utf-8")
+        sys.stdout.write(compare(old_text, render_snapshot()))
+    else:
+        sys.stdout.write(render_snapshot())
