@@ -71,6 +71,7 @@ from .looplets import (
 from .rewrite import Ruleset, simplify
 from .target import (
     AssignVar,
+    Block,
     For,
     IfChain,
     Let,
@@ -569,33 +570,99 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
 
 
 def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
-               body_of) -> TargetStmt:
+               body_of, advanced: List[Looplet]) -> TargetStmt:
     """The stepping loop over `ext` that steppers and jumpers share. Every
     looplet of `steps` seeks to the start; then each iteration binds the
     region's stop to `stride`, runs `body_of(region)` over the region
-    [step, stride] and moves `step` past it."""
+    [step, stride], advances each looplet of `advanced` whose child ends at
+    the stride, and moves `step` past the region.
+
+    Each iteration tests a looplet's end (`stride == stop`) once: an advance
+    moves into a trailing branch on exactly its end test, and an end test
+    that two or more conditions still read is bound once, after the stride."""
     out = [x for l in steps if l.seek is not None for x in l.seek.instantiate(ext.start)]
     step_var, stride_var = ctx.fresh("step"), ctx.fresh("stride")
     region = Extent(Var(step_var), Var(stride_var))
     out.append(Let(step_var, ext.start))
-    loop_body = [Let(stride_var, stride), *body_of(region),
-                 AssignVar(step_var, iadd(Var(stride_var), ONE))]
+    body = _advance(body_of(region),
+                    [(eq(region.stop, l.stop), l.next.instantiate()) for l in advanced])
+    ends = dict.fromkeys(eq(region.stop, l.stop) for l in steps)
+    read: List[Expr] = []
+    _end_tests(body, set(ends), lambda t: read.append(t) or t)
+    bound = {t: ctx.fresh("ended") for t in ends if read.count(t) > 1}
+    body = _end_tests(body, set(bound), lambda t: Var(bound[t]))
+    loop_body = [Let(stride_var, stride), *(Let(name, t) for t, name in bound.items()),
+                 body, AssignVar(step_var, iadd(Var(stride_var), ONE))]
     out.append(While(le(Var(step_var), ext.stop), block(loop_body), cursor=step_var))
     return block(out)
 
 
-def pass_stepper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
-    steppers = [f for f in furls if isinstance(f.looplet, Stepper)]
+def _written(s) -> set:
+    """Names that `s` declares or assigns, at any depth."""
+    return {n.name for n in walk(s) if isinstance(n, (Let, AssignVar))}
 
-    def step_body(region: Extent) -> List[TargetStmt]:
+
+def _advance(body: TargetStmt, advances) -> TargetStmt:
+    """`body`, then each (end test, statements) advance under its test. An
+    advance whose test is the first condition of the body's trailing branch
+    chain joins that branch, when the branch leaves the test's names alone."""
+    stmts = list(body.stmts) if isinstance(body, Block) else [body]
+    guards = []
+    for test, stmts_of in advances:
+        last = stmts[-1] if stmts else None
+        if (isinstance(last, IfChain) and last.cases[0][0] == test
+                and not _written(last.cases[0][1]) & {n.name for n in walk(test)
+                                                      if isinstance(n, Var)}):
+            (cond, branch), *rest = last.cases
+            stmts[-1] = IfChain(((cond, block([branch, *stmts_of])), *rest), last.orelse)
+        else:
+            guards.append(IfChain(((test, block(stmts_of)),)))
+    return block(stmts + guards)
+
+
+def _end_tests(s: TargetStmt, tests: set, use) -> TargetStmt:
+    """`s` with `use(t)` in place of each end test `t` of `tests` that a
+    branch condition reads while t's names keep the values they had where `s`
+    starts. Loops are not entered: their conditions run once per iteration of
+    their own."""
+
+    def expr(e: Expr, live) -> Expr:
+        return use(e) if e in live else e.map(lambda x: expr(x, live))
+
+    def stmt(x: TargetStmt, live) -> TargetStmt:
+        if isinstance(x, Block):
+            out = []
+            for y in x.stmts:
+                out.append(stmt(y, live))
+                written = _written(y)
+                live = {t for t in live if not written & {n.name for n in walk(t)
+                                                          if isinstance(n, Var)}}
+            return Block(tuple(out))
+        if isinstance(x, IfChain):
+            return IfChain(tuple((expr(c, live), stmt(b, live)) for c, b in x.cases),
+                           None if x.orelse is None else stmt(x.orelse, live))
+        return x
+
+    return stmt(s, tests)
+
+
+def pass_stepper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
+    """A stepping loop whose stride is the least declared stop. Over a
+    single-index extent, the steppers seek and the body runs at that index,
+    with no loop: the sought positions die with the region."""
+    steppers = [f for f in furls if isinstance(f.looplet, Stepper)]
+    looplets = [f.looplet for f in steppers]
+
+    def step_body(region: Extent) -> TargetStmt:
         mapping = {f.tag: truncate(f.looplet.body, Extent(region.start, f.looplet.stop), region)
                    for f in steppers}
-        nexts = [IfChain(((eq(region.stop, f.looplet.stop), block(f.looplet.next.instantiate())),))
-                 for f in steppers]
-        return [_dispatch(ctx, idx, region, _restrict(body, furls, ext, region, mapping)), *nexts]
+        return _dispatch(ctx, idx, region, _restrict(body, furls, ext, region, mapping))
 
-    stride = imin(*[f.looplet.stop for f in steppers], ext.stop)
-    return _step_loop(ctx, ext, [f.looplet for f in steppers], stride, step_body)
+    if ext.is_point() and all(l.seek is not None for l in looplets):
+        return block([x for l in looplets for x in l.seek.instantiate(ext.start)]
+                     + [step_body(ext)])
+    stride = imin(*[l.stop for l in looplets], ext.stop)
+    return _step_loop(ctx, ext, looplets, stride, step_body, looplets)
 
 
 def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
@@ -604,7 +671,7 @@ def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
     advances; the others follow as steppers."""
     jumpers = [f for f in furls if isinstance(f.looplet, Jumper)]
 
-    def step_body(region: Extent) -> List[TargetStmt]:
+    def step_body(region: Extent) -> TargetStmt:
         branches: List[Tuple[Expr, TargetStmt]] = []
         orelse: Optional[TargetStmt] = None
         for members in sorted(itertools.product([True, False], repeat=len(jumpers)),
@@ -626,10 +693,10 @@ def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
             else:
                 branches.append((conds[0] if len(conds) == 1 else Call("and", tuple(conds)),
                                  branch))
-        return [IfChain(tuple(branches), orelse)]
+        return IfChain(tuple(branches), orelse)
 
     stride = imin(imax(*[f.looplet.stop for f in jumpers]), ext.stop)
-    return _step_loop(ctx, ext, [f.looplet for f in jumpers], stride, step_body)
+    return _step_loop(ctx, ext, [f.looplet for f in jumpers], stride, step_body, [])
 
 
 def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:

@@ -344,6 +344,7 @@ def test_criterion_7_golden_ir():
     assert t1.count("search(") == 1
     assert t1.count("while ") == 1
     assert t1.count("B_val[") == 1
+    assert t1.count("stride == A_idx[p_A]") == 1  # the end test, read once per iteration
     report("7 golden IR", "one search, one while, one band lookup; byte-stable")
 
 

@@ -68,30 +68,30 @@ FIELDS = ("loop_iterations", "buffer_reads", "buffer_writes", "multiplies", "add
 # (claim, n): (IR lines, loop_iterations, buffer_reads, buffer_writes,
 #              multiplies, adds, searches, compares, reads_by_buffer)
 PINS = {
-    ("spmspv walk", 16): (24, 127, 781, 23, 23, 341, 32, 814,
-        {"A_idx": 349, "A_pos": 80, "A_val": 23, "x_idx": 306, "x_val": 23}),
-    ("spmspv walk", 32): (24, 498, 2981, 73, 73, 1197, 64, 3237,
-        {"A_idx": 1430, "A_pos": 160, "A_val": 73, "x_idx": 1245, "x_val": 73}),
-    ("spmspv walk", 64): (24, 1929, 11421, 266, 266, 4380, 128, 12626,
-        {"A_idx": 5659, "A_pos": 320, "A_val": 266, "x_idx": 4910, "x_val": 266}),
-    ("spmspv gallop", 16): (65, 151, 791, 23, 23, 405, 105, 832,
-        {"A_idx": 346, "A_pos": 162, "A_val": 23, "x_idx": 237, "x_val": 23}),
-    ("spmspv gallop", 32): (65, 547, 2819, 73, 73, 1413, 335, 3006,
-        {"A_idx": 1368, "A_pos": 534, "A_val": 73, "x_idx": 771, "x_val": 73}),
-    ("spmspv gallop", 64): (65, 2115, 10824, 266, 266, 5295, 1185, 11672,
-        {"A_idx": 5501, "A_pos": 1880, "A_val": 266, "x_idx": 2911, "x_val": 266}),
-    ("band dot", 16): (14, 4, 18, 3, 3, 10, 1, 17,
-        {"A_idx": 12, "A_val": 3, "B_val": 3}),
-    ("band dot", 32): (14, 6, 28, 5, 5, 16, 1, 25,
-        {"A_idx": 18, "A_val": 5, "B_val": 5}),
-    ("band dot", 64): (14, 12, 58, 11, 11, 34, 1, 49,
-        {"A_idx": 36, "A_val": 11, "B_val": 11}),
-    ("gallop dot", 16): (59, 7, 36, 4, 4, 15, 5, 39,
-        {"A_idx": 11, "A_val": 4, "B_idx": 17, "B_val": 4}),
-    ("gallop dot", 32): (59, 8, 40, 4, 4, 16, 6, 45,
-        {"A_idx": 12, "A_val": 4, "B_idx": 20, "B_val": 4}),
-    ("gallop dot", 64): (59, 8, 40, 4, 4, 16, 6, 45,
-        {"A_idx": 12, "A_val": 4, "B_idx": 20, "B_val": 4}),
+    ("spmspv walk", 16): (26, 127, 586, 23, 23, 341, 32, 619,
+        {"A_idx": 238, "A_pos": 80, "A_val": 23, "x_idx": 222, "x_val": 23}),
+    ("spmspv walk", 32): (26, 498, 2202, 73, 73, 1197, 64, 2458,
+        {"A_idx": 964, "A_pos": 160, "A_val": 73, "x_idx": 932, "x_val": 73}),
+    ("spmspv walk", 64): (26, 1929, 8376, 266, 266, 4380, 128, 9581,
+        {"A_idx": 3794, "A_pos": 320, "A_val": 266, "x_idx": 3730, "x_val": 266}),
+    ("spmspv gallop", 16): (53, 92, 587, 23, 23, 323, 105, 510,
+        {"A_idx": 202, "A_pos": 162, "A_val": 23, "x_idx": 177, "x_val": 23}),
+    ("spmspv gallop", 32): (53, 306, 2049, 73, 73, 1101, 335, 1754,
+        {"A_idx": 752, "A_pos": 534, "A_val": 73, "x_idx": 617, "x_val": 73}),
+    ("spmspv gallop", 64): (53, 1138, 7749, 266, 266, 4057, 1185, 6643,
+        {"A_idx": 2952, "A_pos": 1880, "A_val": 266, "x_idx": 2385, "x_val": 266}),
+    ("band dot", 16): (12, 4, 14, 3, 3, 10, 1, 13,
+        {"A_idx": 8, "A_val": 3, "B_val": 3}),
+    ("band dot", 32): (12, 6, 22, 5, 5, 16, 1, 19,
+        {"A_idx": 12, "A_val": 5, "B_val": 5}),
+    ("band dot", 64): (12, 12, 46, 11, 11, 34, 1, 37,
+        {"A_idx": 24, "A_val": 11, "B_val": 11}),
+    ("gallop dot", 16): (47, 4, 27, 4, 4, 9, 5, 24,
+        {"A_idx": 8, "A_val": 4, "B_idx": 11, "B_val": 4}),
+    ("gallop dot", 32): (47, 4, 28, 4, 4, 8, 6, 25,
+        {"A_idx": 8, "A_val": 4, "B_idx": 12, "B_val": 4}),
+    ("gallop dot", 64): (47, 4, 28, 4, 4, 8, 6, 25,
+        {"A_idx": 8, "A_val": 4, "B_idx": 12, "B_val": 4}),
 }
 
 

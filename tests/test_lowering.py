@@ -167,9 +167,13 @@ def test_jumper_pass_three_branch_shape():
            "B": InputSpec([10], [1.0, 0.0, 4.0, 3.0, 0.0] * 2, format=["splist"],
                           protocols={1: "gallop"})}
     c = compile_kernel(parse(DOT), ins)
-    text = c.ir_text()
-    assert "max(A_idx[p_A], B_idx[p_B])" in text
-    assert "stride == A_idx[p_A] && stride == B_idx[p_B]" in text
+    lines = [line.strip() for line in c.ir_text().splitlines()]
+    # each end test is read once per iteration, and the three member branches
+    # and the else read the variables it is bound to
+    k = lines.index("let stride = min(max(A_idx[p_A], B_idx[p_B]), 9)")
+    assert lines[k + 1:k + 4] == ["let ended3 = stride == A_idx[p_A]",
+                                  "let ended4 = stride == B_idx[p_B]", "if ended3 && ended4"]
+    assert {"elseif ended3", "elseif ended4", "else"} <= set(lines)
     r = execute(c)
     want = oracle_outputs(parse(DOT), ins)
     assert r.dense["C"] == want["C"]
