@@ -3,9 +3,14 @@
 Every corpus kernel x admissible format/protocol assignment
 (`corpus_cases(random.Random(7), 1)`, 164 programs) is compiled and run; the
 printed IR, the loop count and the execution counters of each must match
-`goldens/corpus_ir.txt` byte for byte. The golden was generated once, from
+`goldens/corpus_ir.txt` byte for byte. The golden was first generated from
 the lowering as it stood before the traversal protocol replaced the
-hand-written tree walks; it is never regenerated to make a change pass.
+hand-written tree walks. It is never regenerated to make a refactor pass: a
+change that means to move IR or counters predicts the move, regenerates the
+golden in a commit of its own that says why, and lists the per-program
+change with `--compare` below. That happened once, when each stepping loop
+began to test a cursor's end once per iteration and a stepper over a single
+index lost its loop.
 Walk order is observable (fresh names and furl tags are handed out in visit
 order), so a traversal change that reorders visits shows up here. The
 programs are compared twice: lowered cold, from an emptied program cache,
