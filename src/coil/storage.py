@@ -269,12 +269,16 @@ def _validate(level: Level, nfibers: int, where: str):
     if level.Disorder is not None:
         for p in range(1, nfibers + 1):
             prev = 0
-            for i, _ in level.entries(p):
-                if not prev < i <= level.size:
-                    raise level.Disorder(
-                        f"{where}: {level.kind} index {i} out of order or out of bounds "
-                        f"1..{level.size} at fiber {p}")
-                prev = i
+            try:
+                for i, _ in level.entries(p):
+                    if not prev < i <= level.size:
+                        raise level.Disorder(
+                            f"{where}: {level.kind} index {i} out of order or out of bounds "
+                            f"1..{level.size} at fiber {p}")
+                    prev = i
+            except TypeError:  # a block end or band start that is no int spans no range
+                raise level.Disorder(
+                    f"{where}: {level.kind} bound that is not an integer at fiber {p}") from None
     if level.nested:
         _validate(level.child, nchildren, where)
 

@@ -357,7 +357,7 @@ def _keeps_order(lvl, kind: str, p: int) -> bool:
 def _outcome(fn):
     try:
         fn()
-    except (FormatError, TypeError) as ex:  # an svbl block cannot end at nan
+    except FormatError as ex:
         return type(ex), str(ex)
     return None
 
@@ -395,9 +395,6 @@ def test_validate_names_the_corrupted_fiber(kind):
         disordered += 1
         want = RunCoverage if runs_short else lvl.Disorder
         assert got is not None, lvl
-        if got[0] is TypeError:  # a nan index cannot be walked as a range
-            assert kind in ("svbl", "sband") and arr[j] != arr[j], (lvl, got)
-        else:
-            assert got[0] is want, (lvl, got)
-            assert re.search(rf"\bfiber {p}\b", got[1]), (lvl, got)
+        assert got[0] is want, (lvl, got)
+        assert re.search(rf"\bfiber {p}\b", got[1]), (lvl, got)
     assert disordered > 100
