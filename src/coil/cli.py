@@ -22,7 +22,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .api import (
@@ -362,6 +362,15 @@ def _scalar_jsonable(v):
     return None if v is MISSING else v
 
 
+def _variant(job: JobSpec) -> JobSpec:
+    """A copy of `job` whose protocols a variant may set: it shares the input
+    data, and has its own input specs and protocol maps, which
+    `_apply_protocol` and `_materialize_inputs` update in place."""
+    return replace(job, inputs={name: replace(spec, protocols=dict(spec.protocols))
+                                for name, spec in job.inputs.items()},
+                   protocols={name: dict(p) for name, p in job.protocols.items()})
+
+
 def cmd_bench(args) -> int:
     variants: List[Tuple[str, List[str]]] = []
     for v in args.variant or []:
@@ -371,9 +380,10 @@ def cmd_bench(args) -> int:
         variants.append((label, [p for p in protos.split(";") if p]))
     if not variants:
         variants = [("default", [])]
+    job = build_job(args)  # each --tensor file is read once, for every variant
     report = {}
     for label, protos in variants:
-        vjob = build_job(args)
+        vjob = _variant(job)
         for p in protos:
             _apply_protocol(vjob, p)
         inputs = _materialize_inputs(vjob, args.seed)

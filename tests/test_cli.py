@@ -6,7 +6,7 @@ import pytest
 from coil import cli
 from coil.api import InputSpec, OutputSpec, oracle_outputs, run_kernel
 from coil.parser import MAX_DEPTH
-from coil.tensorio import read_dense_text, write_dense_text
+from coil.tensorio import matrix_market_dense, read_dense_text, write_dense_text
 
 KERNELS = pathlib.Path(__file__).parent.parent / "kernels"
 
@@ -163,6 +163,40 @@ def test_bench_reports_per_variant_counters(capsys):
         assert "wall_clock_s" in report[label]
         assert report[label]["backend"] == "interp"
         assert report[label]["codegen"] is None
+
+
+def test_bench_reads_each_tensor_file_once(capsys, tmp_path, monkeypatch, programs):
+    """A two-variant bench parses its .mtx file once, and reports what two
+    single-variant benches report."""
+    mtx = tmp_path / "m.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 4 4\n"
+                   "1 1 2.0\n1 4 1.5\n2 2 3.0\n3 4 -1.0\n")
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return matrix_market_dense(path)
+
+    monkeypatch.setattr(cli, "matrix_market_dense", counted)
+    base = ["bench", "--kernel", KERNELS / "spmspv.cin",
+            "--tensor", f"A={mtx},format=dense.splist",
+            "--tensor", "x=random:dims=4,density=0.7,seed=3,format=splist", "--trials", "1"]
+    # a protocol the first variant sets must not leak into the second
+    a_only, x_only = "a:A.2=gallop", "x:x.1=gallop"
+
+    def bench(*variants):
+        programs.clear()
+        reads.clear()
+        assert run_cli(base + [x for v in variants for x in ("--variant", v)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for entry in report.values():
+            entry.pop("wall_clock_s")
+        return report, len(reads)
+
+    both, nreads = bench(a_only, x_only)
+    assert nreads == 1
+    assert both == {**bench(a_only)[0], **bench(x_only)[0]}
+    assert both["a"] != both["x"]
 
 
 def test_bench_reuses_generated_code(capsys, tmp_path, programs):
