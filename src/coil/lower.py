@@ -570,12 +570,13 @@ def pass_pipeline(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Ta
 
 
 def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
-               body_of, advanced: List[Looplet]) -> TargetStmt:
+               body_of, advance: bool) -> TargetStmt:
     """The stepping loop over `ext` that steppers and jumpers share. Every
     looplet of `steps` seeks to the start; then each iteration binds the
     region's stop to `stride`, runs `body_of(region)` over the region
-    [step, stride], advances each looplet of `advanced` whose child ends at
-    the stride, and moves `step` past the region.
+    [step, stride], advances each looplet whose child ends at the stride
+    (with `advance`; else the body advances them), and moves `step` past the
+    region.
 
     Each iteration tests a looplet's end (`stride == stop`) once: an advance
     moves into a trailing branch on exactly its end test, and an end test
@@ -584,12 +585,13 @@ def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
     step_var, stride_var = ctx.fresh("step"), ctx.fresh("stride")
     region = Extent(Var(step_var), Var(stride_var))
     out.append(Let(step_var, ext.start))
-    body = _advance(body_of(region),
-                    [(eq(region.stop, l.stop), l.next.instantiate()) for l in advanced])
-    ends = dict.fromkeys(eq(region.stop, l.stop) for l in steps)
+    ends = [eq(region.stop, l.stop) for l in steps]
+    body = body_of(region)
+    if advance:
+        body = _advance(body, [(t, l.next.instantiate()) for t, l in zip(ends, steps)])
     read: List[Expr] = []
     _end_tests(body, set(ends), lambda t: read.append(t) or t)
-    bound = {t: ctx.fresh("ended") for t in ends if read.count(t) > 1}
+    bound = {t: ctx.fresh("ended") for t in dict.fromkeys(ends) if read.count(t) > 1}
     body = _end_tests(body, set(bound), lambda t: Var(bound[t]))
     loop_body = [Let(stride_var, stride), *(Let(name, t) for t, name in bound.items()),
                  body, AssignVar(step_var, iadd(Var(stride_var), ONE))]
@@ -597,9 +599,10 @@ def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
     return block(out)
 
 
-def _written(s) -> set:
-    """Names that `s` declares or assigns, at any depth."""
-    return {n.name for n in walk(s) if isinstance(n, (Let, AssignVar))}
+def _rebinds(s: TargetStmt, test: Expr) -> bool:
+    """Whether `s` declares or assigns, at any depth, a name that `test` reads."""
+    written = {n.name for n in walk(s) if isinstance(n, (Let, AssignVar))}
+    return any(isinstance(n, Var) and n.name in written for n in walk(test))
 
 
 def _advance(body: TargetStmt, advances) -> TargetStmt:
@@ -609,10 +612,9 @@ def _advance(body: TargetStmt, advances) -> TargetStmt:
     stmts = list(body.stmts) if isinstance(body, Block) else [body]
     guards = []
     for test, stmts_of in advances:
-        last = stmts[-1] if stmts else None
+        last = stmts[-1]
         if (isinstance(last, IfChain) and last.cases[0][0] == test
-                and not _written(last.cases[0][1]) & {n.name for n in walk(test)
-                                                      if isinstance(n, Var)}):
+                and not _rebinds(last.cases[0][1], test)):
             (cond, branch), *rest = last.cases
             stmts[-1] = IfChain(((cond, block([branch, *stmts_of])), *rest), last.orelse)
         else:
@@ -634,9 +636,7 @@ def _end_tests(s: TargetStmt, tests: set, use) -> TargetStmt:
             out = []
             for y in x.stmts:
                 out.append(stmt(y, live))
-                written = _written(y)
-                live = {t for t in live if not written & {n.name for n in walk(t)
-                                                          if isinstance(n, Var)}}
+                live = {t for t in live if not _rebinds(y, t)}
             return Block(tuple(out))
         if isinstance(x, IfChain):
             return IfChain(tuple((expr(c, live), stmt(b, live)) for c, b in x.cases),
@@ -662,7 +662,7 @@ def pass_stepper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Tar
         return block([x for l in looplets for x in l.seek.instantiate(ext.start)]
                      + [step_body(ext)])
     stride = imin(*[l.stop for l in looplets], ext.stop)
-    return _step_loop(ctx, ext, looplets, stride, step_body, looplets)
+    return _step_loop(ctx, ext, looplets, stride, step_body, advance=True)
 
 
 def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
@@ -696,7 +696,7 @@ def pass_jumper(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> Targ
         return IfChain(tuple(branches), orelse)
 
     stride = imin(imax(*[f.looplet.stop for f in jumpers]), ext.stop)
-    return _step_loop(ctx, ext, [f.looplet for f in jumpers], stride, step_body, [])
+    return _step_loop(ctx, ext, [f.looplet for f in jumpers], stride, step_body, advance=False)
 
 
 def pass_lookup(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt, furls) -> TargetStmt:
