@@ -589,20 +589,26 @@ def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
     body = body_of(region)
     if advance:
         body = _advance(body, [(t, l.next.instantiate()) for t, l in zip(ends, steps)])
+    # only a test that appears twice can be read twice
+    seen = [n for n in walk(body) if isinstance(n, Call) and n.op == "eq" and n in ends]
     read: List[Expr] = []
-    _end_tests(body, set(ends), lambda t: read.append(t) or t)
+    _end_tests(body, {t for t in ends if seen.count(t) > 1}, lambda t: read.append(t) or t)
     bound = {t: ctx.fresh("ended") for t in dict.fromkeys(ends) if read.count(t) > 1}
-    body = _end_tests(body, set(bound), lambda t: Var(bound[t]))
+    if bound:
+        body = _end_tests(body, set(bound), lambda t: Var(bound[t]))
     loop_body = [Let(stride_var, stride), *(Let(name, t) for t, name in bound.items()),
                  body, AssignVar(step_var, iadd(Var(stride_var), ONE))]
     out.append(While(le(Var(step_var), ext.stop), block(loop_body), cursor=step_var))
     return block(out)
 
 
-def _rebinds(s: TargetStmt, test: Expr) -> bool:
-    """Whether `s` declares or assigns, at any depth, a name that `test` reads."""
-    written = {n.name for n in walk(s) if isinstance(n, (Let, AssignVar))}
-    return any(isinstance(n, Var) and n.name in written for n in walk(test))
+def _written(s: TargetStmt) -> set:
+    """Names that `s` declares or assigns, at any depth."""
+    return {n.name for n in walk(s) if isinstance(n, (Let, AssignVar))}
+
+
+def _reads(e: Expr) -> set:
+    return {n.name for n in walk(e) if isinstance(n, Var)}
 
 
 def _advance(body: TargetStmt, advances) -> TargetStmt:
@@ -614,7 +620,7 @@ def _advance(body: TargetStmt, advances) -> TargetStmt:
     for test, stmts_of in advances:
         last = stmts[-1]
         if (isinstance(last, IfChain) and last.cases[0][0] == test
-                and not _rebinds(last.cases[0][1], test)):
+                and not _written(last.cases[0][1]) & _reads(test)):
             (cond, branch), *rest = last.cases
             stmts[-1] = IfChain(((cond, block([branch, *stmts_of])), *rest), last.orelse)
         else:
@@ -627,16 +633,21 @@ def _end_tests(s: TargetStmt, tests: set, use) -> TargetStmt:
     branch condition reads while t's names keep the values they had where `s`
     starts. Loops are not entered: their conditions run once per iteration of
     their own."""
+    reads = {t: _reads(t) for t in tests}
 
     def expr(e: Expr, live) -> Expr:
         return use(e) if e in live else e.map(lambda x: expr(x, live))
 
     def stmt(x: TargetStmt, live) -> TargetStmt:
+        if not live:
+            return x
         if isinstance(x, Block):
             out = []
             for y in x.stmts:
                 out.append(stmt(y, live))
-                live = {t for t in live if not _rebinds(y, t)}
+                if live:
+                    written = _written(y)
+                    live = {t for t in live if not reads[t] & written}
             return Block(tuple(out))
         if isinstance(x, IfChain):
             return IfChain(tuple((expr(c, live), stmt(b, live)) for c, b in x.cases),
