@@ -17,12 +17,18 @@ import random
 import pytest
 
 from coil import codegen
-from coil.api import InputSpec, Lowered, compile_kernel, runtime
+from coil.api import InputSpec, Lowered, OutputSpec, compile_kernel, runtime
 from coil.interp import run_program
 from coil.parser import parse
 
 SPMSPV = "@V i j y[i] += A[i,j] * x[j]"
 DOT = "@V i C[] += A[i] * B[i]"
+CONV2D = ("@V i k j l C[i,k] += (A[i,k] != 0.0) * "
+          "coalesce(A[permit[offset($c - i)[j]], permit[offset($c - k)[l]]], 0.0) * "
+          "coalesce(F[permit[j], permit[l]], 0.0)")
+BLEND = "@V i j A[i,j] = round($alpha * B[i,j] + $beta * C[i,j])"
+SUM = "@V i C[] += A[i]"
+FIXED_READ = "@V i C[] += A[3] * B[i]"
 
 
 def spmspv(proto):
@@ -54,11 +60,61 @@ def gallop_dot(n):
             for name, v in (("A", a), ("B", b))}
 
 
+def svbl_dot(n):
+    """svbl A of 8 blocks of length n, one every 2n indices, against a
+    dense B: the law is in the reads per stored value."""
+    a = [float(k % n + 1) if k // n % 2 == 0 else 0.0 for k in range(16 * n)]
+    b = [float(k % 7) for k in range(16 * n)]
+    return {"A": InputSpec([16 * n], a, format=["svbl"]),
+            "B": InputSpec([16 * n], b)}
+
+
+def conv2d_dense(n):
+    """The masked 2-D convolution of a dense (n/4) x (n/4) A with half its
+    entries stored by a dense 3 x 3 filter."""
+    m = n // 4
+    a = [float(k % 5) if k % 2 == 0 else 0.0 for k in range(m * m)]
+    f = [float(k + 1) for k in range(9)]
+    return ({"A": InputSpec([m, m], a, format=["dense", "dense"]),
+             "F": InputSpec([3, 3], f)},
+            {"C": OutputSpec(dims=[m, m])}, {"c": 2})
+
+
+def dense_blend(n):
+    """The alpha blend of two dense 4 x n images."""
+    b = [float(k % 11) for k in range(4 * n)]
+    c = [float(k % 13) for k in range(4 * n)]
+    return ({"B": InputSpec([4, n], b, format=["dense", "dense"]),
+             "C": InputSpec([4, n], c, format=["dense", "dense"])},
+            {"A": OutputSpec(dims=[4, n])}, {"alpha": 0.25, "beta": 0.75})
+
+
+def rle_sum(n):
+    """The sum of an rle vector of n / 4 runs of length 4."""
+    return {"A": InputSpec([n], [float(k // 4 % 3) for k in range(n)], format=["rle"])}
+
+
+def fixed_read(fmt):
+    """`A[3] * B[i]` summed over a dense B, A in `fmt` with every other
+    entry stored: the read of A is the same in every iteration."""
+    def inputs(n):
+        return {"A": InputSpec([n], [float(k) if k % 2 == 0 else 0.0 for k in range(n)],
+                               format=[fmt]),
+                "B": InputSpec([n], [float(k % 3) for k in range(n)])}
+    return inputs
+
+
 CLAIMS = {
     "spmspv walk": (SPMSPV, spmspv("walk")),
     "spmspv gallop": (SPMSPV, spmspv("gallop")),
     "band dot": (DOT, band_dot),
     "gallop dot": (DOT, gallop_dot),
+    "svbl dot": (DOT, svbl_dot),
+    "conv2d dense": (CONV2D, conv2d_dense),
+    "dense blend": (BLEND, dense_blend),
+    "rle sum": (SUM, rle_sum),
+    "fixed read rle": (FIXED_READ, fixed_read("rle")),
+    "fixed read splist": (FIXED_READ, fixed_read("splist")),
 }
 SIZES = (16, 32, 64)
 
@@ -92,6 +148,42 @@ PINS = {
         {"A_idx": 8, "A_val": 4, "B_idx": 12, "B_val": 4}),
     ("gallop dot", 64): (47, 4, 28, 4, 4, 8, 6, 25,
         {"A_idx": 8, "A_val": 4, "B_idx": 12, "B_val": 4}),
+    ("svbl dot", 16): (18, 136, 816, 128, 128, 816, 1, 49,
+        {"A_idx": 160, "A_ofs": 400, "A_val": 128, "B_val": 128}),
+    ("svbl dot", 32): (18, 264, 1584, 256, 256, 1584, 1, 49,
+        {"A_idx": 288, "A_ofs": 784, "A_val": 256, "B_val": 256}),
+    ("svbl dot", 64): (18, 520, 3120, 512, 512, 3120, 1, 49,
+        {"A_idx": 544, "A_ofs": 1552, "A_val": 512, "B_val": 512}),
+    ("conv2d dense", 16): (19, 160, 300, 100, 600, 1424, 0, 268,
+        {"A_val": 200, "F_val": 100}),
+    ("conv2d dense", 32): (19, 732, 1452, 484, 2904, 6768, 0, 1204,
+        {"A_val": 968, "F_val": 484}),
+    ("conv2d dense", 64): (19, 3124, 6348, 2116, 12696, 29360, 0, 5092,
+        {"A_val": 4232, "F_val": 2116}),
+    ("dense blend", 16): (7, 68, 128, 64, 320, 448, 0, 0,
+        {"B_val": 64, "C_val": 64}),
+    ("dense blend", 32): (7, 132, 256, 128, 640, 896, 0, 0,
+        {"B_val": 128, "C_val": 128}),
+    ("dense blend", 64): (7, 260, 512, 256, 1280, 1792, 0, 0,
+        {"B_val": 256, "C_val": 256}),
+    ("rle sum", 16): (14, 4, 12, 4, 4, 16, 1, 17,
+        {"A_idx": 8, "A_val": 4}),
+    ("rle sum", 32): (14, 8, 24, 8, 8, 32, 1, 33,
+        {"A_idx": 16, "A_val": 8}),
+    ("rle sum", 64): (14, 16, 48, 16, 16, 64, 1, 65,
+        {"A_idx": 32, "A_val": 16}),
+    ("fixed read rle", 16): (6, 16, 64, 16, 16, 16, 16, 0,
+        {"A_pos": 32, "A_val": 16, "B_val": 16}),
+    ("fixed read rle", 32): (6, 32, 128, 32, 32, 32, 32, 0,
+        {"A_pos": 64, "A_val": 32, "B_val": 32}),
+    ("fixed read rle", 64): (6, 64, 256, 64, 64, 64, 64, 0,
+        {"A_pos": 128, "A_val": 64, "B_val": 64}),
+    ("fixed read splist", 16): (10, 16, 96, 16, 16, 32, 16, 32,
+        {"A_idx": 16, "A_pos": 48, "A_val": 16, "B_val": 16}),
+    ("fixed read splist", 32): (10, 32, 192, 32, 32, 64, 32, 64,
+        {"A_idx": 32, "A_pos": 96, "A_val": 32, "B_val": 32}),
+    ("fixed read splist", 64): (10, 64, 384, 64, 64, 128, 64, 128,
+        {"A_idx": 64, "A_pos": 192, "A_val": 64, "B_val": 64}),
 }
 
 
@@ -99,15 +191,18 @@ def measure(claim, n):
     """(IR lines, counters) of `claim` at size `n`, from the interpreter and
     from generated code, which must agree."""
     kernel, make = CLAIMS[claim]
-    compiled = compile_kernel(parse(kernel), make(n))
+    job = make(n)
+    inputs, outputs, params = job if isinstance(job, tuple) else (job, None, None)
+    compiled = compile_kernel(parse(kernel), inputs, outputs, params)
+    mparams = {f"${k}": v for k, v in (params or {}).items()}
     counts = []
     for generate in (False, True):
         buffers, writers = runtime(compiled)
         if generate:
-            code, _ = codegen.generated(Lowered(compiled.program), buffers, {}, writers)
-            counters = code(buffers, {}, writers)
+            code, _ = codegen.generated(Lowered(compiled.program), buffers, mparams, writers)
+            counters = code(buffers, mparams, writers)
         else:
-            counters = run_program(compiled.program, buffers, writers=writers).counters
+            counters = run_program(compiled.program, buffers, mparams, writers).counters
         d = counters.as_dict()
         counts.append((*(d[k] for k in FIELDS), d["reads_by_buffer"]))
     assert counts[0] == counts[1], (claim, n)
