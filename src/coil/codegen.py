@@ -827,7 +827,11 @@ class _Gen:
         if action in ("init", "finalize"):
             self.emit(f"{self.alias(tensor, 'w')}.{action}()")
         else:
-            if action.startswith("append_") or action == "run_set":
+            # a run counts the writes the writer returns, on a site of its own
+            counted = ""
+            if action == "run_set":
+                counted = f"k{self.new_site(buffer_writes=1)} += "
+            elif action.startswith("append_"):
                 self.count("buffer_writes")
             # native calls of the writer's bound hook where the values the
             # interpreter checks are never missing
@@ -836,9 +840,9 @@ class _Gen:
             if action.startswith("append_") and native:
                 self.emit(f"{self.alias(tensor, 'a')}([{prefix}], {action[7:]!r}, {codes[-1]})")
             elif action == "run_set" and len(args) >= 3 and native:
-                self.emit(f"{self.alias(tensor, 'r')}([{prefix}], {', '.join(codes[-3:])})")
+                self.emit(f"{counted}{self.alias(tensor, 'r')}([{prefix}], {', '.join(codes[-3:])})")
             else:
-                self.emit(f"_hook({self.alias(tensor, 'w')}, {s.fn!r}, [{', '.join(codes)}])")
+                self.emit(f"{counted}_hook({self.alias(tensor, 'w')}, {s.fn!r}, [{', '.join(codes)}])")
         for name in self.table.writers[tensor]:
             self.written(name)
 

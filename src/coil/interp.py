@@ -203,7 +203,8 @@ def _write(buf, i, op, v):
 def _hook(writer, fn, args):
     """Call the hook `fn` ("T.init", "T.finalize", "T.append_OP" or
     "T.run_set") of `writer`, the writer of output T. Returns the number of
-    buffer writes it counts as."""
+    buffer writes it counts as: 1 for an append, what the writer returns for
+    a run, 0 for the other hooks."""
     tensor, _, action = fn.partition(".")
     if writer is None:
         raise InterpError(NO_WRITER.format(tensor))
@@ -215,9 +216,8 @@ def _hook(writer, fn, args):
         if any(a is MISSING for a in args):
             raise InterpError(f"missing value reached a write to {tensor}")
         if action == "run_set":
-            writer.run_set(args[:-3], args[-3], args[-2], args[-1])
-        else:
-            writer.append(args[:-1], action[len("append_"):], args[-1])
+            return writer.run_set(args[:-3], args[-3], args[-2], args[-1])
+        writer.append(args[:-1], action[len("append_"):], args[-1])
         return 1
     else:
         raise InterpError(f"unknown writer hook {fn!r}")

@@ -174,7 +174,13 @@ class RLEWriter(Writer):
         self.run_set(idx[:-1], idx[-1], idx[-1], value, op=op)
 
     def run_set(self, prefix, lo: int, hi: int, value, op: str = "set"):
-        """EvalError from coercion or combination is raised as InterpError."""
+        """Set indices lo..hi of the fiber at `prefix` to `value`, and return
+        the number of buffer writes this counts as: 0 for the empty run
+        lo = hi + 1, which writes nothing, else 1. (A walk emits an empty
+        run before adjacent stored entries.) EvalError from coercion or
+        combination is raised as InterpError."""
+        if lo == hi + 1 and 1 <= lo <= self.size + 1:
+            return 0
         try:
             f = None if prefix == self.prefix else self._prefix_pos(prefix)
             if not (1 <= lo <= hi <= self.size):
@@ -197,10 +203,11 @@ class RLEWriter(Writer):
                     ix[-1] = lo - 1
                     ix.append(lo)
                     val.append(v)
-                return
+                return 1
             if lo > self.last_end + 1:
                 self._push_run(lo - 1, self.fill)
             self._push_run(hi, value if op == "set"
                            else self.coerce(_combine(op, self.fill, value)))
+            return 1
         except EvalError as ex:
             raise InterpError(str(ex)) from None

@@ -303,7 +303,7 @@ PARITY = {
                                      _writer("rle", rows=2)),
     "append_index_out_of_bounds": (_hooks(("append_set", (5, 1.0))), {}, _writer("splist")),
     "run_set_out_of_bounds": (_hooks(("run_set", (3, 5, 1.0))), {}, _writer("rle")),
-    "run_set_reversed": (_hooks(("run_set", (3, 2, 1.0))), {}, _writer("rle")),
+    "run_set_reversed": (_hooks(("run_set", (4, 2, 1.0))), {}, _writer("rle")),
     "append_non_ascending_across_fibers": (
         _hooks(("append_set", (2, 1, 1.0)), ("append_set", (1, 3, 1.0))), {},
         _writer("splist", rows=2)),
@@ -476,7 +476,7 @@ WRITER_ERRORS = {
     "run_set_non_ascending_within_fiber": "non-ascending write to append-only output y",
     "run_set_out_of_bounds": "run write 3:5 out of bounds for y",
     "run_set_prefix_out_of_bounds": "write index 0 out of bounds for y",
-    "run_set_reversed": "run write 3:2 out of bounds for y",
+    "run_set_reversed": "run write 4:2 out of bounds for y",
 }
 
 
@@ -621,3 +621,20 @@ def test_writing_an_input_buffer_raises_and_changes_nothing(backend):
 def test_unbound_name_off_the_taken_path_is_not_an_error():
     prog, _, _ = PARITY["unbound_at_run_time"]
     agree(prog, plain(), {"$n": 0})
+
+
+@pytest.mark.parametrize("proto", ["walk", "gallop", "follow"])
+def test_rle_copy_of_adjacent_entries(proto):
+    """A splist copied into an rle output: a walk writes the empty fill run
+    between adjacent stored entries, which is a no-op that counts no write,
+    on every backend, and the outputs equal the oracle's."""
+    rng = random.Random(3)
+    for data in ([0.0, 1.0, 2.0, 0.0, 0.0],
+                 [rng.random() if rng.random() < 0.3 else 0.0 for _ in range(40)]):
+        ins = {"A": InputSpec([len(data)], data, format=["splist"], protocols={1: proto})}
+        outs = {"C": OutputSpec(dims=[len(data)], format=["rle"])}
+        compiled = compile_kernel(parse("@V i C[i] = A[i]"), ins, outs)
+        _, counters = agree(compiled.program, lambda: runtime(compiled))
+        assert execute(compiled).dense["C"] == oracle_outputs("@V i C[i] = A[i]", ins, outs)["C"]
+        if proto != "follow":  # a fill run and an entry per stored entry, then the tail
+            assert counters["buffer_writes"] <= 2 * sum(x != 0.0 for x in data) + 1

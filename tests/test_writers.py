@@ -100,3 +100,19 @@ def test_rle_writer_rejects_non_ascending():
 def test_writer_plan_rejects_sparse_outer():
     with pytest.raises(Exception):
         WriterPlan("y", [2, 2], 0.0, "float", ["splist", "dense", "elem"])
+
+
+def test_rle_writer_empty_run_is_a_no_op():
+    """The empty run lo = hi + 1, which a walk emits before adjacent stored
+    entries, writes nothing and counts no write; a run that is more than
+    empty is still out of bounds."""
+    plan = WriterPlan("A", [5], 0, "int", ["rle"])
+    w = plan.writer(plan)
+    assert w.run_set([], 1, 0, 7) == 0
+    assert w.run_set([], 1, 2, 7) == 1
+    assert w.run_set([], 3, 2, 9) == 0
+    assert w.run_set([], 3, 5, 4) == 1
+    assert w.run_set([], 6, 5, 9) == 0
+    with pytest.raises(InterpError, match="run write 4:2 out of bounds"):
+        w.run_set([], 4, 2, 1)
+    assert to_dense(w.freeze()) == [7, 7, 4, 4, 4]
