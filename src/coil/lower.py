@@ -68,6 +68,7 @@ from .looplets import (
     resolve_style,
     truncate,
 )
+from .hoist import hoist
 from .rewrite import Ruleset, simplify
 from .target import (
     AssignVar,
@@ -123,10 +124,15 @@ class LowerCtx:
 
 
 def collect_furls(s: Stmt) -> List[Furl]:
+    """The furls of `s` by tag, in preorder. A furl's looplet holds none."""
     found: Dict[int, Furl] = {}
-    for n in walk(s):
+    stack = [s]
+    while stack:
+        n = stack.pop()
         if isinstance(n, Furl):
             found.setdefault(n.tag, n)
+        else:
+            stack.extend(reversed(n.children()))
     return list(found.values())
 
 
@@ -580,13 +586,19 @@ def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
 
     Each iteration tests a looplet's end (`stride == stop`) once: an advance
     moves into a trailing branch on exactly its end test, and an end test
-    that two or more conditions still read is bound once, after the stride."""
+    that two or more conditions still read is bound once, after the stride.
+
+    The region is never empty. By the looplet contract each child is
+    non-empty and its stop is its last index, so after a seek to `start`,
+    and after an advance past the previous stride, every looplet's stop is
+    at least `step`. A branch of the body on `step <= stride` is therefore
+    always taken, and it is replaced by its arm."""
     out = [x for l in steps if l.seek is not None for x in l.seek.instantiate(ext.start)]
     step_var, stride_var = ctx.fresh("step"), ctx.fresh("stride")
     region = Extent(Var(step_var), Var(stride_var))
     out.append(Let(step_var, ext.start))
     ends = [eq(region.stop, l.stop) for l in steps]
-    body = body_of(region)
+    body = _taken(body_of(region), le(region.start, region.stop))
     if advance:
         body = _advance(body, [(t, l.next.instantiate()) for t, l in zip(ends, steps)])
     # only a test that appears twice can be read twice
@@ -600,6 +612,18 @@ def _step_loop(ctx: LowerCtx, ext: Extent, steps: List[Looplet], stride: Expr,
                  body, AssignVar(step_var, iadd(Var(stride_var), ONE))]
     out.append(While(le(Var(step_var), ext.stop), block(loop_body), cursor=step_var))
     return block(out)
+
+
+def _taken(s: TargetStmt, cond: Expr) -> TargetStmt:
+    """`s` with each branch on `cond` alone replaced by its arm, where `cond`
+    holds throughout `s`. Loops are not entered."""
+    if isinstance(s, Block):
+        return block(_taken(x, cond) for x in s.stmts)
+    if not isinstance(s, IfChain):
+        return s
+    if s.orelse is None and len(s.cases) == 1 and s.cases[0][0] == cond:
+        return _taken(s.cases[0][1], cond)
+    return s.map(keep, lambda x: _taken(x, cond))
 
 
 def _written(s: TargetStmt) -> set:
@@ -762,7 +786,8 @@ def lower_program(ctx: LowerCtx, stmt: Stmt) -> TargetStmt:
     out.append(body)
     for t in root_inits:
         out.extend(_writer_plan(ctx, t).finalize_stmts())
-    return block(out)
+    written = {b for plan in ctx.writers.values() for b in plan.buffers.values()}
+    return hoist(block(out), written, ctx.names)
 
 
 def _install_cursors(ctx: LowerCtx, s: Stmt) -> Stmt:

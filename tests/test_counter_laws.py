@@ -148,42 +148,42 @@ PINS = {
         {"A_idx": 8, "A_val": 4, "B_idx": 12, "B_val": 4}),
     ("gallop dot", 64): (47, 4, 28, 4, 4, 8, 6, 25,
         {"A_idx": 8, "A_val": 4, "B_idx": 12, "B_val": 4}),
-    ("svbl dot", 16): (18, 136, 816, 128, 128, 816, 1, 49,
-        {"A_idx": 160, "A_ofs": 400, "A_val": 128, "B_val": 128}),
-    ("svbl dot", 32): (18, 264, 1584, 256, 256, 1584, 1, 49,
-        {"A_idx": 288, "A_ofs": 784, "A_val": 256, "B_val": 256}),
-    ("svbl dot", 64): (18, 520, 3120, 512, 512, 3120, 1, 49,
-        {"A_idx": 544, "A_ofs": 1552, "A_val": 512, "B_val": 512}),
-    ("conv2d dense", 16): (19, 160, 300, 100, 600, 1424, 0, 268,
-        {"A_val": 200, "F_val": 100}),
-    ("conv2d dense", 32): (19, 732, 1452, 484, 2904, 6768, 0, 1204,
-        {"A_val": 968, "F_val": 484}),
-    ("conv2d dense", 64): (19, 3124, 6348, 2116, 12696, 29360, 0, 5092,
-        {"A_val": 4232, "F_val": 2116}),
-    ("dense blend", 16): (7, 68, 128, 64, 320, 448, 0, 0,
+    ("svbl dot", 16): (20, 136, 328, 128, 128, 336, 1, 49,
+        {"A_idx": 40, "A_ofs": 32, "A_val": 128, "B_val": 128}),
+    ("svbl dot", 32): (20, 264, 584, 256, 256, 592, 1, 49,
+        {"A_idx": 40, "A_ofs": 32, "A_val": 256, "B_val": 256}),
+    ("svbl dot", 64): (20, 520, 1096, 512, 512, 1104, 1, 49,
+        {"A_idx": 40, "A_ofs": 32, "A_val": 512, "B_val": 512}),
+    ("conv2d dense", 16): (26, 160, 240, 100, 320, 660, 0, 100,
+        {"A_val": 140, "F_val": 100}),
+    ("conv2d dense", 32): (26, 732, 1144, 484, 1496, 2972, 0, 392,
+        {"A_val": 660, "F_val": 484}),
+    ("conv2d dense", 64): (26, 3124, 4968, 2116, 6440, 12588, 0, 1552,
+        {"A_val": 2852, "F_val": 2116}),
+    ("dense blend", 16): (8, 68, 128, 64, 132, 260, 0, 0,
         {"B_val": 64, "C_val": 64}),
-    ("dense blend", 32): (7, 132, 256, 128, 640, 896, 0, 0,
+    ("dense blend", 32): (8, 132, 256, 128, 260, 516, 0, 0,
         {"B_val": 128, "C_val": 128}),
-    ("dense blend", 64): (7, 260, 512, 256, 1280, 1792, 0, 0,
+    ("dense blend", 64): (8, 260, 512, 256, 516, 1028, 0, 0,
         {"B_val": 256, "C_val": 256}),
-    ("rle sum", 16): (14, 4, 12, 4, 4, 16, 1, 17,
+    ("rle sum", 16): (12, 4, 12, 4, 4, 16, 1, 13,
         {"A_idx": 8, "A_val": 4}),
-    ("rle sum", 32): (14, 8, 24, 8, 8, 32, 1, 33,
+    ("rle sum", 32): (12, 8, 24, 8, 8, 32, 1, 25,
         {"A_idx": 16, "A_val": 8}),
-    ("rle sum", 64): (14, 16, 48, 16, 16, 64, 1, 65,
+    ("rle sum", 64): (12, 16, 48, 16, 16, 64, 1, 49,
         {"A_idx": 32, "A_val": 16}),
-    ("fixed read rle", 16): (6, 16, 64, 16, 16, 16, 16, 0,
-        {"A_pos": 32, "A_val": 16, "B_val": 16}),
-    ("fixed read rle", 32): (6, 32, 128, 32, 32, 32, 32, 0,
-        {"A_pos": 64, "A_val": 32, "B_val": 32}),
-    ("fixed read rle", 64): (6, 64, 256, 64, 64, 64, 64, 0,
-        {"A_pos": 128, "A_val": 64, "B_val": 64}),
-    ("fixed read splist", 16): (10, 16, 96, 16, 16, 32, 16, 32,
-        {"A_idx": 16, "A_pos": 48, "A_val": 16, "B_val": 16}),
-    ("fixed read splist", 32): (10, 32, 192, 32, 32, 64, 32, 64,
-        {"A_idx": 32, "A_pos": 96, "A_val": 32, "B_val": 32}),
-    ("fixed read splist", 64): (10, 64, 384, 64, 64, 128, 64, 128,
-        {"A_idx": 64, "A_pos": 192, "A_val": 64, "B_val": 64}),
+    ("fixed read rle", 16): (7, 16, 19, 16, 16, 1, 1, 0,
+        {"A_pos": 2, "A_val": 1, "B_val": 16}),
+    ("fixed read rle", 32): (7, 32, 35, 32, 32, 1, 1, 0,
+        {"A_pos": 2, "A_val": 1, "B_val": 32}),
+    ("fixed read rle", 64): (7, 64, 67, 64, 64, 1, 1, 0,
+        {"A_pos": 2, "A_val": 1, "B_val": 64}),
+    ("fixed read splist", 16): (11, 16, 36, 16, 16, 2, 1, 2,
+        {"A_idx": 1, "A_pos": 3, "A_val": 16, "B_val": 16}),
+    ("fixed read splist", 32): (11, 32, 68, 32, 32, 2, 1, 2,
+        {"A_idx": 1, "A_pos": 3, "A_val": 32, "B_val": 32}),
+    ("fixed read splist", 64): (11, 64, 132, 64, 64, 2, 1, 2,
+        {"A_idx": 1, "A_pos": 3, "A_val": 64, "B_val": 64}),
 }
 
 
