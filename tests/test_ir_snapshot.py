@@ -8,9 +8,9 @@ the lowering as it stood before the traversal protocol replaced the
 hand-written tree walks. It is never regenerated to make a refactor pass: a
 change that means to move IR or counters predicts the move, regenerates the
 golden in a commit of its own that says why, and lists the per-program
-change with `--compare` below. That happened once, when each stepping loop
+change with `--compare` below. That happened twice: when each stepping loop
 began to test a cursor's end once per iteration and a stepper over a single
-index lost its loop.
+index lost its loop, and when loop invariants began to move out of loops.
 Walk order is observable (fresh names and furl tags are handed out in visit
 order), so a traversal change that reorders visits shows up here. The
 programs are compared twice: lowered cold, from an emptied program cache,
