@@ -26,8 +26,11 @@ just before the loop.
 A branch on `lo <= hi` around a lone `for v = lo:hi` is dropped, since an
 empty range runs nothing; it stays when code moved into it.
 
-The pass is one bottom-up walk: each loop is rewritten after the loops in it,
-and looks only at its own condition and the statements its body always runs.
+After one walk over the statements that counts the names they bind, the pass
+is one bottom-up walk: each loop is rewritten after the loops in it, and
+looks only at its own condition and the statements its body always runs.
+An expression is first only classified; it is rebuilt only when something
+under it moves.
 """
 
 from __future__ import annotations
