@@ -19,8 +19,8 @@ once, from the same operands, so no error can appear that the program did
 not raise before, and no count can grow. A value is moved only when it holds
 work the interpreter counts (a read, a search or a counted operation), and a
 value moved twice from one loop is bound once. A `let` moves whole when its
-name is bound once in the program and never assigned; the names it binds are
-then invariant too. Moved values are bound, in order, to fresh `inv` names
+name is bound once in the program and never assigned; that name is then
+invariant too. Moved values are bound, in order, to fresh `inv` names
 just before the loop.
 
 A branch on `lo <= hi` around a lone `for v = lo:hi` is dropped, since an
