@@ -1,34 +1,38 @@
 """Loop-invariant code motion over the target IR.
 
-`hoist` moves out of each `for` and `while` loop the expressions, and the
-whole `let`s, that the loop computes again with the same value on every
-iteration. A value moves only when all three of these hold:
+`hoist` moves out of each `for` loop the expressions, and the whole `let`s,
+that the loop computes again with the same value on every iteration. A value
+moves only when all three of these hold:
 
 1. It is invariant: it reads no name the loop assigns (its variable, or a
    `let` or assignment in its body) and no buffer the program writes.
-2. The loop evaluates it on every iteration: in its condition, or in a
-   statement its body always runs, outside the arms of a branch and the
-   lazy operands of `&&`, `||` and `select`.
+2. The loop evaluates it on every iteration: in a statement its body always
+   runs, outside the arms of a branch and the lazy operands of `&&`, `||`
+   and `select`.
 3. The point it moves to, just before the loop, runs only when the loop
    runs its body at least once: the range is a literal non-empty one, or
    the loop sits in the arm of a branch on exactly `lo <= hi`, whose names
    nothing has assigned since.
 
 So the motion is never speculative: every moved value was computed at least
-once, from the same operands, so no error can appear that the program did
-not raise before, and no count can grow. A value is moved only when it holds
-work the interpreter counts (a read, a search or a counted operation), and a
-value moved twice from one loop is bound once. A `let` moves whole when its
-name is bound once in the program and never assigned; that name is then
-invariant too. Moved values are bound, in order, to fresh `inv` names
-just before the loop.
+once, from the same operands, so a program fails exactly when it failed
+before, and no count can grow. It may fail with another of its errors: a
+moved value is now computed before the first iteration's earlier work, so
+in `(A[i] * A[i] + 1) * ($p + 1)` an overflow of `$p + 1` is reported
+before one of `A[i] * A[i]`. A value is moved only when it holds work the
+interpreter counts (a read, a search or a counted operation), and a value
+moved twice from one loop is bound once. A `let` moves whole when its name
+is bound once in the program and never assigned; that name is then
+invariant too. Moved values are bound, in order, to fresh `inv` names just
+before the loop. Nothing moves out of a `while` loop: in the corpus, no
+lowered `while` sits where it is known to run its body.
 
 A branch on `lo <= hi` around a lone `for v = lo:hi` is dropped, since an
 empty range runs nothing; it stays when code moved into it.
 
 After one walk over the statements that counts the names they bind, the pass
 is one bottom-up walk: each loop is rewritten after the loops in it, and
-looks only at its own condition and the statements its body always runs.
+looks only at the statements its body always runs.
 An expression is first only classified; it is rebuilt only when something
 under it moves.
 """
@@ -102,7 +106,8 @@ class _Pass:
                 new, got = self.branch(s)
                 out.append(new)
             elif t is For or t is While:
-                new, got = self.loop(s, self.nonempty(s, out, _holds(fact, assigned)))
+                nonempty = t is For and self.nonempty(s, _holds(fact, assigned))
+                new, got = self.loop(s, nonempty)
                 out.extend(new)
             elif t is Block:
                 new, got = self.seq(s.stmts, _holds(fact, assigned))
@@ -129,55 +134,34 @@ class _Pass:
             assigned |= got
         if orelse is None and len(cases) == 1:
             (cond, body), = cases
-            if type(body) is For and cond == le(body.lo, body.hi):
+            if type(body) is For and _key(cond) == _key(le(body.lo, body.hi)):
                 return body, assigned
         if orelse is s.orelse and all(a[1] is b[1] for a, b in zip(cases, s.cases)):
             return s, assigned
         return IfChain(tuple(cases), orelse), assigned
 
-    def nonempty(self, loop, before: List[TargetStmt], fact: Optional[Expr]) -> bool:
-        """Whether `loop`, preceded in its list by `before`, runs its body at
-        least once: its range is literal and non-empty, or `fact` is its
-        `lo <= hi`. A while loop's range starts at its cursor's `let`."""
-        if type(loop) is For:
-            lo, hi = loop.lo, loop.hi
-        else:
-            cond = loop.cond
-            if not (type(cond) is Call and cond.op == "le"
-                    and cond.args[0] == Var(loop.cursor)):
-                return False
-            hi, reads, lo = cond.args[1], _names(cond), None
-            for s in reversed(before):  # the lets since the cursor's leave `hi` alone
-                if type(s) is not Let or s.name in reads - {loop.cursor}:
-                    return False
-                if s.name == loop.cursor:
-                    lo = s.value
-                    break
-            if lo is None:
-                return False
+    def nonempty(self, loop: For, fact: Optional[Expr]) -> bool:
+        """Whether `loop` runs its body at least once: its range is literal
+        and non-empty, or `fact` is its `lo <= hi`."""
+        lo, hi = loop.lo, loop.hi
         if type(lo) is Lit and type(hi) is Lit:
             return lo.value <= hi.value
-        return fact == le(lo, hi)
+        return fact is not None and _key(fact) == _key(le(lo, hi))
 
     def loop(self, s, nonempty: bool) -> Tuple[List[TargetStmt], set]:
+        """The loop with the loops in it rewritten and, when it is a `for`
+        that runs its body at least once, its invariants moved out."""
         body, assigned = self.seq([s.body], None)
-        is_for = type(s) is For
-        if is_for:
-            assigned.add(s.var)
-        if not nonempty:
-            if _same(body, s.body):
-                return [s], assigned
-            new = For(s.var, s.lo, s.hi, block(body)) if is_for else \
-                While(s.cond, block(body), s.cursor)
-            return [new], assigned
-        motion = _Motion(self, assigned)
-        cond = motion.strict(s.cond) if not is_for else None
-        body = motion.body(body)
-        if not motion.pre and _same(body, s.body) and (is_for or cond is s.cond):
+        if type(s) is While:
+            return [s if _same(body, s.body) else While(s.cond, block(body), s.cursor)], assigned
+        assigned.add(s.var)
+        pre: List[TargetStmt] = []
+        if nonempty:
+            motion = _Motion(self, assigned)
+            body, pre = motion.body(body), motion.pre
+        if not pre and _same(body, s.body):
             return [s], assigned
-        new = For(s.var, s.lo, s.hi, block(body)) if is_for else \
-            While(cond, block(body), s.cursor)
-        return motion.pre + [new], assigned | {x.name for x in motion.pre}
+        return pre + [For(s.var, s.lo, s.hi, block(body))], assigned | {x.name for x in pre}
 
 
 class _Motion:
@@ -186,7 +170,7 @@ class _Motion:
     def __init__(self, p: _Pass, assigned: set):
         self.p = p
         self.variant = set(assigned)  # less the lets moved out whole
-        self.temps: dict = {}         # moved value -> the name bound to it
+        self.temps: dict = {}         # `_key` of a moved value -> its name
         self.pre: List[TargetStmt] = []
 
     def body(self, stmts: List[TargetStmt]) -> List[TargetStmt]:
@@ -270,10 +254,11 @@ class _Motion:
 
     def temp(self, e: Expr) -> Var:
         """A name bound, before the loop, to the invariant `e`."""
-        name = self.temps.get(e)
+        key = _key(e)
+        name = self.temps.get(key)
         if name is None:
             value = self.reuse(e)
-            name = self.temps[e] = self.p.names.fresh("inv")
+            name = self.temps[key] = self.p.names.fresh("inv")
             self.pre.append(Let(name, value))
         return Var(name)
 
@@ -281,7 +266,7 @@ class _Motion:
         """`e` with each value already bound before the loop read by name."""
         if not self.temps:
             return e
-        name = self.temps.get(e)
+        name = self.temps.get(_key(e))
         if name is not None:
             return Var(name)
         return e.map(self.reuse) if e.children() else e
@@ -291,6 +276,13 @@ def _same(stmts: List[TargetStmt], s: TargetStmt) -> bool:
     """Whether the list `stmts` holds the statements of `s` themselves."""
     old = s.stmts if type(s) is Block else (s,)
     return len(stmts) == len(old) and all(a is b for a, b in zip(stmts, old))
+
+
+def _key(e: Expr):
+    """`e` as a key that tells literal types apart, as `Expr` equality does
+    not: `Lit(1) == Lit(1.0) == Lit(True)`, but `$p + 1` and `$p + 1.0` are
+    different values."""
+    return e, tuple(type(n.value) for n in walk(e) if type(n) is Lit)
 
 
 def _holds(fact: Optional[Expr], assigned: set) -> Optional[Expr]:

@@ -1,10 +1,11 @@
 """Loop-invariant motion (`coil.hoist`) is never speculative.
 
 A value moves out of a loop only to a point that runs when the loop runs its
-body, so an invariant that would fail (an int overflow of a `$param`, a read
-out of range) fails exactly when it failed before the motion, with the same
-message, on the interpreter and on generated code; and when the loop's range
-is empty at run time it is never evaluated, as before.
+body, so a program with an invariant that would fail (an int overflow of a
+`$param`, a read out of range) fails exactly when it failed before the
+motion, on the interpreter and on generated code; and when the loop's range
+is empty at run time the invariant is never evaluated, as before. Where an
+iteration would raise two errors, the moved value's is now reported first.
 """
 
 import random
@@ -12,12 +13,13 @@ import re
 
 import pytest
 
-from coil.api import InputSpec, OutputSpec, compile_kernel, runtime
+from coil.api import InputSpec, OutputSpec, compile_kernel, oracle_outputs, runtime
 from coil.interp import InterpError
+from coil.oracle import OracleError
 from coil.parser import parse
 
 from test_acceptance import corpus_cases
-from test_codegen import BACKENDS, agree, drop_kept  # noqa: F401 (autouse fixture)
+from test_codegen import BACKENDS, agree, drop_kept, same  # noqa: F401 (autouse fixture)
 
 CONV = "@V i j B[i] += coalesce(A[permit[offset($c - i)[j]]], 0.0) * coalesce(F[permit[j]], 0.0)"
 OVERFLOW = CONV + " * ($p + 1)"
@@ -65,13 +67,62 @@ def test_an_empty_range_never_evaluates_the_invariant(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_nonempty_range_raises_the_error_it_raised_before(case):
     prog, params = compiled(case, FULL)
+    assert raised(prog, params) == [CASES[case][2]] * len(BACKENDS)
+
+
+def raised(compiled, params):
+    """The message each backend raises running `compiled` on `params`, whose
+    names start with `$`."""
     messages = []
     for run in BACKENDS:
-        buffers, writers = runtime(prog)
+        buffers, writers = runtime(compiled)
         with pytest.raises(InterpError) as err:
-            run(prog.program, buffers, params, writers)
+            run(compiled.program, buffers, params, writers)
         messages.append(str(err.value))
-    assert messages == [CASES[case][2]] * len(BACKENDS)
+    return messages
+
+
+# two invariants equal as expressions but for a literal's type: `$p + 1` is
+# an int and `$p + 1.0` a float, and 4 * ($p + 1) overflows at $p = 2**62
+LITERAL_TYPES = {
+    "float": ("@V i C[i] += A[i] * ($p + 1) + B[i] * ($p + 1.0)", None),
+    "int": ("@V i C[i] += A[i] * ($p + 1.0) + B[i] * ($p + 1)",
+            "integer overflow: 18446744073709551620"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LITERAL_TYPES))
+def test_invariants_that_differ_in_a_literal_type_move_apart(case):
+    text, error = LITERAL_TYPES[case]
+    ins = {"A": InputSpec([3], [0, 0, 0]), "B": InputSpec([3], [4, 4, 4])}
+    outs, params = {"C": OutputSpec(dims=[3])}, {"p": 2 ** 62}
+    compiled = compile_kernel(parse(text), ins, outs, params)
+    assert compiled.ir_text().count("let inv") == 2, compiled.ir_text()
+    if error is not None:
+        assert raised(compiled, {"$p": 2 ** 62}) == [error] * len(BACKENDS)
+        with pytest.raises(OracleError, match=f"^{re.escape(error)}$"):
+            oracle_outputs(text, ins, outs, params)
+        return
+    data, _ = agree(compiled.program, lambda: runtime(compiled), {"$p": 2 ** 62})
+    want = oracle_outputs(text, ins, outs, params)["C"]
+    assert type(want[0]) is float
+    assert all(same(x, y) for x, y in zip(data["C_val"], want)), data["C_val"]
+
+
+def test_a_moved_invariant_reports_its_error_first():
+    """An iteration that would raise two errors reports the moved value's:
+    `$p + 1` overflows before `A[i] * A[i]` is computed, where the oracle,
+    which moves nothing, reports the overflow of `A[i] * A[i]`. Every
+    backend reports the same one."""
+    text = "@V i C[] += (A[i] * A[i] + 1) * ($p + 1)"
+    ins, params = {"A": InputSpec([3], [2 ** 62, 0, 0])}, {"p": 2 ** 63 - 1}
+    outs = {"C": OutputSpec(dims=[])}
+    compiled = compile_kernel(parse(text), ins, outs, params)
+    assert "let inv = $p + 1\n" in compiled.ir_text(), compiled.ir_text()
+    assert raised(compiled, {"$p": 2 ** 63 - 1}) == \
+        ["integer overflow: 9223372036854775808"] * len(BACKENDS)
+    with pytest.raises(OracleError, match="^integer overflow: 21267647932558653966460912964485513216$"):
+        oracle_outputs(text, ins, outs, params)
 
 
 def test_no_region_guard_in_rle_stepping_loops():
