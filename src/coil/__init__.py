@@ -20,7 +20,7 @@ from .cin import CinError
 from .interp import ExecCounters, InterpError
 from .oracle import DenseData, evaluate as oracle_evaluate, max_rel_error
 from .parser import parse
-from .rewrite import Ruleset, simplify
+from .rewrite import simplify
 from .storage import FormatError, Tensor, from_dense, to_dense
 from .unfurl import CompileError
 from .values import MISSING
@@ -36,7 +36,6 @@ __all__ = [
     "InputSpec",
     "MISSING",
     "OutputSpec",
-    "Ruleset",
     "RunResult",
     "Tensor",
     "compile_kernel",

@@ -25,7 +25,6 @@ from .interp import Buf, ExecCounters
 from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
 from .parser import parse
-from .rewrite import Ruleset
 from .storage import (Tensor, _infer_dtype, check_payload, from_dense, payload_types,
                       tensor_buffers, to_dense)
 from .target import TargetStmt, print_ir
@@ -170,13 +169,13 @@ class ProgramCache:
     and its generated code, which goes when the program is replaced or
     evicted.
 
-    Holds programs, code, strings, ints and the rules, never a tensor: an
+    Holds programs, code, strings and ints, never a tensor: an
     entry's facts are one flat tuple of (tensor, depth, field, at, value)
     runs."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: "OrderedDict[tuple, Lowered]" = OrderedDict()  # most recent last
+        self.entries: "OrderedDict[str, Lowered]" = OrderedDict()  # most recent last
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -184,7 +183,7 @@ class ProgramCache:
     def clear(self):
         self.entries.clear()
 
-    def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[Lowered]:
+    def get(self, sig: str, tensors: Dict[str, BoundTensor]) -> Optional[Lowered]:
         """The entry of `sig` if `tensors` read its facts alike. Each
         tensor's facts are re-read in the order lowering read them, so a
         window is checked before any entry it bounds is read."""
@@ -197,7 +196,7 @@ class ProgramCache:
         self.entries.move_to_end(sig)
         return entry
 
-    def put(self, sig: tuple, entry: Lowered):
+    def put(self, sig: str, entry: Lowered):
         self.entries[sig] = entry
         self.entries.move_to_end(sig)
         if len(self.entries) > self.capacity:
@@ -207,38 +206,36 @@ class ProgramCache:
 PROGRAMS = ProgramCache(PROGRAM_CACHE_ENTRIES)
 
 
-def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor], ruleset: Ruleset) -> tuple:
+def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor]) -> str:
     """What a lowered program depends on but the folded facts: one string of
     the kernel, keyed by its printed text, which tells 2 from 2.0 (equal
     `Stmt`s do not), and of the bindings, each fill as its type's name and
-    repr; and the rules."""
+    repr."""
     binds = [(name, bt.kinds, bt.dims, bt.dtype, bt.is_output,
               sorted((bt.protocols or {}).items()), type(bt.fill).__name__, bt.fill)
              for name, bt in tensors.items()]
-    return f"{print_stmt(stmt)}\n{binds!r}", tuple(ruleset.rules)
+    return f"{print_stmt(stmt)}\n{binds!r}"
 
 
 def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],
                    outputs: Optional[Dict[str, OutputSpec]] = None,
                    params: Optional[Dict[str, Value]] = None,
-                   ruleset: Optional[Ruleset] = None,
                    stages: bool = False) -> Compiled:
     """Bind the tensors and lower the kernel, or reuse the program lowered for
     an earlier binding of the same signature and facts (`PROGRAMS`). Collecting
     the lowering stages bypasses the cache; failures are never cached.
     `params` is not read: parameters stay runtime values, bound by `execute`."""
     tensors, writers = bind(stmt, inputs, outputs or {})
-    ruleset = ruleset or Ruleset()
     if stages:
-        ctx = LowerCtx(tensors, writers, ruleset=ruleset, collect_stages=True)
+        ctx = LowerCtx(tensors, writers, collect_stages=True)
         return Compiled(Lowered(lower_program(ctx, stmt)), tensors, writers, stages=ctx.stages)
-    sig = _signature(stmt, tensors, ruleset)
+    sig = _signature(stmt, tensors)
     entry = PROGRAMS.get(sig, tensors)
     if entry is not None:
         return Compiled(entry, tensors, writers, lowering="cached")
     for bt in tensors.values():  # facts read by the lookup are not guards
         bt.facts.clear()
-    prog = lower_program(LowerCtx(tensors, writers, ruleset=ruleset), stmt)
+    prog = lower_program(LowerCtx(tensors, writers), stmt)
     entry = Lowered(prog, tuple(x for name, bt in tensors.items() for key, v in bt.facts.items()
                                 for x in (name, *key, v)))
     PROGRAMS.put(sig, entry)
@@ -320,10 +317,9 @@ def execute(compiled: Compiled, params: Optional[Dict[str, Value]] = None) -> Ru
 
 def run_kernel(text_or_stmt, inputs: Dict[str, InputSpec],
                outputs: Optional[Dict[str, OutputSpec]] = None,
-               params: Optional[Dict[str, Value]] = None,
-               ruleset: Optional[Ruleset] = None) -> RunResult:
+               params: Optional[Dict[str, Value]] = None) -> RunResult:
     stmt = parse(text_or_stmt) if isinstance(text_or_stmt, str) else text_or_stmt
-    compiled = compile_kernel(stmt, inputs, outputs, params, ruleset)
+    compiled = compile_kernel(stmt, inputs, outputs, params)
     return execute(compiled, params)
 
 

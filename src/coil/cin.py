@@ -327,17 +327,6 @@ def _own_scopes(node: Stmt, seen: set) -> Stmt:
     return out
 
 
-def result_scopes(s: Stmt) -> dict:
-    """tensor -> ('program',) or ('where', printed producer) init/finalize point."""
-    annotated, root = assign_scopes(s)
-    scopes = {t: ("program",) for t in root}
-    for node in walk(annotated):
-        if isinstance(node, Where):
-            for t in node.inits:
-                scopes[t] = ("where", print_stmt(node.prod))
-    return scopes
-
-
 # -- extent inference ------------------------------------------------------------
 
 

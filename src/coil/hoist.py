@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional, Tuple
 
-from .expr import Call, Expr, Lit, Var, keep, le, walk
+from .expr import Call, Expr, Lit, Var, free_vars, keep, le, walk
 from .interp import OP_COUNTERS
 from .target import (
     AssignVar,
@@ -80,8 +80,6 @@ def hoist(prog: TargetStmt, written, names) -> TargetStmt:
                 stack.append(s.orelse)
         elif t is For or t is While:
             stack.append(s.body)
-            if t is For:
-                names.used.add(s.var)  # kernel indices are not fresh names
     movable = {name for name, k in lets.items() if k == 1} - fixed
     out, _ = _Pass(frozenset(written), movable, names).seq([prog], None)
     return block(out)
@@ -287,8 +285,4 @@ def _key(e: Expr):
 
 def _holds(fact: Optional[Expr], assigned: set) -> Optional[Expr]:
     """`fact`, when none of its names is in `assigned`."""
-    return fact if fact is not None and assigned.isdisjoint(_names(fact)) else None
-
-
-def _names(e: Expr) -> set:
-    return {n.name for n in walk(e) if type(n) is Var}
+    return fact if fact is not None and assigned.isdisjoint(free_vars(fact)) else None

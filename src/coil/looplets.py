@@ -23,11 +23,10 @@ from .expr import (
     iadd,
     isub,
     keep,
-    print_expr,
     subst,
 )
 from .interp import InterpError, Machine
-from .target import Template, print_stmt
+from .target import Template
 
 
 class Style(enum.IntEnum):
@@ -332,50 +331,3 @@ def _mat(l: Body, a: int, b: int, m: Machine) -> list:
         return out
     raise TypeError(f"cannot materialize {l!r}")
 
-
-# -- debug rendering --------------------------------------------------------
-
-
-def render(l: Body, indent: int = 0) -> str:
-    """One node per line, indented; scalar fields printed inline."""
-    pad = "  " * indent
-    if isinstance(l, Expr):
-        return f"{pad}{print_expr(l)}"
-    if isinstance(l, Run):
-        return f"{pad}Run(body={print_expr(l.body)})"
-    if isinstance(l, Spike):
-        return f"{pad}Spike(body={print_expr(l.body)}, tail={print_expr(l.tail)})"
-    if isinstance(l, Lookup):
-        binds = "".join(f"{n}={print_expr(e)}, " for n, e in l.binds)
-        if isinstance(l.body, Expr):
-            return f"{pad}Lookup({l.index_sym} -> {binds}{print_expr(l.body)})"
-        return f"{pad}Lookup({l.index_sym} -> {binds}\n{render(l.body, indent + 1)})"
-    if isinstance(l, Switch):
-        lines = [f"{pad}Switch("]
-        for cond, body in l.cases:
-            lines.append(f"{pad}  case {print_expr(cond)}:")
-            lines.append(render(body, indent + 2))
-        return "\n".join(lines) + ")"
-    if isinstance(l, Pipeline):
-        lines = [f"{pad}Pipeline("]
-        for k, ph in enumerate(l.phases):
-            stop = f"stop={print_expr(ph.stop)}," if ph.stop is not None else ""
-            sep = "," if k + 1 < len(l.phases) else ""
-            lines.append(f"{pad}  Phase({stop}")
-            lines.append(render(ph.body, indent + 2) + ")" + sep)
-        return "\n".join(lines) + ")"
-    if isinstance(l, (Stepper, Jumper)):
-        name = type(l).__name__
-        seek = _tpl(l.seek)
-        nxt = _tpl(l.next)
-        lines = [f"{pad}{name}(stop={print_expr(l.stop)}, seek={seek}, next={nxt},"]
-        lines.append(render(l.body, indent + 1) + ")")
-        return "\n".join(lines)
-    raise TypeError(f"cannot render {l!r}")
-
-
-def _tpl(t: Optional[Template]) -> str:
-    if t is None:
-        return "none"
-    body = "; ".join(print_stmt(s) for s in t.stmts)
-    return f"[{body}]"

@@ -45,6 +45,7 @@ from .expr import (
     Var,
     const_diff,
     eq,
+    free_vars,
     iadd,
     imax,
     imin,
@@ -69,7 +70,7 @@ from .looplets import (
     truncate,
 )
 from .hoist import hoist
-from .rewrite import Ruleset, simplify
+from .rewrite import simplify
 from .target import (
     AssignVar,
     Block,
@@ -100,10 +101,9 @@ SWITCH_BRANCH_LIMIT = 64
 
 class LowerCtx:
     def __init__(self, tensors: Dict[str, BoundTensor], writers: Dict[str, WriterPlan],
-                 ruleset: Optional[Ruleset] = None, collect_stages: bool = False):
+                 collect_stages: bool = False):
         self.tensors = tensors
         self.writers = writers
-        self.ruleset = ruleset or Ruleset()
         self.names = _FreshNames()
         self.stages: List[str] = [] if collect_stages else None
         self._tag = 0
@@ -407,7 +407,7 @@ def _dispatch(ctx: LowerCtx, idx: str, ext: Extent, body: Stmt) -> TargetStmt:
     d = const_diff(ext.stop, ext.start)
     if d is not None and d < 0:
         return NOP
-    node = simplify(Forall(idx, ext, body), ctx.ruleset)
+    node = simplify(Forall(idx, ext, body))
     if not isinstance(node, Forall):
         return lower_stmt(ctx, node)
     idx, ext, body = node.idx, node.ext, node.body
@@ -631,10 +631,6 @@ def _written(s: TargetStmt) -> set:
     return {n.name for n in walk(s) if isinstance(n, (Let, AssignVar))}
 
 
-def _reads(e: Expr) -> set:
-    return {n.name for n in walk(e) if isinstance(n, Var)}
-
-
 def _advance(body: TargetStmt, advances) -> TargetStmt:
     """`body`, then each (end test, statements) advance under its test. An
     advance whose test is the first condition of the body's trailing branch
@@ -644,7 +640,7 @@ def _advance(body: TargetStmt, advances) -> TargetStmt:
     for test, stmts_of in advances:
         last = stmts[-1]
         if (isinstance(last, IfChain) and last.cases[0][0] == test
-                and not _written(last.cases[0][1]) & _reads(test)):
+                and not _written(last.cases[0][1]) & free_vars(test)):
             (cond, branch), *rest = last.cases
             stmts[-1] = IfChain(((cond, block([branch, *stmts_of])), *rest), last.orelse)
         else:
@@ -657,7 +653,7 @@ def _end_tests(s: TargetStmt, tests: set, use) -> TargetStmt:
     branch condition reads while t's names keep the values they had where `s`
     starts. Loops are not entered: their conditions run once per iteration of
     their own."""
-    reads = {t: _reads(t) for t in tests}
+    reads = {t: free_vars(t) for t in tests}
 
     def expr(e: Expr, live) -> Expr:
         return use(e) if e in live else e.map(lambda x: expr(x, live))
@@ -774,6 +770,8 @@ _PASSES = {
 
 def lower_program(ctx: LowerCtx, stmt: Stmt) -> TargetStmt:
     stmt = normalize_scatter(stmt)
+    # a fresh name never takes a kernel index's name
+    ctx.names.used.update(n.idx for n in walk(stmt) if isinstance(n, Forall))
     check_bindings(stmt)
     dims = {name: bt.dims for name, bt in ctx.tensors.items()}
     stmt = annotate_extents(stmt, dims)

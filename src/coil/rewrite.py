@@ -1,9 +1,10 @@
 """Term-rewriting simplifier over CIN statements and expressions.
 
-Rules live in an ordered registry so tests and users can extend them. They are
-applied innermost-first, left-to-right, and repeated to fixpoint; every rule
-either strictly shrinks the term or removes a loop/sieve, so fixpoint is
-reached within a small multiple of the node count (guarded).
+The rules are one fixed ordered list, `DEFAULT_RULES`, indexed once by the
+node class each rule fires on. They are applied innermost-first,
+left-to-right, and repeated to fixpoint; every rule either strictly shrinks
+the term or removes a loop/sieve, so fixpoint is reached within a small
+multiple of the node count (guarded).
 
 Absorbing elements deliberately outrank missing-propagation: 0 annihilates a
 product even when another factor might be missing at runtime, and the
@@ -12,8 +13,7 @@ interpreter and dense oracle implement the same choice.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .cin import (
     Access,
@@ -45,8 +45,7 @@ class RewriteError(Exception):
 
 def _on(cls):
     """Mark a rule as one that can fire only on `cls` nodes: `simplify` offers
-    it no other node, so the rule need not test the class. An unmarked rule
-    is offered every node."""
+    it no other node, so the rule need not test the class."""
     def mark(fn):
         fn.on = cls
         return fn
@@ -384,41 +383,22 @@ DEFAULT_RULES: List[Rule] = [
 ]
 
 
-class _ByClass(dict):
+def _index(rules: List[Rule]) -> Dict[type, List[Callable]]:
     """Node class -> the rule functions offered to it, in `rules` order."""
-
-    def __init__(self, rules: Tuple[Rule, ...]):
-        super().__init__()
-        self.rules = rules
-
-    def __missing__(self, cls):
-        fns = self[cls] = [fn for _, fn in self.rules
-                           if issubclass(cls, getattr(fn, "on", object))]
-        return fns
+    by_class: Dict[type, List[Callable]] = {}
+    for _, fn in rules:
+        by_class.setdefault(fn.on, []).append(fn)
+    return by_class
 
 
-# Indexes of the last few rule lists; every compile makes a fresh Ruleset,
-# nearly always with the default rules, which then share one index.
-_by_class = functools.lru_cache(maxsize=8)(_ByClass)
+_BY_CLASS = _index(DEFAULT_RULES)
 
 
-class Ruleset:
-    def __init__(self, rules: Optional[List[Rule]] = None):
-        self.rules = list(DEFAULT_RULES if rules is None else rules)
-
-    def add(self, name: str, fn: Callable) -> "Ruleset":
-        self.rules.append((name, fn))
-        return self
-
-    def copy(self) -> "Ruleset":
-        return Ruleset(list(self.rules))
-
-
-def simplify(node, ruleset: Optional[Ruleset] = None):
+def simplify(node):
     """Rewrite a statement or expression to fixpoint, innermost first."""
     if not isinstance(node, (Expr, Stmt)):
         return node
-    by_class = _by_class(tuple((ruleset or _DEFAULT).rules))
+    by_class = _BY_CLASS
     steps = 0
     limit = None  # 8 rewrites per node plus 64; nodes are counted once 64 have fired
 
@@ -427,7 +407,7 @@ def simplify(node, ruleset: Optional[Ruleset] = None):
         while True:
             n2 = n if isinstance(n, TARGET_TERMS) else n.map(go, go)
             fired = None
-            for rule in by_class[type(n2)]:
+            for rule in by_class.get(type(n2), ()):
                 out = rule(n2)
                 if out is not None and out != n2:
                     fired = out
@@ -443,6 +423,3 @@ def simplify(node, ruleset: Optional[Ruleset] = None):
             n = fired
 
     return go(node)
-
-
-_DEFAULT = Ruleset()

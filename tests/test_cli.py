@@ -89,14 +89,14 @@ def test_check_matrix_market_input(capsys, tmp_path):
     assert json.loads(out)["outputs"]["y"] == [2.0, 3.0, 2.0]
 
 
-def test_check_corrupted_rule_negative_control(capsys, tmp_path, monkeypatch):
+def test_check_corrupted_rule_negative_control(capsys, tmp_path, monkeypatch, programs):
     # sabotage the annihilation rule: 0 * x rewrites to 1 instead of 0
     import coil.rewrite as rw
+    from coil.expr import Call, Lit as L
 
+    @rw._on(Call)
     def bad_annihilate(n):
-        from coil.expr import Call, Lit as L
-
-        if isinstance(n, Call) and n.op == "mul":
+        if n.op == "mul":
             for a in n.args:
                 if isinstance(a, L) and a.value in (0, 0.0):
                     return L(1.0)
@@ -104,7 +104,8 @@ def test_check_corrupted_rule_negative_control(capsys, tmp_path, monkeypatch):
 
     rules = [(name, bad_annihilate if name == "mul_annihilate" else fn)
              for name, fn in rw.DEFAULT_RULES]
-    monkeypatch.setattr(rw, "DEFAULT_RULES", rules)
+    # lowering reads the rule index, from an empty program cache (`programs`)
+    monkeypatch.setattr(rw, "_BY_CLASS", rw._index(rules))
     replay = tmp_path / "replay.json"
     rc = run_cli(["check", "--kernel", KERNELS / "dot.cin",
                   "--tensor", "A=random:dims=12,density=0.4,format=splist",

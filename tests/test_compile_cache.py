@@ -1,9 +1,9 @@
 """The program cache of `compile_kernel` is sound: it serves a cached program
 only to a binding that the program was lowered for.
 
-A program is keyed by the printed kernel, each binding's signature and the
-ruleset, and guarded by the root facts unfurling folded into it. Every test
-starts from an empty cache; outputs are checked against the dense oracle.
+A program is keyed by the printed kernel and each binding's signature, and
+guarded by the root facts unfurling folded into it. Every test starts from an
+empty cache; outputs are checked against the dense oracle.
 """
 
 import gc
@@ -12,10 +12,8 @@ import weakref
 import pytest
 
 import coil.api as api
-import coil.rewrite as rw
 from coil.api import InputSpec, Lowered, ProgramCache, compile_kernel, execute, oracle_outputs
 from coil.parser import parse
-from coil.rewrite import Ruleset
 from coil.unfurl import CompileError
 
 DOT = "@V i C[] += A[i] * B[i]"
@@ -133,26 +131,6 @@ def test_only_root_facts_are_guards():
     inner = compile_checked(kernel, mat([0.0, 0.0, 0.0, 4.0, 5.0, 6.0]))
     root = compile_checked(kernel, mat([1.0, 0.0, 0.0, 0.0, 2.0, 3.0], x=(0.0, 0.0, 2.0)))
     assert [c.lowering for c in (base, inner, root)] == ["fresh", "cached", "fresh"]
-
-
-# -- rules ---------------------------------------------------------------------------
-
-
-def test_custom_ruleset_misses():
-    ins = lambda: dot_inputs([0.0] * 6)
-    assert compile_checked(DOT, ins()).lowering == "fresh"
-    custom = compile_checked(DOT, ins(), ruleset=Ruleset().add("noop", lambda n: None))
-    assert custom.lowering == "fresh"
-    assert compile_checked(DOT, ins(), ruleset=Ruleset()).lowering == "cached"
-
-
-def test_monkeypatched_default_rules_miss(monkeypatch):
-    ins = lambda: dot_inputs([0.0] * 6)
-    annihilated = compile_checked(DOT, ins())
-    monkeypatch.setattr(rw, "DEFAULT_RULES",
-                        [r for r in rw.DEFAULT_RULES if r[0] != "assign_identity"])
-    patched = compile_checked(DOT, ins())
-    assert patched.lowering == "fresh" and patched.ir_text() != annihilated.ir_text()
 
 
 # -- failures, stages, the lower layer -------------------------------------------------

@@ -16,7 +16,6 @@ from coil.looplets import (
     Style,
     Switch,
     materialize,
-    render,
     push_shift,
     resolve_style,
     truncate,
@@ -264,7 +263,7 @@ def run_truncation_soundness(cases: int, seed: int = 0) -> int:
             d = rng.randint(c - 1, b)  # c-1 gives an empty subrange
             sub = materialize(truncate(l, extent(a, b), extent(c, d)),
                               extent(c, d), mach(g.buffers))
-            assert sub == full[c - a: d - a + 1], (render(l), (a, b), (c, d))
+            assert sub == full[c - a: d - a + 1], (l, (a, b), (c, d))
             checked += 1
     return checked
 
@@ -296,18 +295,3 @@ def test_shift_law_randomized():
         rhs = materialize(l, extent(a - d, b - d), mach(g.buffers))
         assert lhs == rhs
 
-
-# -- debug rendering -------------------------------------------------------------
-
-
-def test_render_golden():
-    p = Pipeline((Phase(Spike(Lit(0.0), Read("A_val", (Var("p"),))), stop=Lit(8)),
-                  Phase(Run(Lit(0.0)))))
-    text = render(p)
-    assert text == (
-        "Pipeline(\n"
-        "  Phase(stop=8,\n"
-        "    Spike(body=0.0, tail=A_val[p])),\n"
-        "  Phase(\n"
-        "    Run(body=0.0)))"
-    )

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from coil.api import InputSpec, OutputSpec, compile_kernel, execute, oracle_outputs, run_kernel
+from coil.api import (InputSpec, OutputSpec, compile_kernel, execute, oracle_outputs, run_kernel,
+                      runtime)
 from coil.cin import Assign, Access, Furl
 from coil.expr import Call, Lit, Var, extent
 from coil.looplets import Phase, Pipeline, Run, Switch
@@ -11,6 +12,8 @@ from coil.lower import LowerCtx, _dispatch
 from coil.parser import parse
 from coil.target import count_loops, print_ir
 from coil.unfurl import CompileError
+
+from test_codegen import agree, drop_kept, same  # noqa: F401 (autouse fixture)
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens"
 
@@ -400,6 +403,34 @@ def test_protocol_choice_never_changes_results():
                "B": InputSpec([n], b, format=["splist"], protocols={1: proto})}
         results.append(execute(compile_kernel(parse(DOT), ins)).dense["C"])
     assert results[0] == results[1] == results[2]
+
+
+# kernel indices named as lowering names a position (`p_`), block (`b_`) or
+# run (`r_`) cursor of A or B, which it must then name otherwise
+CURSOR_NAMED = {"p_A": "splist", "p_B": "splist", "b_A": "svbl", "b_B": "svbl",
+                "r_A": "rle", "r_B": "rle"}
+
+
+@pytest.mark.parametrize("idx", sorted(CURSOR_NAMED))
+def test_kernel_index_names_are_never_fresh_names(idx):
+    kind = CURSOR_NAMED[idx]
+    kernel = parse(f"@V {idx} C[] += A[{idx}] * B[{idx}]")
+    a = [0.0, 1.0, 0.0, 2.0, 3.0, 0.0, 0.0, 4.0]
+    b = [1.0, 1.0, 0.0, 2.0, 0.0, 5.0, 0.0, 4.0]
+    checked = 0
+    for fa, fb in ((kind, "dense"), ("dense", kind), (kind, kind)):
+        for proto in ("walk", "gallop", "follow"):
+            ins = {"A": InputSpec([8], a, format=[fa], protocols={1: proto}),
+                   "B": InputSpec([8], b, format=[fb], protocols={1: proto})}
+            try:
+                c = compile_kernel(kernel, ins)
+            except CompileError:  # a protocol the format does not offer
+                continue
+            data, _ = agree(c.program, lambda: runtime(c))  # interpreted and generated
+            assert same(data["C frozen"][0], 21.0), (fa, fb, proto, c.ir_text())
+            checked += 1
+    assert oracle_outputs(kernel, ins)["C"] == [21.0]
+    assert checked >= 3
 
 
 def test_skewed_spmspv_gallop_beats_walk():

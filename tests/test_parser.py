@@ -12,13 +12,13 @@ from coil.cin import (
     Sieve,
     Where,
     annotate_extents,
+    assign_scopes,
     check_bindings,
     normalize_scatter,
     print_stmt,
-    result_scopes,
     results,
 )
-from coil.expr import Call, Extent, Lit, Var
+from coil.expr import Call, Extent, Lit, Var, walk
 from coil.parser import MAX_DEPTH, parse
 
 
@@ -206,26 +206,27 @@ def test_results():
     assert results(parse("@pass X Y")) == ("X", "Y")
 
 
-def test_result_scopes_workspace():
-    scopes = result_scopes(parse(
+def test_assign_scopes_workspace():
+    annotated, root = assign_scopes(parse(
         "@V k l ((O[k,l] = o[]) where (@V ij o[] += A[k,ij] * A[l,ij]))"))
-    assert scopes["O"] == ("program",)
-    assert scopes["o"][0] == "where"
+    assert root == ("O",)
+    where = annotated.body.body
+    assert isinstance(where, Where) and where.inits == ("o",)
 
 
-def test_result_scopes_single_assign():
-    scopes = result_scopes(parse("@V i A[i] = B[i]"))
-    assert scopes == {"A": ("program",)}
+def test_assign_scopes_single_assign():
+    annotated, root = assign_scopes(parse("@V i A[i] = B[i]"))
+    assert root == ("A",)
+    assert not any(isinstance(n, Where) for n in walk(annotated))
 
 
-def test_result_scopes_multi_independent():
-    scopes = result_scopes(parse("@multi { @V i A[i] = B[i]; @V j C[j] = B[j] }"))
-    assert scopes["A"] == ("program",) and scopes["C"] == ("program",)
+def test_assign_scopes_multi_independent():
+    annotated, root = assign_scopes(parse("@multi { @V i A[i] = B[i]; @V j C[j] = B[j] }"))
+    assert root == ("A", "C")
+    assert not any(isinstance(n, Where) for n in walk(annotated))
 
 
 def test_multi_conflicting_writes_rejected():
-    from coil.cin import assign_scopes
-
     with pytest.raises(CinError):
         assign_scopes(parse("@multi { @V i A[i] = B[i]; @V j A[j] = B[j] }"))
 
