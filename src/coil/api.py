@@ -16,11 +16,10 @@ from .cin import (
     Proto,
     Stmt,
     annotate_extents,
-    print_stmt,
     results,
     written_tensors,
 )
-from .expr import Var, walk
+from .expr import Lit, Var, walk
 from .interp import Buf, ExecCounters
 from .lower import LowerCtx, lower_program
 from .oracle import DenseData, evaluate as oracle_evaluate
@@ -133,13 +132,16 @@ def _bind_outputs(stmt: Stmt, inputs: Dict[str, InputSpec], outputs: Dict[str, O
         if name not in outputs and name not in inputs:
             outputs[name] = OutputSpec()  # auto-bound intermediate / output
 
-    input_dims = {n: s.dims for n, s in inputs.items()}
+    annotated = None  # the kernel's extents, annotated once for every output without dims
     for name, spec in outputs.items():
         if name in inputs:
             raise CompileError(f"tensor {name!r} bound as both input and output")
         dims = spec.dims
         if dims is None:
-            dims = _infer_output_dims(annotate_extents(stmt, input_dims, strict=False), name)
+            if annotated is None:
+                input_dims = {n: s.dims for n, s in inputs.items()}
+                annotated = annotate_extents(stmt, input_dims, strict=False)
+            dims = _infer_output_dims(annotated, name)
         plan = WriterPlan(name, list(dims), spec.fill, spec.dtype, _format(spec.format, len(dims)))
         writers[name] = plan
         tensors[name] = BoundTensor(
@@ -169,13 +171,14 @@ class ProgramCache:
     and its generated code, which goes when the program is replaced or
     evicted.
 
-    Holds programs, code, strings and ints, never a tensor: an
-    entry's facts are one flat tuple of (tensor, depth, field, at, value)
-    runs."""
+    Holds kernels, programs, code, strings, ints and literals, never a
+    tensor: a signature is the kernel statement and each binding's strings,
+    ints and fill literal, and an entry's facts are one flat tuple of
+    (tensor, depth, field, at, value) runs."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: "OrderedDict[str, Lowered]" = OrderedDict()  # most recent last
+        self.entries: "OrderedDict[tuple, Lowered]" = OrderedDict()  # most recent last
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -183,7 +186,7 @@ class ProgramCache:
     def clear(self):
         self.entries.clear()
 
-    def get(self, sig: str, tensors: Dict[str, BoundTensor]) -> Optional[Lowered]:
+    def get(self, sig: tuple, tensors: Dict[str, BoundTensor]) -> Optional[Lowered]:
         """The entry of `sig` if `tensors` read its facts alike. Each
         tensor's facts are re-read in the order lowering read them, so a
         window is checked before any entry it bounds is read."""
@@ -196,7 +199,7 @@ class ProgramCache:
         self.entries.move_to_end(sig)
         return entry
 
-    def put(self, sig: str, entry: Lowered):
+    def put(self, sig: tuple, entry: Lowered):
         self.entries[sig] = entry
         self.entries.move_to_end(sig)
         if len(self.entries) > self.capacity:
@@ -206,15 +209,15 @@ class ProgramCache:
 PROGRAMS = ProgramCache(PROGRAM_CACHE_ENTRIES)
 
 
-def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor]) -> str:
-    """What a lowered program depends on but the folded facts: one string of
-    the kernel, keyed by its printed text, which tells 2 from 2.0 (equal
-    `Stmt`s do not), and of the bindings, each fill as its type's name and
-    repr."""
-    binds = [(name, bt.kinds, bt.dims, bt.dtype, bt.is_output,
-              sorted((bt.protocols or {}).items()), type(bt.fill).__name__, bt.fill)
-             for name, bt in tensors.items()]
-    return f"{print_stmt(stmt)}\n{binds!r}"
+def _signature(stmt: Stmt, tensors: Dict[str, BoundTensor]) -> tuple:
+    """What a lowered program depends on but the folded facts: the kernel
+    statement, and each binding's name, level kinds, dims, dtype, output
+    flag, sorted protocols and fill. Literals compare by printed value, so
+    the kernels of `* 2` and `* 2.0` differ, and the fill is kept as a
+    literal for the same reason: 0, 0.0, -0.0 and false are four fills."""
+    return stmt, tuple((name, tuple(bt.kinds), tuple(bt.dims), bt.dtype, bt.is_output,
+                        tuple(sorted((bt.protocols or {}).items())), Lit(bt.fill))
+                       for name, bt in tensors.items())
 
 
 def compile_kernel(stmt: Stmt, inputs: Dict[str, InputSpec],

@@ -31,7 +31,19 @@ class Expr:
 
 @dataclass(frozen=True, slots=True)
 class Lit(Expr):
+    """A literal. Two literals are equal, and hash alike, when their values
+    print alike (`value_repr`): 1, 1.0 and true are three literals, 0.0 and
+    -0.0 are two, and nan equals nan. So equal nodes of every IR family
+    hold the same values, of the same types."""
+
     value: object
+
+    def __eq__(self, other):
+        return type(other) is Lit and (self.value is other.value
+                                       or value_repr(self.value) == value_repr(other.value))
+
+    def __hash__(self):
+        return hash(value_repr(self.value))
 
     def __repr__(self):
         return f"Lit({value_repr(self.value)})"
@@ -99,17 +111,6 @@ def _const(e: Expr):
 def iadd(*terms: Expr) -> Expr:
     """Normalized sum of index arithmetic: flattens nested adds, folds the
     constant part, and cancels x + (-x) pairs."""
-    return _sum(terms, True)
-
-
-def _sum(terms, index: bool) -> Expr:
-    """`iadd`; but unless `index` holds, only a sum that `_is_int` proves
-    index arithmetic is normalized. A value sum keeps the kernel's terms and
-    their order: each `add` call checks int overflow once, on its exact sum,
-    and adds floats left to right, so splicing, folding or cancelling its
-    terms can change the result."""
-    if not index and not all(map(_is_int, terms)):
-        return terms[0] if len(terms) == 1 else Call("add", tuple(terms))
     flat: list[Expr] = []
     const = 0
     stack = list(terms)
@@ -263,23 +264,30 @@ def keep(node):
     return node
 
 
+# The index ops, each with the normalizer `subst` rebuilds it through.
+_NORMALIZERS = {"add": iadd, "neg": ineg, "min": imin, "max": imax}
+
+
 def subst(node, env: dict):
     """Substitute Var names by expressions anywhere in a node of any IR
-    family (capture-free; names are unique)."""
+    family (capture-free; names are unique).
+
+    An `add`, `neg`, `min` or `max` call is rebuilt through its normalizer,
+    so that bound constants keep folding, when it is index arithmetic: it
+    sits in a subscript or a search bound, or `_is_int` proves it. Any other
+    call keeps its operands as written: a value sum checks int overflow
+    once, on its exact sum, and adds floats left to right, and a value
+    `min` or `max` keeps the first of equal operands (`max(0, -0.0)` is 0),
+    so folding or reordering operands can change the result."""
 
     def go(n, index=False):
         if isinstance(n, Var):
             return env.get(n.name, n)
         if isinstance(n, Call):
             args = tuple(go(a, index) for a in n.args)
-            # Rebuild through the normalizers so bound constants keep folding;
-            # outside subscripts a sum may hold values (see `_sum`).
-            if n.op == "add":
-                return _sum(args, index)
-            if n.op == "neg":
-                return ineg(args[0])
-            if n.op in ("min", "max"):
-                return _minmax(n.op, args)
+            norm = _NORMALIZERS.get(n.op)
+            if norm is not None and (index or all(map(_is_int, args))):
+                return norm(*args)
             return Call(n.op, args)
         if isinstance(n, (Read, Search)):  # subscripts and search bounds are index arithmetic
             return n.map(go_index)

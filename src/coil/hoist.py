@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional, Tuple
 
-from .expr import Call, Expr, Lit, Var, free_vars, keep, le, walk
+from .expr import Call, Expr, Lit, Var, free_vars, keep, le
 from .interp import OP_COUNTERS
 from .target import (
     AssignVar,
@@ -132,7 +132,7 @@ class _Pass:
             assigned |= got
         if orelse is None and len(cases) == 1:
             (cond, body), = cases
-            if type(body) is For and _key(cond) == _key(le(body.lo, body.hi)):
+            if type(body) is For and cond == le(body.lo, body.hi):
                 return body, assigned
         if orelse is s.orelse and all(a[1] is b[1] for a, b in zip(cases, s.cases)):
             return s, assigned
@@ -144,7 +144,7 @@ class _Pass:
         lo, hi = loop.lo, loop.hi
         if type(lo) is Lit and type(hi) is Lit:
             return lo.value <= hi.value
-        return fact is not None and _key(fact) == _key(le(lo, hi))
+        return fact == le(lo, hi)
 
     def loop(self, s, nonempty: bool) -> Tuple[List[TargetStmt], set]:
         """The loop with the loops in it rewritten and, when it is a `for`
@@ -168,7 +168,7 @@ class _Motion:
     def __init__(self, p: _Pass, assigned: set):
         self.p = p
         self.variant = set(assigned)  # less the lets moved out whole
-        self.temps: dict = {}         # `_key` of a moved value -> its name
+        self.temps: dict = {}         # a moved value -> its name
         self.pre: List[TargetStmt] = []
 
     def body(self, stmts: List[TargetStmt]) -> List[TargetStmt]:
@@ -252,11 +252,10 @@ class _Motion:
 
     def temp(self, e: Expr) -> Var:
         """A name bound, before the loop, to the invariant `e`."""
-        key = _key(e)
-        name = self.temps.get(key)
+        name = self.temps.get(e)
         if name is None:
             value = self.reuse(e)
-            name = self.temps[key] = self.p.names.fresh("inv")
+            name = self.temps[e] = self.p.names.fresh("inv")
             self.pre.append(Let(name, value))
         return Var(name)
 
@@ -264,7 +263,7 @@ class _Motion:
         """`e` with each value already bound before the loop read by name."""
         if not self.temps:
             return e
-        name = self.temps.get(_key(e))
+        name = self.temps.get(e)
         if name is not None:
             return Var(name)
         return e.map(self.reuse) if e.children() else e
@@ -274,13 +273,6 @@ def _same(stmts: List[TargetStmt], s: TargetStmt) -> bool:
     """Whether the list `stmts` holds the statements of `s` themselves."""
     old = s.stmts if type(s) is Block else (s,)
     return len(stmts) == len(old) and all(a is b for a, b in zip(stmts, old))
-
-
-def _key(e: Expr):
-    """`e` as a key that tells literal types apart, as `Expr` equality does
-    not: `Lit(1) == Lit(1.0) == Lit(True)`, but `$p + 1` and `$p + 1.0` are
-    different values."""
-    return e, tuple(type(n.value) for n in walk(e) if type(n) is Lit)
 
 
 def _holds(fact: Optional[Expr], assigned: set) -> Optional[Expr]:

@@ -19,7 +19,6 @@ equivalence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Dict, List, Optional
 
@@ -38,7 +37,7 @@ from .cin import (
     assign_scopes,
 )
 from .expr import Call, Expr, Lit, Var, walk
-from .values import MISSING, OPS, SELECT_NOT_BOOL, EvalError, apply_op, coercer, value_repr
+from .values import MISSING, OPS, SELECT_NOT_BOOL, EvalError, coercer, value_repr
 
 
 class OracleError(Exception):
@@ -184,7 +183,7 @@ class _Compiler:
                 i = pos(env)
                 arr[i] = coerce(v)
             return assign
-        combine = OPS.get(s.op) or partial(apply_op, s.op)
+        combine = OPS[s.op]
 
         def update(env):
             v = rhs(env)
@@ -225,7 +224,7 @@ class _Compiler:
             return _select(*args)
         if op in ("and", "or"):
             return _logic(op, args)
-        fn = OPS.get(op) or partial(apply_op, op)
+        fn = OPS[op]
 
         def call(env):
             vs = [a(env) for a in args]

@@ -348,12 +348,13 @@ class Parser:
                 while self.accept(","):
                     args.append(self.parse_expr())
             self.expect(")")
-            if name in OP_ARITY:
-                lo, hi = OP_ARITY[name]
-                if len(args) < lo or hi is not None and len(args) > hi:
-                    raise CinError(f"line {t.line} col {t.col}: {name} takes "
-                                   f"{lo if hi == lo else f'at least {lo}'} operand(s), "
-                                   f"got {len(args)}")
+            if name not in OP_ARITY:
+                raise CinError(f"line {t.line} col {t.col}: unknown operation {name!r}")
+            lo, hi = OP_ARITY[name]
+            if len(args) < lo or hi is not None and len(args) > hi:
+                raise CinError(f"line {t.line} col {t.col}: {name} takes "
+                               f"{lo if hi == lo else f'at least {lo}'} operand(s), "
+                               f"got {len(args)}")
             return Call(name, tuple(args))
         if self.peek().text == "[":
             self.next()

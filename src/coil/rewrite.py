@@ -30,8 +30,8 @@ from .cin import (
     results,
     uses_index,
 )
-from .expr import Call, Expr, Lit, ONE, _is_int, const_diff, le, walk
-from .values import MISSING, EvalError, PURE_OPS, apply_op, is_number
+from .expr import Call, Expr, FALSE, Lit, ONE, TRUE, _is_int, const_diff, le, walk
+from .values import MISSING, EvalError, apply_op, is_number
 
 Rule = Tuple[str, Callable]
 
@@ -52,14 +52,6 @@ def _on(cls):
     return mark
 
 
-def _is_lit(e, v) -> bool:
-    if not isinstance(e, Lit):
-        return False
-    if isinstance(v, bool):
-        return e.value is v
-    return type(e.value) is type(v) and e.value == v
-
-
 def _lit_missing(e) -> bool:
     return isinstance(e, Lit) and e.value is MISSING
 
@@ -76,7 +68,7 @@ _zero_like, _one_like = _unit_test(False, 0), _unit_test(True, 1)
 
 @_on(Call)
 def r_constant_fold(n):
-    if n.op in PURE_OPS and n.op not in ("coalesce", "select"):
+    if n.op not in ("coalesce", "select"):
         if n.args and all(isinstance(a, Lit) for a in n.args):
             try:
                 return Lit(apply_op(n.op, [a.value for a in n.args]))
@@ -182,15 +174,16 @@ def _identity(op: str, is_unit, unit):
 def _logic(op: str, halt: bool):
     """The rule that folds the literal operands of `and` (halting on false)
     or `or` (halting on true)."""
+    stop, skip = (TRUE, FALSE) if halt else (FALSE, TRUE)
 
     @_on(Call)
     def rule(n):
         if n.op == op:
-            if any(_is_lit(a, halt) for a in n.args):
-                return Lit(halt)
-            kept = tuple(a for a in n.args if not _is_lit(a, not halt))
+            if stop in n.args:
+                return stop
+            kept = tuple(a for a in n.args if a != skip)
             if not kept:
-                return Lit(not halt)
+                return skip
             if len(kept) == 1:
                 return kept[0]
             if len(kept) != len(n.args):
@@ -309,7 +302,7 @@ def r_assign_identity(n):
         # an added zero, or a product with a zero (0 or 0.0), leaves the output as it is
         if n.op == "add" and (_zero_like(n.rhs) or _annihilated(n.rhs)):
             return PassStmt((n.lhs.base,))
-        if n.op == "or" and _is_lit(n.rhs, False):
+        if n.op == "or" and n.rhs == FALSE:
             return PassStmt((n.lhs.base,))
         if n.op == "mul" and _one_like(n.rhs):
             return PassStmt((n.lhs.base,))

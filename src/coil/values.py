@@ -162,9 +162,6 @@ OP_ARITY = {
     "abs": (1, 1),
 }
 
-# Ops safe to fold at compile time when all arguments are literal.
-PURE_OPS = frozenset(OP_ARITY)
-
 # -- the op table ------------------------------------------------------------------
 #
 # Each op is one function of its operand list. It applies the absorbing
@@ -383,14 +380,8 @@ OPS = {
 
 
 def apply_op(op: str, args: list) -> Value:
-    """Apply a scalar operation with missing-propagation semantics:
-    `OPS[op](args)`. An unknown op propagates missing and otherwise raises."""
-    fn = OPS.get(op)
-    if fn is not None:
-        return fn(args)
-    if MISSING in args:
-        return MISSING
-    raise EvalError(f"unknown operation {op!r}")
+    """Apply a scalar operation with missing-propagation semantics."""
+    return OPS[op](args)
 
 
 def value_repr(v) -> str:

@@ -41,6 +41,17 @@ def test_compile_unsupported_pair_exit_2(capsys):
     assert "protocol" in err or "gallop" in err
 
 
+def test_compile_unknown_operation_exit_2(capsys, tmp_path):
+    kernel = tmp_path / "k.cin"
+    kernel.write_text("@V i C[] += f2x(A[i])\n")
+    rc = run_cli(["compile", "--kernel", kernel,
+                  "--tensor", "A=random:dims=8,density=0.5,seed=1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "unknown operation 'f2x'" in err
+    assert "Traceback" not in err
+
+
 def test_run_json_report(capsys, tmp_path, programs):
     for n, backend, codegen in ((4, "interp", [None, None]), (600, "python", ["fresh", "cached"])):
         path = tmp_path / "v.txt"

@@ -179,10 +179,10 @@ def test_new_inputs_of_one_compiled_kernel():
 
 
 def test_equal_programs_get_their_own_code():
-    """Equal IR may hold literals of different types; each program's entry
-    keeps its own code."""
+    """Programs that differ only in the type of a literal are different
+    programs; each program's entry keeps its own code."""
     ints, floats = (spmspv(text=f"@V i j y[i] += A[i,j] * x[j] * {k}") for k in ("2", "2.0"))
-    assert ints.program == floats.program and ints.lowered is not floats.lowered
+    assert ints.program != floats.program and ints.lowered is not floats.lowered
     assert [execute(c).codegen for c in (ints, floats, ints)] == ["fresh", "fresh", "cached"]
     assert ints.lowered.code is not floats.lowered.code
 

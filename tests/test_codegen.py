@@ -33,7 +33,7 @@ from coil.parser import MAX_DEPTH, _height, parse
 from coil.storage import to_dense
 from coil.target import NOP, AssignVar, Block, BufferWrite, CallStmt, For, IfChain, Let, While
 from coil.unfurl import WriterPlan
-from coil.values import INT_MAX, MISSING
+from coil.values import INT_MAX, MISSING, value_repr
 
 from test_acceptance import corpus_cases
 
@@ -555,6 +555,40 @@ def test_value_sums_keep_their_order():
         buffers, writers = runtime(compiled)
         run(compiled.program, buffers, {}, writers)
         assert buffers["C_val"].data == want, run
+
+
+# Value calls keep their written operands, and equal invariants are equal
+# literals: (kernel, A's data, outputs, params, each output as printed)
+SIGNED = {
+    # max(0, -0.0) is 0, the first of equal operands
+    "relu": ("@V i C[i] = max(0, A[i])", [-0.0, -1.0, 2.0], {}, {},
+             {"C": ["0.0", "0.0", "2.0"]}),
+    # min(3, 3.0) is the int 3, which an int output stores
+    "min into int": ("@V i C[i] = min(3, A[i])", [3.0] * 4,
+                     {"C": OutputSpec(dtype="int", fill=0)}, {}, {"C": ["3"] * 4}),
+    # $p + 0.0 and $p + -0.0 are two invariants
+    "signed zeros": ("@V i @multi { C[i] = A[i] + ($p + 0.0); D[i] = A[i] + ($p + -0.0) }",
+                     [-0.0] * 3, {}, {"p": -0.0}, {"C": ["0.0"] * 3, "D": ["-0.0"] * 3}),
+}
+
+
+@pytest.mark.parametrize("case,fmt", [("relu", "dense"), ("relu", "splist"),
+                                      ("min into int", "dense"), ("min into int", "splist"),
+                                      ("signed zeros", "dense")])
+def test_values_keep_their_type_and_sign(case, fmt):
+    """The interpreter and cold and warm generated code write the oracle's
+    outputs, equal as printed: in value, type and sign of zero. A splist
+    A has fill 1.0, so that it stores -0.0."""
+    text, data, outs, params, printed = SIGNED[case]
+    ins = {"A": InputSpec([len(data)], data, format=[fmt], fill=1.0 if fmt == "splist" else 0.0)}
+    want = oracle_outputs(text, ins, outs, params)
+    assert {name: [value_repr(v) for v in want[name]] for name in printed} == printed
+    compiled = compile_kernel(parse(text), ins, outs, params)
+    for run in BACKENDS:
+        buffers, writers = runtime(compiled)
+        run(compiled.program, buffers, {f"${k}": v for k, v in params.items()}, writers)
+        got = {name: [value_repr(v) for v in to_dense(w.freeze())] for name, w in writers.items()}
+        assert got == printed, run
 
 
 # A float unit or an int zero meets an operand of the other type: the call

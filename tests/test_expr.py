@@ -85,3 +85,31 @@ def test_printing():
     assert print_expr(Call("mul", (Var("a"), iadd(Var("b"), Lit(1))))) == "a * (b + 1)"
     assert print_expr(imin(Var("x"), Lit(8))) == "min(x, 8)"
     assert print_expr(Call("eq", (Var("i"), Lit(3)))) == "i == 3"
+
+
+def test_subst_keeps_value_min_max_and_neg_as_written():
+    """A value `min`, `max` or `neg` keeps its operands in the kernel's
+    order: max(0, -0.0) is 0 but max(-0.0, 0) is -0.0, and -(-x) overflows
+    where x is the least int. The same calls in a subscript are index
+    arithmetic, and are normalized."""
+    a = Read("A_val", (Var("k"),))
+    for op in ("min", "max"):
+        value = Call(op, (Lit(0), a))
+        assert subst(value, {"k": Var("i")}) == Call(op, (Lit(0), Read("A_val", (Var("i"),))))
+        index = Read("B_val", (Call(op, (Lit(0), Var("k"))),))
+        assert subst(index, {"k": Var("i")}) == Read("B_val", (Call(op, (Var("i"), Lit(0))),))
+    twice = Call("neg", (Call("neg", (Var("$p"),)),))
+    assert subst(twice, {}) == twice
+    assert subst(Call("neg", (Call("neg", (Var("k"),)),)), {"k": Var("i")}) == Var("i")
+
+
+def test_literals_are_equal_when_they_print_alike():
+    one = [Lit(1), Lit(1.0), Lit(True)]
+    assert all(a != b for k, a in enumerate(one) for b in one[k + 1:])
+    assert Lit(0.0) != Lit(-0.0) and Lit(0) != Lit(False)
+    assert Lit(float("nan")) == Lit(float("nan"))
+    for v in (1, 1.0, True, -0.0, float("nan"), 2 ** 63 - 1):
+        assert Lit(v) == Lit(v) and hash(Lit(v)) == hash(Lit(v))
+    # so do the nodes that hold them
+    assert Call("mul", (Var("x"), Lit(2))) != Call("mul", (Var("x"), Lit(2.0)))
+    assert len({Lit(0.0), Lit(-0.0), Lit(0), Lit(False)}) == 4

@@ -31,16 +31,28 @@ writes the snapshot of the current tree, and
 prints, for each program whose snapshot differs from OLD_GOLDEN's, its change
 in IR lines and in every counter (`exec_ops` is the sum of the scalar
 counters, as the benchmark adds them), then the totals over all programs.
+
+    PYTHONPATH=src python tests/test_ir_snapshot.py --codegen
+
+prints the Python that the generated-code backend makes (`codegen._source`
+over the `codegen._Facts` of a fresh runtime state) for the 164 snapshot
+programs and the 7 programs of the benchmark's spmspv_large and image_blend
+jobs (`benchmarks/workloads.py`): each program's source, constants and site
+counts. A refactor that means to leave generated code alone shows it by
+diffing this output at the parent commit against its own.
 """
 
 import json
 import pathlib
 import random
+import sys
 
 import coil.api
-from coil.api import compile_kernel, execute, runtime
+from coil import codegen
+from coil.api import InputSpec, compile_kernel, execute, runtime
 from coil.expr import Lit, Read, Var
 from coil.parser import parse
+from coil.tensorio import matrix_market_dense
 from coil.target import AssignVar, Block, CallStmt, For, IfChain, Let, While, count_loops
 
 from ir_verifier import verify
@@ -77,6 +89,37 @@ def render(programs) -> str:
 
 def render_snapshot() -> str:
     return render(snapshot_programs())
+
+
+def benchmark_programs(workdir: str):
+    """(header, compiled, params) for the programs of the benchmark's
+    spmspv_large and image_blend jobs, whose MatrixMarket inputs are
+    written under `workdir`."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    for make in (workloads.spmspv_jobs, workloads.image_jobs):
+        for job in make(SEED, workdir):
+            for n, step in enumerate(job.steps, start=1):
+                inputs = dict(step.inputs)
+                for name, (path, fmt, protocols) in step.mtx.items():
+                    dims, data, dtype = matrix_market_dense(path)
+                    inputs[name] = InputSpec(dims, data, fmt, 0.0 if dtype == "float" else 0,
+                                             dtype, protocols)
+                compiled = compile_kernel(parse(step.kernel), inputs, step.outputs, step.params)
+                yield f"### {job.label} step {n}: {step.kernel}", compiled, step.params
+
+
+def render_codegen(programs) -> str:
+    """Generated source, constants and site counts of (header, compiled,
+    params) programs, each generated for a fresh runtime state."""
+    lines = []
+    for header, compiled, params in programs:
+        buffers, writers = runtime(compiled)
+        table = codegen._Facts(buffers, writers, {f"${k}": v for k, v in params.items()})
+        src, consts, sites = codegen._source(compiled.program, table)
+        lines += [header, src.rstrip("\n"), f"consts {consts!r}", f"sites {sites!r}"]
+    return "\n".join(lines) + "\n"
 
 
 def cold_and_warm(programs):
@@ -210,10 +253,15 @@ def _order(name: str):
 
 
 if __name__ == "__main__":
-    import sys
+    import itertools
+    import tempfile
 
     if sys.argv[1:2] == ["--compare"]:
         old_text = pathlib.Path(sys.argv[2]).read_text(encoding="utf-8")
         sys.stdout.write(compare(old_text, render_snapshot()))
+    elif sys.argv[1:2] == ["--codegen"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.stdout.write(render_codegen(
+                itertools.chain(snapshot_programs(), benchmark_programs(tmp))))
     else:
         sys.stdout.write(render_snapshot())

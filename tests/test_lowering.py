@@ -268,7 +268,7 @@ def test_rle_alpha_blend_run_writes():
 def test_scatter_write_to_append_only_output_rejected():
     ins = {"B": InputSpec([4], [1.0, 2.0, 3.0, 4.0])}
     with pytest.raises(CompileError):
-        compile_kernel(parse("@V i y[f(i)] = B[i]"), ins,
+        compile_kernel(parse("@V i y[abs(i)] = B[i]"), ins,
                        {"y": OutputSpec(dims=[4], format=["splist"])})
 
 
